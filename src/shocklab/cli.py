@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as xp
-from .config import RunConfig, parse_config, tokenize, validate
+from .config import RunConfig, tokenize, validate
 from .cones import dual_cone_from_flux
 from .errors import ConfigError, ShockLabError
 from .experiments import Check, ExperimentReport

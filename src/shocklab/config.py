@@ -8,7 +8,7 @@ back to a silent default.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

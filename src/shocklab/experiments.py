@@ -15,19 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .cones import DualCone
 from .errors import (
     BoundaryContact,
     Characteristic,
     EtaTooLarge,
     RangeViolation,
 )
-from .fluxes import Flux, ShockPair, burgers_flux, burgers_normalization, is_burgers
+from .fluxes import Flux, burgers_flux, burgers_normalization, is_burgers, poly_abs_max
 from .profiles import (
     PerturbationSpec,
     ShockProfile,
     extract_front,
-    front_surgery,
     make_graph,
     sandwich_bounds,
 )
@@ -37,7 +35,9 @@ from .solver import (
     Field,
     Grid,
     SchemeConfig,
+    check_range,
     constant_background,
+    field_range,
     l1_distance,
     profile_background,
     run,
@@ -88,20 +88,6 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
-def _poly_abs_max(coeffs, lo: float, hi: float) -> float:
-    """Exact max of |p| over [lo, hi] via the critical points of p."""
-    c = np.asarray(coeffs, dtype=float)
-    cand = [abs(float(P.polyval(lo, c))), abs(float(P.polyval(hi, c)))]
-    dc = np.trim_zeros(P.polyder(c), "b")
-    if len(dc) >= 1:
-        r = P.polyroots(dc) if len(dc) > 1 else np.empty(0)
-        r = r[np.abs(r.imag) < 1e-9].real if len(dc) > 1 else r
-        for x in np.atleast_1d(r):
-            if lo <= x <= hi:
-                cand.append(abs(float(P.polyval(x, c))))
-    return max(cand)
-
-
 def settle(
     field_in: Field,
     scheme: SchemeConfig,
@@ -115,14 +101,18 @@ def settle(
     Sharp two-valued data develop a thin discrete shock layer; iterating the
     update until the per-step L1 self-change drops below tol freezes that
     layer so steady profiles really are fixed points of the evolution.
+    Raises CFLViolation if a step leaves the start range of the field and its
+    ghosts, which a monotone update never does.
     """
     g = field_in.grid
     if tol is None:
         tol = 1e-13 * g.ncells * g.cell_volume
     f = field_in.copy()
+    guard = field_range(f, scheme, background)
     dt = stable_dt(flux, g, scheme, float(f.values.min()) - 1e-9, float(f.values.max()) + 1e-9)
     for _ in range(max_steps):
         nxt, _ = step(f, scheme, flux, background, 0.0, dt)
+        check_range(nxt.values.min(), nxt.values.max(), guard)
         change = float(np.abs(nxt.values - f.values).sum()) * g.cell_volume
         f = nxt
         if change <= tol:
@@ -156,7 +146,7 @@ def support_hull(flux: Flux, j, n_samples: int = 64) -> SupportHull:
         raise ValueError("n_samples must be >= 2")
     amp = hi - lo
     c_f = float(np.linalg.norm([
-        _poly_abs_max(flux.component(i, 2), lo, hi) for i in range(flux.d)
+        poly_abs_max(flux.component(i, 2), lo, hi) for i in range(flux.d)
     ]))
     center = flux.value(lo, 1)
     if amp == 0.0:
@@ -243,7 +233,7 @@ def support_experiment(
     j_lo = min(float(b1.values.min()), float(b2.values.min()))
     j_hi = max(float(b1.values.max()), float(b2.values.max()))
     hull = support_hull(flux, (j_lo, j_hi))
-    lam = max(_poly_abs_max(flux.component(i, 1), j_lo, j_hi) for i in range(g.d))
+    lam = max(float(poly_abs_max(flux.component(i, 1), j_lo, j_hi)) for i in range(g.d))
 
     mesh = g.center_mesh()
     mask0 = np.abs(diff0) > threshold * amp
@@ -483,7 +473,7 @@ def predicted_absorption_time(profile: ShockProfile, box, eta: float) -> Absorpt
     lo_s = min(pair.u_plus, pair.u_minus)
     hi_s = pair.u_minus + eta
     c_f = float(np.linalg.norm([
-        _poly_abs_max(pair.flux.component(i, 2), lo_s, hi_s) for i in range(pair.d)
+        poly_abs_max(pair.flux.component(i, 2), lo_s, hi_s) for i in range(pair.d)
     ]))
     radius = 2.0 * c_f * eta
     alpha = float(np.min(facets @ drift - radius * np.linalg.norm(facets, axis=1)))

@@ -8,6 +8,7 @@ non-degeneracy test decidable by linear algebra on the coefficient matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "NondegeneracyResult",
     "burgers_flux",
     "eval_flux",
+    "critical_points",
+    "poly_abs_max",
     "make_shock_pair",
     "normal_speed",
     "oleinik_admissible",
@@ -79,6 +82,33 @@ def eval_flux(flux: Flux, s, order: int = 0) -> np.ndarray:
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     return flux.value(s, order)
+
+
+def critical_points(coeffs) -> np.ndarray:
+    """Sorted real roots of p' for p with ascending coefficients (read-only)."""
+    # keyed by the bytes: -0.0 and 0.0 compare and hash equal but can give
+    # roots of different sign
+    return _critical_points(np.asarray(coeffs, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=256)
+def _critical_points(key: bytes) -> np.ndarray:
+    dc = np.trim_zeros(P.polyder(np.frombuffer(key)), "b")
+    r = P.polyroots(dc) if len(dc) > 1 else np.empty(0, dtype=complex)
+    r = np.sort(r[np.abs(r.imag) < 1e-9].real)
+    r.flags.writeable = False
+    return r
+
+
+def poly_abs_max(coeffs, lo, hi):
+    """Exact max of |p| over [lo, hi] via the critical points of p; elementwise for arrays."""
+    c = np.asarray(coeffs, dtype=float)
+    cand = np.maximum(np.abs(P.polyval(lo, c)), np.abs(P.polyval(hi, c)))
+    for r in critical_points(c):
+        inside = (lo <= r) & (r <= hi)
+        if np.any(inside):
+            cand = np.where(inside, np.maximum(cand, abs(float(P.polyval(r, c)))), cand)
+    return cand
 
 
 @dataclass(frozen=True)

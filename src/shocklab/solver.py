@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
-from .fluxes import Flux
+from .fluxes import Flux, critical_points, poly_abs_max
 from .profiles import ShockProfile
 
 __all__ = [
@@ -108,6 +108,14 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
+    @classmethod
+    def _trusted(cls, grid: Grid, values: np.ndarray) -> "Field":
+        """Wrap a float array of the grid's shape already known to be finite."""
+        f = cls.__new__(cls)
+        f.grid = grid
+        f.values = values
+        return f
+
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
@@ -190,49 +198,19 @@ class SchemeConfig:
 
 # -- numerical interface fluxes ------------------------------------------------
 
+def _key(coeffs) -> bytes:
+    """Cache key of a coefficient sequence: -0.0 and 0.0 compare and hash
+    equal, so a tuple key would let one answer for the other."""
+    return np.asarray(coeffs, dtype=float).tobytes()
+
+
 @lru_cache(maxsize=256)
-def _compiled(coeffs: tuple) -> dict:
-    c = np.asarray(coeffs, dtype=float)
+def _compiled(key: bytes) -> dict:
+    c = np.frombuffer(key)
     dc = P.polyder(c)
-    ddc = P.polyder(dc)
-
-    def real_roots(p):
-        p = np.trim_zeros(p, "b")
-        if len(p) <= 1:
-            return np.empty(0)
-        r = P.polyroots(p)
-        return np.sort(r[np.abs(r.imag) < 1e-9].real)
-
-    return {
-        "c": c,
-        "dc": dc,
-        "droots": real_roots(dc),    # breakpoints of sign(g')
-        "ddroots": real_roots(ddc),  # interior critical points of g'
-    }
-
-
-def _lambda_max(coeffs: tuple, lo, hi):
-    """max |g'| over [lo, hi], exact via the critical points of g'."""
-    data = _compiled(coeffs)
-    cand = np.abs(P.polyval(lo, data["dc"]))
-    cand = np.maximum(cand, np.abs(P.polyval(hi, data["dc"])))
-    for r in data["ddroots"]:
-        inside = (lo <= r) & (r <= hi)
-        if np.any(inside):
-            cand = np.where(inside, np.maximum(cand, abs(float(P.polyval(r, data["dc"])))), cand)
-    return cand
-
-
-def _rusanov(coeffs: tuple, a, b, lam=None):
-    data = _compiled(coeffs)
-    if lam is None:
-        lam = _lambda_max(coeffs, np.minimum(a, b), np.maximum(a, b))
-    return 0.5 * (P.polyval(a, data["c"]) + P.polyval(b, data["c"])) - 0.5 * lam * (b - a)
-
-
-def _eo_split(data: dict, x, positive: bool):
-    """integral from 0 to x of the positive (or negative) part of g'."""
-    edges = np.concatenate([[-np.inf], data["droots"], [np.inf]])
+    # Engquist-Osher: the intervals between the sign changes of g' on which
+    # g' > 0 (or < 0), each with g at the point of the interval nearest to 0
+    edges = np.concatenate([[-np.inf], critical_points(c), [np.inf]])
     mids = []
     for k in range(len(edges) - 1):
         l, r = edges[k], edges[k + 1]
@@ -245,22 +223,69 @@ def _eo_split(data: dict, x, positive: bool):
         else:
             m = 0.5 * (l + r)
         mids.append(m)
-    signs = P.polyval(np.array(mids), data["dc"])
-    total = np.zeros_like(np.asarray(x, dtype=float))
+    signs = P.polyval(np.array(mids), dc)
+    pos, neg = [], []
     for k in range(len(edges) - 1):
-        want = signs[k] > 0 if positive else signs[k] < 0
-        if not want:
-            continue
-        cx = np.clip(x, edges[k], edges[k + 1])
-        c0 = float(np.clip(0.0, edges[k], edges[k + 1]))
-        total = total + (P.polyval(cx, data["c"]) - P.polyval(c0, data["c"]))
-    return total
+        l, r = edges[k], edges[k + 1]
+        piece = (l, r, P.polyval(float(np.clip(0.0, l, r)), c))
+        if signs[k] > 0:
+            pos.append(piece)
+        elif signs[k] < 0:
+            neg.append(piece)
+    return {"c": c, "dc": dc, "g0": float(P.polyval(0.0, c)), "pos": pos, "neg": neg}
 
 
-def _engquist_osher(coeffs: tuple, a, b):
-    data = _compiled(coeffs)
-    g0 = float(P.polyval(0.0, data["c"]))
-    return g0 + _eo_split(data, a, positive=True) + _eo_split(data, b, positive=False)
+def _horner(c: np.ndarray, x):
+    """P.polyval(x, c) by the same operations, c[-1] + x*0 then c[-i] + c0*x, in one buffer."""
+    out = x * 0
+    out += c[-1]
+    for i in range(2, len(c) + 1):
+        out *= x
+        out += c[-i]
+    return out
+
+
+def _lambda_max(key: bytes, lo, hi):
+    """max |g'| over [lo, hi], exact via the critical points of g'."""
+    return poly_abs_max(_compiled(key)["dc"], lo, hi)
+
+
+@lru_cache(maxsize=1024)
+def _lambda_bound(key: bytes, lo: float, hi: float) -> float:
+    """float(max |g'|) over [lo, hi]; the same range recurs step after step."""
+    return float(np.max(_lambda_max(key, lo, hi)))
+
+
+def _rusanov(g_a, g_b, a, b, lam):
+    """0.5*(g(a) + g(b)) - (0.5*lam)*(b - a), given g(a) and g(b)."""
+    f = g_a + g_b
+    f *= 0.5
+    diss = b - a
+    diss *= 0.5 * lam
+    f -= diss
+    return f
+
+
+def _eo_part(pieces, c: np.ndarray, x):
+    """integral from 0 to x of the positive (or negative) part of g'."""
+    total = None
+    for l, r, g_c0 in pieces:
+        part = _horner(c, np.clip(x, l, r))
+        part -= g_c0
+        if total is None:
+            part += 0.0  # the sum starts from +0.0, which turns -0.0 into +0.0
+            total = part
+        else:
+            total += part
+    return np.zeros_like(x) if total is None else total
+
+
+def _engquist_osher(data: dict, a, b):
+    """g(0) + integral_0^a (g')^+ + integral_0^b (g')^-, in that order."""
+    f = _eo_part(data["pos"], data["c"], a)
+    f += data["g0"]
+    f += _eo_part(data["neg"], data["c"], b)
+    return f
 
 
 def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
@@ -273,13 +298,15 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
     real roots.  Both are consistent (H(s, s) = g(s)), nondecreasing in a, and
     nonincreasing in b.
     """
-    coeffs = tuple(float(x) for x in np.asarray(flux_component, dtype=float))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    key = _key(flux_component)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    data = _compiled(key)
     if kind == "rusanov":
-        return _rusanov(coeffs, a, b, lam)
+        if lam is None:
+            lam = _lambda_max(key, np.minimum(a, b), np.maximum(a, b))
+        return _rusanov(_horner(data["c"], a), _horner(data["c"], b), a, b, lam)
     if kind == "engquist-osher":
-        return _engquist_osher(coeffs, a, b)
+        return _engquist_osher(data, a, b)
     raise ValueError(f"unknown numerical flux {kind!r}")
 
 
@@ -287,10 +314,15 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
 
 @dataclass(frozen=True, eq=False)
 class Background:
-    """Far-field state used for dirichlet ghost cells; translates with velocity."""
+    """Far-field state used for dirichlet ghost cells; translates with velocity.
+
+    While the velocity is zero the ghost layers do not depend on t, so each
+    grid's layers are evaluated once and kept, read-only, in _steady.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     velocity: np.ndarray
+    _steady: dict = field(default_factory=dict, init=False, repr=False)
 
     def eval(self, points: np.ndarray, t: float) -> np.ndarray:
         if np.any(self.velocity != 0.0):
@@ -307,8 +339,9 @@ def profile_background(profile: ShockProfile, moving: bool = False) -> Backgroun
     return Background(profile.eval, np.asarray(vel, dtype=float))
 
 
+@lru_cache(maxsize=64)
 def _ghost_points(grid: Grid, axis: int, side: int) -> np.ndarray:
-    """Centers of the ghost layer outside the given face."""
+    """Centers of the ghost layer outside the given face (read-only)."""
     axes = []
     for ax in range(grid.d):
         if ax == axis:
@@ -317,7 +350,9 @@ def _ghost_points(grid: Grid, axis: int, side: int) -> np.ndarray:
         else:
             axes.append(grid.centers(ax))
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return np.squeeze(mesh, axis=axis)
+    mesh = np.squeeze(mesh, axis=axis)
+    mesh.flags.writeable = False
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -330,15 +365,21 @@ class StepStats:
 def _ghost_values(field: Field, scheme: SchemeConfig, background: Background | None, t: float):
     """Ghost layers per (axis, side); dirichlet evaluates the translated background."""
     g = field.grid
-    ghosts = {}
-    for ax in range(g.d):
-        for side in (0, 1):
-            if scheme.boundary == "outflow" or background is None:
-                sl = [slice(None)] * g.d
-                sl[ax] = 0 if side == 0 else g.counts[ax] - 1
-                ghosts[(ax, side)] = field.values[tuple(sl)]
-            else:
-                ghosts[(ax, side)] = background.eval(_ghost_points(g, ax, side), t)
+    if scheme.boundary == "outflow" or background is None:
+        return {(ax, side): np.moveaxis(field.values, ax, 0)[0 if side == 0 else -1]
+                for ax in range(g.d) for side in (0, 1)}
+    if np.any(background.velocity != 0.0):
+        return {(ax, side): background.eval(_ghost_points(g, ax, side), t)
+                for ax in range(g.d) for side in (0, 1)}
+    ghosts = background._steady.get(g)
+    if ghosts is None:
+        ghosts = {}
+        for ax in range(g.d):
+            for side in (0, 1):
+                v = np.asarray(background.eval(_ghost_points(g, ax, side), t)).view()
+                v.flags.writeable = False
+                ghosts[(ax, side)] = v
+        background._steady[g] = ghosts
     return ghosts
 
 
@@ -351,11 +392,23 @@ def _range_with_ghosts(field: Field, ghosts) -> tuple[float, float]:
     return lo, hi
 
 
+def field_range(field: Field, scheme: SchemeConfig, background: Background | None,
+                t: float = 0.0) -> tuple[float, float]:
+    """Range of the field together with its ghost layers at time t."""
+    return _range_with_ghosts(field, _ghost_values(field, scheme, background, t))
+
+
+def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
+    """Raise CFLViolation if [vmin, vmax] leaves the guarded range, up to rounding."""
+    glo, ghi = guard
+    slack = 1e-12 * max(1.0, abs(glo), abs(ghi))
+    if vmin < glo - slack or vmax > ghi + slack:
+        raise CFLViolation(f"update left the range [{glo}, {ghi}]: [{vmin}, {vmax}]")
+
+
 def stable_dt(flux: Flux, grid: Grid, scheme: SchemeConfig, lo: float, hi: float) -> float:
-    lam = max(
-        float(np.max(_lambda_max(flux.coeffs[ax], np.array(lo), np.array(hi))))
-        for ax in range(grid.d)
-    )
+    lam = max(_lambda_bound(_key(flux.coeffs[ax]), float(lo), float(hi))
+              for ax in range(grid.d))
     lam = max(lam, 1e-30)
     return scheme.cfl_for(grid.d) * grid.dx / (grid.d * lam)
 
@@ -373,9 +426,27 @@ def step(
 
     dt defaults to cfl * dx / (d * max |g'|) over the current range including
     ghosts.  Raises CFLViolation if the update leaves the guarded range, which
-    a monotone scheme can never do.
+    a monotone scheme can never do, and ValueError if a new value is not
+    finite (NaN and +-inf always show in the min or the max).
+
+    The result is bit-identical to the plain formula, so the order of the
+    floating-point operations is part of the contract:
+    - per axis, g is evaluated once per cell of the ghost-padded array by
+      Horner's rule in exactly P.polyval's steps (c[-1] + x*0, then
+      c[-i] + c0*x); Rusanov is 0.5*(g(a) + g(b)) - (0.5*lam)*(b - a) with one
+      range-wide lam, Engquist-Osher (g(0) + Pos(a)) + Neg(b), each part
+      summed from +0.0;
+    - div starts from zeros and takes ((F_hi - F_lo) / dx) axis by axis; the
+      result is u - dt*div;
+    - the boundary inflow sums each face's fluxes from a C-contiguous array,
+      so the pairwise summation order does not depend on the axis.
+    Dirichlet ghost layers of a background with zero velocity do not depend
+    on t: they are evaluated once per background and grid and kept read-only.
+    A moving background is evaluated at every step; only the ghost cell
+    centers are cached.
     """
     g = field.grid
+    values = field.values
     ghosts = _ghost_values(field, scheme, background, t)
     lo, hi = _range_with_ghosts(field, ghosts)
     if range_guard is not None:
@@ -385,37 +456,42 @@ def step(
     if dt is None:
         dt = stable_dt(flux, g, scheme, lo, hi)
     lam_used = 0.0
-    div = np.zeros_like(field.values)
+    div = np.zeros_like(values)
     inflow = 0.0
     area = g.dx ** (g.d - 1)
     for ax in range(g.d):
-        pad_lo = np.expand_dims(ghosts[(ax, 0)], ax)
-        pad_hi = np.expand_dims(ghosts[(ax, 1)], ax)
-        ext = np.concatenate([pad_lo, field.values, pad_hi], axis=ax)
-        n = g.counts[ax]
-        a = np.take(ext, np.arange(0, n + 1), axis=ax)
-        b = np.take(ext, np.arange(1, n + 2), axis=ax)
+        # the padded copy puts the interface axis first, so both states of
+        # every interface and every flux jump are contiguous blocks; the
+        # elementwise results do not depend on the layout
+        inner = np.moveaxis(values, ax, 0)
+        ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
+        ext[0] = ghosts[(ax, 0)]
+        ext[1:-1] = inner
+        ext[-1] = ghosts[(ax, 1)]
         # Rusanov dissipation uses one range-wide bound per step: a constant
         # coefficient keeps the unsplit update order-preserving under the CFL
-        lam_ax = float(np.max(_lambda_max(flux.coeffs[ax], lo, hi)))
-        f = numerical_flux(flux.coeffs[ax], a, b, scheme.numerical_flux, lam=lam_ax)
-        f_hi = np.take(f, np.arange(1, n + 1), axis=ax)
-        f_lo = np.take(f, np.arange(0, n), axis=ax)
-        div += (f_hi - f_lo) / g.dx
-        first = np.take(f, 0, axis=ax)
-        last = np.take(f, n, axis=ax)
-        inflow += (float(first.sum()) - float(last.sum())) * area
+        key = _key(flux.coeffs[ax])
+        lam_ax = _lambda_bound(key, float(lo), float(hi))
+        data = _compiled(key)
+        if scheme.numerical_flux == "rusanov":
+            g_ext = _horner(data["c"], ext)
+            f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lam_ax)
+        else:
+            f = _engquist_osher(data, ext[:-1], ext[1:])
+        jump = f[1:] - f[:-1]
+        jump /= g.dx
+        div += np.moveaxis(jump, 0, ax)
+        # f[0] and f[-1] are C-contiguous faces, like np.take(f, 0, axis=ax)
+        inflow += (float(f[0].sum()) - float(f[-1].sum())) * area
         lam_used = max(lam_used, lam_ax)
-    new_values = field.values - dt * div
+    div *= dt
+    new_values = values - div
+    vmin, vmax = new_values.min(), new_values.max()
     if range_guard is not None:
-        glo, ghi = range_guard
-        slack = 1e-12 * max(1.0, abs(glo), abs(ghi))
-        if new_values.min() < glo - slack or new_values.max() > ghi + slack:
-            raise CFLViolation(
-                f"update left the range [{glo}, {ghi}]: "
-                f"[{new_values.min()}, {new_values.max()}]"
-            )
-    return Field(g, new_values), StepStats(dt, inflow * dt, lam_used)
+        check_range(vmin, vmax, range_guard)
+    if not (np.isfinite(vmin) and np.isfinite(vmax)):
+        raise ValueError("field values must be finite")
+    return Field._trusted(g, new_values), StepStats(dt, inflow * dt, lam_used)
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -471,11 +547,9 @@ def run(
         raise ValueError("horizon must be positive")
     companions = list(companions or [])
     g = initial.grid
-    ghosts = _ghost_values(initial, scheme, background, 0.0)
-    lo, hi = _range_with_ghosts(initial, ghosts)
+    lo, hi = field_range(initial, scheme, background)
     for comp in companions:
-        cg = _ghost_values(comp.field, scheme, comp.background, 0.0)
-        clo, chi = _range_with_ghosts(comp.field, cg)
+        clo, chi = field_range(comp.field, scheme, comp.background)
         lo, hi = min(lo, clo), max(hi, chi)
     dt = stable_dt(flux, g, scheme, lo, hi)
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import shocklab as sl
-from shocklab.errors import BoundaryContact, Characteristic, EtaTooLarge, RangeViolation
+import shocklab.experiments as xp
+from shocklab.errors import (
+    BoundaryContact,
+    CFLViolation,
+    Characteristic,
+    EtaTooLarge,
+    RangeViolation,
+)
 from shocklab.experiments import (
     default_comparison_profiles,
     dispersion_exponents,
@@ -247,3 +254,21 @@ def test_sandwich_fields_nearly_steady(pair11, dual11, cone11):
             dist = np.abs(mesh[..., 0] - front_r)
             # slope-one cone faces are characteristic and carry a wide layer
             assert np.max(dist[moved]) <= 1.0
+
+
+def test_settle_range_guard_catches_a_broken_update(pair11, planar11, monkeypatch):
+    g = sl.Grid.from_box((-2, 2, -2, 2), (16, 16))
+    u0 = sample_profile(planar11, g)
+    bg = sl.profile_background(planar11)
+    settled = settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)
+    assert settled.values.max() <= pair11.u_minus and settled.values.min() >= pair11.u_plus
+
+    real_step = xp.step
+
+    def overshooting_step(*args, **kwargs):
+        nxt, stats = real_step(*args, **kwargs)
+        return sl.Field(nxt.grid, nxt.values + 1e-6), stats
+
+    monkeypatch.setattr(xp, "step", overshooting_step)
+    with pytest.raises(CFLViolation):
+        settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)

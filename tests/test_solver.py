@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
 from shocklab.errors import GridMismatch
-from shocklab.solver import Companion, sample_function, sample_profile, stable_dt
+from shocklab.solver import Background, Companion, sample_function, sample_profile, stable_dt
 
 VALUES = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 POLYS = st.sampled_from([(0.0, 0.0, 1.0), (0.0, -1.0, 0.0, 1.0), (0.0, 2.0, 0.5, -0.25)])
@@ -225,3 +225,56 @@ def test_step_stats_lambda(pair11):
                        range_guard=(-1.0, 1.0))
     assert stats.lambda_max == pytest.approx(2.0)  # max |F'| on [-1, 1]
     assert stats.dt == pytest.approx(0.45 * g.dx / (2 * 2.0))
+
+
+# -- the four discrete guarantees in d = 3 ------------------------------------------
+
+GRID3 = sl.Grid.from_box((-1, 1, -1, 1, -1, 1), (10, 10, 10))
+FLUX3 = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0).reduced
+GUARD3 = (-1.0, 1.0)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _steps3(f, scheme, bg, n=3):
+    dt = stable_dt(FLUX3, GRID3, scheme, *GUARD3)
+    inflow = 0.0
+    for _ in range(n):
+        f, stats = sl.step(f, scheme, FLUX3, bg, 0.0, dt, GUARD3)
+        inflow += stats.boundary_inflow
+    return f, inflow
+
+
+@settings(deadline=None, max_examples=6)
+@given(SEEDS, KINDS, st.floats(min_value=-1.0, max_value=1.0))
+def test_max_principle_3d(seed, kind, ghost):
+    # two-valued data: jumps everywhere, where a non-monotone update overshoots
+    jumps = np.random.default_rng(seed).random(GRID3.counts) < 0.5
+    a = sl.Field(GRID3, np.where(jumps, -0.8, 0.8))
+    out, _ = _steps3(a, sl.SchemeConfig(numerical_flux=kind), sl.constant_background(ghost, 3))
+    assert out.values.max() <= max(a.values.max(), ghost) + 1e-14
+    assert out.values.min() >= min(a.values.min(), ghost) - 1e-14
+
+
+@settings(deadline=None, max_examples=6)
+@given(SEEDS, KINDS)
+def test_comparison_and_contraction_3d(seed, kind):
+    rng = np.random.default_rng(seed)
+    a = sl.Field(GRID3, rng.uniform(-1, 1, GRID3.counts))
+    b = sl.Field(GRID3, np.minimum(a.values + np.abs(rng.normal(0, 0.4, GRID3.counts)), 1.0))
+    c = sl.Field(GRID3, rng.uniform(-1, 1, GRID3.counts))
+    scheme = sl.SchemeConfig(numerical_flux=kind)
+    bg = sl.constant_background(0.25, 3)
+    a1, _ = _steps3(a, scheme, bg)
+    b1, _ = _steps3(b, scheme, bg)
+    c1, _ = _steps3(c, scheme, bg)
+    assert float(np.max(a1.values - b1.values)) <= 1e-14
+    assert sl.l1_distance(a1, c1) <= sl.l1_distance(a, c) + 1e-12 * GRID3.ncells
+
+
+@settings(deadline=None, max_examples=6)
+@given(SEEDS, KINDS, st.sampled_from(["dirichlet-profile", "outflow"]))
+def test_mass_balance_3d(seed, kind, boundary):
+    a = sl.Field(GRID3, np.random.default_rng(seed).uniform(-1, 1, GRID3.counts))
+    bg = Background(lambda p: np.tanh(2.0 * p[..., 0] - p[..., 2]), np.zeros(3))
+    out, inflow = _steps3(a, sl.SchemeConfig(numerical_flux=kind, boundary=boundary), bg)
+    assert abs(out.mass - a.mass - inflow) <= 1e-12 * max(1.0, abs(a.mass))
