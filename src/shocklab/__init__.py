@@ -34,6 +34,7 @@ from .experiments import (
 from .fluxes import (
     Flux,
     Normalization,
+    OleinikBatch,
     ShockPair,
     burgers_flux,
     burgers_normalization,
@@ -42,13 +43,13 @@ from .fluxes import (
     make_shock_pair,
     normal_speed,
     oleinik_admissible,
+    oleinik_admissible_many,
 )
 from .profiles import (
     PerturbationSpec,
     ShockProfile,
     bounded_intersection,
     estimate_rho,
-    eval_profile,
     extract_front,
     front_surgery,
     make_graph,

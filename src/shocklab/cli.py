@@ -7,7 +7,6 @@ Exit codes: 0 all checks passed, 1 at least one failed invariant,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -247,16 +246,6 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
-    threads = os.environ.get("SHOCKLAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            stderr.write(f"SHOCKLAB_THREADS must be a positive integer, got {threads!r}\n")
-            return 2
-        # evolution is vectorized on one lane; any positive cap is honored as-is
 
     try:
         cfg = _load_config(args.config, args.set)

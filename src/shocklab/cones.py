@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import TrivialCone
-from .fluxes import ShockPair, oleinik_admissible
+from .fluxes import ShockPair, oleinik_admissible, oleinik_admissible_many
 
 __all__ = [
     "AdmissibleCone",
@@ -121,7 +121,7 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float, n_scan: int) -> Admi
         return oleinik_admissible(pair, _unit(theta), exact=True).admissible
 
     thetas = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
-    mask = np.array([adm(t) for t in thetas])
+    mask = oleinik_admissible_many(pair, [_unit(t) for t in thetas], exact=True).admissible
     if not mask.any():
         return AdmissibleCone(2, pair, trivial=True)
     if mask.all():
@@ -166,7 +166,7 @@ def _admissible_cone_nd(pair: ShockPair, resolution: float) -> AdmissibleCone:
         raise NotImplementedError("direction sampling implemented for d in {2, 3}")
     n = int(np.clip(4.0 * np.pi / resolution**2, 256, 4096))
     dirs = _fibonacci_sphere(n)
-    mask = np.array([oleinik_admissible(pair, x).admissible for x in dirs])
+    mask = oleinik_admissible_many(pair, dirs).admissible
     if not mask.any():
         return AdmissibleCone(3, pair, trivial=True)
     adm = dirs[mask]

@@ -65,7 +65,6 @@ KEYS = {
     "pair.u_minus": (_parse_float, None),
     "pair.u_plus": (_parse_float, None),
     "cone.resolution": (_parse_float, 1e-4),
-    "cone.sphere_samples": (_parse_int, 4096),
     "profile.front": (_enum("planar", "abs_scaled", "pwl_file"), "planar"),
     "profile.nu": (_parse_floats, None),
     "profile.offset": (_parse_float, 0.0),
@@ -97,7 +96,6 @@ KEYS = {
     "experiment.unc_margin": (_parse_float, 0.05),
     "output.dir": (_parse_str, "out"),
     "run.seed": (_parse_int, 0),
-    "run.threads": (_parse_int, None),
 }
 
 

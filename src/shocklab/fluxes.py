@@ -21,6 +21,7 @@ __all__ = [
     "ShockPair",
     "Normalization",
     "OleinikResult",
+    "OleinikBatch",
     "NondegeneracyResult",
     "burgers_flux",
     "eval_flux",
@@ -29,6 +30,7 @@ __all__ = [
     "make_shock_pair",
     "normal_speed",
     "oleinik_admissible",
+    "oleinik_admissible_many",
     "check_nondegeneracy",
     "burgers_normalization",
 ]
@@ -172,17 +174,86 @@ class OleinikResult:
     lax_margins: tuple[float, float]
 
 
-def _excess_coeffs(pair: ShockPair, xi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients of s -> xi.f(s) - sigma*s and the common end value."""
-    sigma = normal_speed(pair, xi)
-    n = max(len(c) for c in pair.flux.coeffs)
-    e = np.zeros(max(n, 2))
-    for i in range(pair.d):
-        c = pair.flux.coeffs[i]
-        e[: len(c)] += xi[i] * np.asarray(c)
-    e[1] -= sigma
-    ref = float(P.polyval(pair.u_minus, e))
-    return e, ref
+@dataclass(frozen=True)
+class OleinikBatch:
+    """Per-direction results of `oleinik_admissible_many`, one row per direction."""
+
+    admissible: np.ndarray   # (n,) bool
+    worst: np.ndarray        # (n,) largest chord excess, clipped below at 0
+    lax: np.ndarray          # (n, 2) endpoint characteristic margins
+
+
+# directions x points evaluated at once: the excess block and the temporaries
+# of its Horner recurrence stay at about 8 MiB each
+EXCESS_BLOCK = 1 << 20
+
+
+def oleinik_admissible_many(
+    pair: ShockPair,
+    xis,
+    n_samples: int = 1024,
+    tol: float | None = None,
+    exact: bool = False,
+) -> OleinikBatch:
+    """Chord admissibility of every row of xis, shape (n, d).
+
+    Checks xi.f(s) - sigma*s <= xi.f(u_pm) - sigma*u_pm on (u_plus, u_minus) at
+    Chebyshev-distributed sample points, or exactly via the critical points of
+    the excess polynomial when exact=True.  Also returns the endpoint
+    characteristic margins (sigma - xi.f'(u_plus), xi.f'(u_minus) - sigma),
+    which are nonnegative whenever the chord condition holds.
+
+    Every row gets the same floating-point operations as a test of that row
+    alone: `np.vecdot` is `np.dot` per row, the Horner recurrence of
+    `P.polyval` is elementwise, and the critical points of each excess
+    polynomial come from its own `P.polyroots` call.  Ragged critical-point
+    sets are padded with u_minus, which is a candidate point already.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] != pair.d:
+        raise ValueError(f"directions must have shape (n, {pair.d}), got {xis.shape}")
+    sigma = np.vecdot(xis, pair.velocity)
+    # coefficients of s -> xi.f(s) - sigma*s and the common end value
+    e = np.zeros((len(xis), max(max(len(c) for c in pair.flux.coeffs), 2)))
+    for i, c in enumerate(pair.flux.coeffs):
+        e[:, : len(c)] += xis[:, i : i + 1] * np.asarray(c)
+    e[:, 1] -= sigma
+    ref = P.polyval(pair.u_minus, e.T)
+    if exact:
+        crits = []
+        for row in e:
+            crit = P.polyroots(P.polyder(row))
+            crit = crit[np.abs(crit.imag) < 1e-10].real
+            crits.append(crit[(crit > pair.u_plus) & (crit < pair.u_minus)])
+        pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
+        for row, crit in zip(pts, crits):
+            row[: len(crit)] = crit
+        pts[:, -2] = pair.u_plus
+    else:
+        mid = 0.5 * (pair.u_minus + pair.u_plus)
+        half = 0.5 * (pair.u_minus - pair.u_plus)
+        k = np.arange(n_samples)
+        pts = mid + half * np.cos((2 * k + 1) * np.pi / (2 * n_samples))
+        pts = np.broadcast_to(pts, (len(e), n_samples))
+    worst = np.empty(len(e))
+    peak = np.empty(len(e))
+    rows = max(1, EXCESS_BLOCK // pts.shape[1])
+    for a in range(0, len(e), rows):
+        b = a + rows
+        vals = P.polyval(pts[a:b], e[a:b].T[..., None], tensor=False)
+        top = np.max(vals - ref[a:b, None], axis=1)
+        worst[a:b] = np.maximum(top, 0.0)
+        peak[a:b] = np.max(np.abs(vals), axis=1)
+    if tol is None:
+        # max(1, |ref|, peak), ignoring NaN like the builtin max does here;
+        # exact critical-point evaluation carries only rounding noise, so the
+        # slack can sit just above machine precision
+        tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
+    lax = np.stack([sigma - np.vecdot(xis, pair.flux.value(pair.u_plus, 1)),
+                    np.vecdot(xis, pair.flux.value(pair.u_minus, 1)) - sigma], axis=1)
+    return OleinikBatch(worst <= tol, worst, lax)
 
 
 def oleinik_admissible(
@@ -192,41 +263,11 @@ def oleinik_admissible(
     tol: float | None = None,
     exact: bool = False,
 ) -> OleinikResult:
-    """Chord admissibility of direction xi.
-
-    Checks xi.f(s) - sigma*s <= xi.f(u_pm) - sigma*u_pm on (u_plus, u_minus) at
-    Chebyshev-distributed sample points, or exactly via the critical points of
-    the excess polynomial when exact=True.  Also returns the endpoint
-    characteristic margins (sigma - xi.f'(u_plus), xi.f'(u_minus) - sigma),
-    which are nonnegative whenever the chord condition holds.
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    xi = np.asarray(xi, dtype=float)
-    e, ref = _excess_coeffs(pair, xi)
-    mid = 0.5 * (pair.u_minus + pair.u_plus)
-    half = 0.5 * (pair.u_minus - pair.u_plus)
-    if exact:
-        crit = P.polyroots(P.polyder(e))
-        crit = crit[np.abs(crit.imag) < 1e-10].real
-        crit = crit[(crit > pair.u_plus) & (crit < pair.u_minus)]
-        pts = np.concatenate([crit, [pair.u_plus, pair.u_minus]])
-    else:
-        k = np.arange(n_samples)
-        pts = mid + half * np.cos((2 * k + 1) * np.pi / (2 * n_samples))
-    excess = P.polyval(pts, e) - ref
-    worst = float(max(np.max(excess), 0.0))
-    if tol is None:
-        scale = max(1.0, abs(ref), float(np.max(np.abs(P.polyval(pts, e)))))
-        # exact critical-point evaluation carries only rounding noise, so the
-        # slack can sit just above machine precision
-        tol = (1e-14 if exact else 1e-12) * scale
-    sigma = normal_speed(pair, xi)
-    lax = (
-        float(sigma - np.dot(xi, pair.flux.value(pair.u_plus, 1))),
-        float(np.dot(xi, pair.flux.value(pair.u_minus, 1)) - sigma),
-    )
-    return OleinikResult(bool(worst <= tol), worst, lax)
+    """Chord admissibility of one direction xi; see `oleinik_admissible_many`."""
+    res = oleinik_admissible_many(pair, np.asarray(xi, dtype=float).reshape(1, -1),
+                                  n_samples, tol, exact)
+    return OleinikResult(bool(res.admissible[0]), float(res.worst[0]),
+                         (float(res.lax[0, 0]), float(res.lax[0, 1])))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "make_planar",
     "make_graph",
     "make_scaled_gauge",
-    "eval_profile",
     "estimate_rho",
     "perturb_end_states",
     "sandwich_bounds",
@@ -138,9 +137,6 @@ class ShockProfile:
     def velocity(self) -> np.ndarray:
         return self.pair.velocity
 
-    def front_value(self, y):
-        return self.front.value(y)
-
     def eval(self, x) -> np.ndarray:
         """u_minus where r < psi(y), u_plus on and beyond the front."""
         x = np.asarray(x, dtype=float)
@@ -158,10 +154,6 @@ class ShockProfile:
             and self.pair.u_plus == other.pair.u_plus
             and self.dual.same_frame(other.dual, tol)
         )
-
-
-def eval_profile(profile: ShockProfile, x) -> np.ndarray:
-    return profile.eval(x)
 
 
 def front_normals(profile: ShockProfile) -> np.ndarray:

@@ -605,18 +605,41 @@ def run(
 
 # -- sampling profiles and functions onto grids ---------------------------------
 
+# mesh coordinates (points x d) that `sample_function` builds at once, 16 MiB;
+# the 2-D grids of the experiments (up to 256x256 cells at 4x4 subsamples)
+# fit in one slab
+SAMPLE_BLOCK = 1 << 21
+
+
 def sample_function(fn, grid: Grid, subsamples: int = 4) -> Field:
-    """Cell averages of a pointwise function by midpoint subsampling."""
+    """Cell averages of a pointwise function by midpoint subsampling.
+
+    fn maps points of shape (..., d) to values of shape (...), each value
+    depending on its own point only.  The subsample mesh is built and
+    averaged in slabs of whole cells along axis 0 of at most SAMPLE_BLOCK
+    coordinates (at least one cell), so memory stays bounded on 3-D grids;
+    each cell average sees the same operations as with the whole mesh.
+    """
     offs = (np.arange(subsamples) + 0.5) / subsamples * grid.dx
     axes = [grid.lo[i] + np.add.outer(np.arange(grid.counts[i]) * grid.dx, offs).ravel()
             for i in range(grid.d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(fn(mesh), dtype=float)
-    for ax in range(grid.d):
-        shape = list(vals.shape)
-        n = grid.counts[ax]
-        vals = vals.reshape(shape[:ax] + [n, subsamples] + shape[ax + 1:]).mean(axis=ax + 1)
-    return Field(grid, vals)
+    out = np.empty(grid.counts)
+    layer = subsamples * grid.d * int(np.prod([len(a) for a in axes[1:]]))
+    slab = max(1, SAMPLE_BLOCK // layer)
+    for a in range(0, grid.counts[0], slab):
+        b = min(a + slab, grid.counts[0])
+        # the stacked meshgrid, filled in place without meshgrid's copies
+        coords = [axes[0][a * subsamples:b * subsamples]] + axes[1:]
+        mesh = np.empty([len(c) for c in coords] + [grid.d])
+        for i, c in enumerate(coords):
+            mesh[..., i] = c.reshape([-1 if j == i else 1 for j in range(grid.d)])
+        vals = np.asarray(fn(mesh), dtype=float)
+        for ax in range(grid.d):
+            shape = list(vals.shape)
+            n = shape[ax] // subsamples
+            vals = vals.reshape(shape[:ax] + [n, subsamples] + shape[ax + 1:]).mean(axis=ax + 1)
+        out[a:b] = vals
+    return Field(grid, out)
 
 
 def sample_profile(profile: ShockProfile, grid: Grid, n_sub: int = 16) -> Field:

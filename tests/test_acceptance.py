@@ -112,6 +112,7 @@ def _stability_case(lab, profile, phi, label):
              f"runtime={elapsed:.0f}s (<300s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_stability_planar(lab):
     flux, pair, cone, dual = lab
     profile = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, cone=cone, y_extent=(-8, 8))
@@ -119,6 +120,7 @@ def test_criterion_3_stability_planar(lab):
     _stability_case(lab, profile, phi, "planar")
 
 
+@pytest.mark.slow
 def test_criterion_3_stability_nonplanar(lab):
     flux, pair, cone, dual = lab
     profile = sl.make_scaled_gauge(pair, dual, 0.5, y_extent=(-8, 8))

@@ -167,15 +167,3 @@ def test_overhead_command(tmp_path):
     verdict = (tmp_path / "out" / "verdict.txt").read_text()
     assert "extinction: pass" in verdict
     assert "domination: pass" in verdict
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(CONE_CFG.format(out=tmp_path / "out"))
-    monkeypatch.setenv("SHOCKLAB_THREADS", "zero")
-    code, _, err = run_cli(["cone", "--config", str(cfg)])
-    assert code == 2
-    assert "SHOCKLAB_THREADS" in err
-    monkeypatch.setenv("SHOCKLAB_THREADS", "2")
-    code, _, _ = run_cli(["cone", "--config", str(cfg)])
-    assert code == 0

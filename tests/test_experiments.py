@@ -78,6 +78,7 @@ def test_support_experiment_boundary_contact(burgers2):
         sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 3.0)
 
 
+@pytest.mark.slow
 def test_stability_experiment_small(pair11, dual11, cone11):
     prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-5, 5))
     g = sl.Grid.from_box((-2.5, 2.5, -5, 5), (80, 160))
