@@ -81,10 +81,6 @@ KEYS = {
     "scheme.cfl": (_parse_float, None),
     "scheme.boundary": (_enum("dirichlet-profile", "outflow"), "dirichlet-profile"),
     "scheme.frame": (_enum("reduced", "original"), "reduced"),
-    "experiment.kind": (
-        _enum("simulate", "stability", "overhead", "dispersion", "support", "normalize-check"),
-        None,
-    ),
     "experiment.horizon": (_parse_float, 10.0),
     "experiment.snapshot_interval": (_parse_float, 0.0),
     "experiment.threshold": (_parse_float, 1e-3),
@@ -92,10 +88,7 @@ KEYS = {
     "experiment.t0": (_parse_float, 10.0),
     "experiment.u_ref": (_parse_float, 0.0),
     "experiment.settle_steps": (_parse_int, 1500),
-    "experiment.comparisons": (_parse_int, 5),
-    "experiment.unc_margin": (_parse_float, 0.05),
     "output.dir": (_parse_str, "out"),
-    "run.seed": (_parse_int, 0),
 }
 
 

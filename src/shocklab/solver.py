@@ -27,6 +27,7 @@ __all__ = [
     "Background",
     "numerical_flux",
     "step",
+    "evolve",
     "run",
     "RunReport",
     "l1_distance",
@@ -191,9 +192,6 @@ class SchemeConfig:
 
     def flux_of(self, pair) -> Flux:
         return pair.reduced if self.frame == "reduced" else pair.flux
-
-    def frame_velocity(self, pair) -> np.ndarray:
-        return np.zeros(pair.d) if self.frame == "reduced" else pair.velocity
 
 
 # -- numerical interface fluxes ------------------------------------------------
@@ -496,6 +494,28 @@ def step(
 
 # -- trajectories ---------------------------------------------------------------
 
+def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
+           range_guard: tuple[float, float] | None = None):
+    """The one time loop: step (field, background) pairs together by a fixed dt.
+
+    Yields (k, t, fields, stats) after step k = 1..n_steps, which runs from
+    (k-1)*dt to t = k*dt: one list of the fields in the order of pairs,
+    updated in place, and the StepStats of each.  A range_guard is shared by
+    every field; without one each step takes its dissipation bound from its
+    own range.
+    """
+    fields = [f for f, _ in pairs]
+    stats = [None] * len(pairs)
+    for k in range(1, n_steps + 1):
+        for i, (_, bg) in enumerate(pairs):
+            # `step` is looked up at every call, so rebinding solver.step
+            # reaches every update; replacing the field at once frees the
+            # old one before the next field steps
+            fields[i], stats[i] = step(fields[i], scheme, flux, bg, (k - 1) * dt, dt,
+                                       range_guard)
+        yield k, k * dt, fields, stats
+
+
 @dataclass(eq=False)
 class Companion:
     name: str
@@ -546,60 +566,52 @@ def run(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     companions = list(companions or [])
-    g = initial.grid
-    lo, hi = field_range(initial, scheme, background)
-    for comp in companions:
-        clo, chi = field_range(comp.field, scheme, comp.background)
-        lo, hi = min(lo, clo), max(hi, chi)
-    dt = stable_dt(flux, g, scheme, lo, hi)
+    names = [c.name for c in companions]
+    if len(set(names)) < len(names):
+        raise ValueError(f"companion names must be unique: {names}")
+    pairs = [(initial, background)] + [(c.field, c.background) for c in companions]
+    ranges = [field_range(f, scheme, bg) for f, bg in pairs]
+    lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+    dt = stable_dt(flux, initial.grid, scheme, lo, hi)
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     dt = horizon / n_steps
     if range_guard is None:
         range_guard = (lo, hi)
+    snap_steps = {min(n_steps, max(0, int(round(ts / dt)))) for ts in snapshot_times or []}
 
-    snap_steps = {}
-    for ts in snapshot_times or []:
-        snap_steps.setdefault(min(n_steps, max(0, int(round(ts / dt)))), ts)
-
-    main = initial.copy()
-    comp_fields = {c.name: c.field.copy() for c in companions}
+    fields = [f for f, _ in pairs]
     times, sups, infs, masses = [], [], [], []
-    l1s: dict[str, list[float]] = {c.name: [] for c in companions}
+    l1s: dict[str, list[float]] = {name: [] for name in names}
     inflows = [0.0]
     snapshots: list[tuple[float, Field]] = []
     cum_in = 0.0
 
     def record(t):
+        main = fields[0]
         times.append(t)
         sups.append(float(main.values.max()))
         infs.append(float(main.values.min()))
         masses.append(main.mass)
-        for c in companions:
-            l1s[c.name].append(l1_distance(main, comp_fields[c.name]))
+        for name, f in zip(names, fields[1:]):
+            l1s[name].append(l1_distance(main, f))
 
     record(0.0)
     if 0 in snap_steps:
-        snapshots.append((0.0, main.copy()))
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        main, stats = step(main, scheme, flux, background, t, dt, range_guard)
-        cum_in += stats.boundary_inflow
-        for c in companions:
-            comp_fields[c.name], _ = step(comp_fields[c.name], scheme, flux,
-                                          c.background, t, dt, range_guard)
-        t = k * dt
+        snapshots.append((0.0, initial.copy()))
+    for k, t, fields, stats in evolve(pairs, scheme, flux, dt, n_steps, range_guard):
+        cum_in += stats[0].boundary_inflow
         if k % probe_every == 0 or k == n_steps:
             record(t)
             inflows.append(cum_in)
         if on_step is not None:
-            on_step(t, main, comp_fields)
+            on_step(t, fields[0], dict(zip(names, fields[1:])))
         if k in snap_steps:
-            snapshots.append((t, main.copy()))
+            snapshots.append((t, fields[0].copy()))
 
     return RunReport(
         np.array(times), np.array(sups), np.array(infs), np.array(masses),
         {k: np.array(v) for k, v in l1s.items()},
-        np.array(inflows), snapshots, main, comp_fields, dt,
+        np.array(inflows), snapshots, fields[0], dict(zip(names, fields[1:])), dt,
     )
 
 

@@ -54,9 +54,11 @@ def test_unknown_key_is_an_error():
     assert line == 2 and "unknown key" in msg
 
 
-@pytest.mark.parametrize("key", ["cone.sphere_samples = 512", "run.threads = 2"])
+@pytest.mark.parametrize("key", ["cone.sphere_samples = 512", "run.threads = 2",
+                                 "experiment.kind = stability", "experiment.comparisons = 3",
+                                 "experiment.unc_margin = 0.1", "run.seed = 7"])
 def test_removed_keys_are_unknown(key):
-    # neither key ever changed a run; accepting them would ignore them silently
+    # no removed key ever changed a run; accepting them would ignore them silently
     with pytest.raises(ConfigError) as err:
         parse_config(f"flux.burgers_d = 2\n{key}\n")
     (line, msg), = err.value.diagnostics

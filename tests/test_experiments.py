@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import shocklab as sl
-import shocklab.experiments as xp
+from shocklab import solver
 from shocklab.errors import (
     BoundaryContact,
     CFLViolation,
@@ -264,12 +264,12 @@ def test_settle_range_guard_catches_a_broken_update(pair11, planar11, monkeypatc
     settled = settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)
     assert settled.values.max() <= pair11.u_minus and settled.values.min() >= pair11.u_plus
 
-    real_step = xp.step
+    real_step = solver.step
 
     def overshooting_step(*args, **kwargs):
         nxt, stats = real_step(*args, **kwargs)
         return sl.Field(nxt.grid, nxt.values + 1e-6), stats
 
-    monkeypatch.setattr(xp, "step", overshooting_step)
+    monkeypatch.setattr(solver, "step", overshooting_step)
     with pytest.raises(CFLViolation):
         settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)
