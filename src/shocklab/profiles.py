@@ -514,12 +514,24 @@ class PerturbationSpec:
             for t in self.terms:
                 out = out + t(pts)
             return out
-        q2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1) / self.radius**2
+        # the operations of sum((p - c)**2) / r**2, then of
+        # where(q2 < 1, exp(1 - 1/max(1 - q2, 1e-300)), 0), on one array of
+        # values updated in place: sampling a grid holds few arrays its size
+        c = np.broadcast_to(np.asarray(self.center, dtype=float), pts.shape[-1:])
+        q2 = np.asarray((pts[..., 0] - c[0]) ** 2)
+        for i in range(1, pts.shape[-1]):
+            q2 += (pts[..., i] - c[i]) ** 2
+        q2 /= self.radius**2
         if self.shape == "indicator":
             return np.where(q2 <= 1.0, self.amplitude, 0.0)
+        inside = q2 < 1.0
         with np.errstate(divide="ignore", over="ignore"):
-            val = np.where(q2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - q2, 1e-300)), 0.0)
-        return self.amplitude * val
+            np.subtract(1.0, q2, out=q2)
+            np.maximum(q2, 1e-300, out=q2)
+            np.divide(1.0, q2, out=q2)
+            np.subtract(1.0, q2, out=q2)
+            np.exp(q2, out=q2)
+        return self.amplitude * np.where(inside, q2, 0.0)
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

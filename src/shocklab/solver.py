@@ -505,9 +505,11 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
     own range.
     """
     fields = [f for f, _ in pairs]
-    stats = [None] * len(pairs)
+    backgrounds = [bg for _, bg in pairs]
+    del pairs  # a start field lives on only if the caller keeps it
+    stats = [None] * len(fields)
     for k in range(1, n_steps + 1):
-        for i, (_, bg) in enumerate(pairs):
+        for i, bg in enumerate(backgrounds):
             # `step` is looked up at every call, so rebinding solver.step
             # reaches every update; replacing the field at once frees the
             # old one before the next field steps
@@ -676,9 +678,13 @@ def sample_profile(profile: ShockProfile, grid: Grid, n_sub: int = 16) -> Field:
     r_at = psi * sgn                                     # front in world coordinate
     r_lo = grid.lo[axis] + np.arange(grid.counts[axis]) * grid.dx
     # fraction of the cell on the D_minus side (r < psi)
-    frac = np.clip((r_at[None, :, :] - r_lo[:, None, None]) / grid.dx, 0.0, 1.0)
+    # one (cells x n_sub) array, updated in place: the same operations as
+    # clip((r_at - r_lo) / dx, 0, 1) without three fresh arrays of that size
+    frac = np.subtract(r_at[None, :, :], r_lo[:, None, None])
+    frac /= grid.dx
+    np.clip(frac, 0.0, 1.0, out=frac)
     if sgn < 0:
-        frac = 1.0 - frac
+        np.subtract(1.0, frac, out=frac)
     frac = frac.mean(axis=2)
     vals = profile.pair.u_plus + (profile.pair.u_minus - profile.pair.u_plus) * frac
     if axis == 1:

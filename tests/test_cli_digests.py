@@ -3,10 +3,11 @@
 Each case runs one command in-process and hashes its exit code, its standard
 output and every output file that carries results: verdict.txt (every
 measured value and tolerance, so check margins are pinned too), probes.csv,
-front.csv, final.shkw and each snap_*.shkw.  The table, cli_digests.json, was
-generated by the program as it was before the single evolution engine; a
-refactor must leave every digest unchanged.  A change that is meant to move
-an output regenerates the table and says which outputs changed and why:
+front.csv, final.shkw and each snap_*.shkw.  A refactor must leave every
+digest in the table, cli_digests.json, unchanged.  A change that is meant to
+move an output regenerates the table and says which outputs changed and why;
+run as a script, this file prints which cases and files changed against the
+committed table before it rewrites it:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -53,10 +54,11 @@ CASES = {
                     + BUMP.format(c="0.0,0.0,0.0", r=0.6, a=0.5)
                     + "scheme.numerical_flux = engquist-osher\nscheme.frame = original\n"
                     "experiment.horizon = 0.3\nexperiment.snapshot_interval = 0.1\n"),
+    # a cap well past the settle's plateau window, so its stop rule ends it
     "stability": ("stability", BURGERS2 + "cone.resolution = 1e-8\nprofile.front = abs_scaled\n"
                   "profile.slope = 0.5\ngrid.counts = 32,64\ngrid.box = -3,5,-8,8\n"
                   + BUMP.format(c="2.7,0.0", r=1.6, a=1.9)
-                  + "experiment.horizon = 1.0\nexperiment.settle_steps = 60\n"
+                  + "experiment.horizon = 1.0\nexperiment.settle_steps = 200\n"
                   "experiment.snapshot_interval = 0.5\n"),
     "overhead": ("overhead", OVERHEAD),
     # settle against a moving background
@@ -89,12 +91,15 @@ def run_case(name: str, workdir: Path) -> dict[str, object]:
     return record
 
 
+def differing(want: dict, got: dict) -> list[str]:
+    """The outputs whose digests differ, or that only one of the records has."""
+    return sorted(k for k in set(want) | set(got) if want.get(k) != got.get(k))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_pinned_digests(name, tmp_path):
     table = json.loads(TABLE.read_text())
-    want = table["cases"][name]
-    got = run_case(name, tmp_path)
-    differ = sorted(k for k in set(want) | set(got) if want.get(k) != got.get(k))
+    differ = differing(table["cases"][name], run_case(name, tmp_path))
     assert not differ, (
         f"{name}: {', '.join(differ)} differ from {TABLE.name} (generated with numpy "
         f"{table['numpy']}; this is numpy {np.__version__})")
@@ -103,9 +108,20 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    # name every change against the committed table before rewriting it
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {"numpy": None, "cases": {}}
+    if old["numpy"] != np.__version__:
+        print(f"numpy {old['numpy']} -> {np.__version__}", file=sys.stderr)
     cases = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             cases[name] = run_case(name, Path(tmp))
-        print(name, cases[name]["exit_code"], file=sys.stderr)
+        if name not in old["cases"]:
+            status = "new case"
+        else:
+            differ = differing(old["cases"][name], cases[name])
+            status = "changed: " + ", ".join(differ) if differ else "unchanged"
+        print(f"{name} (exit {cases[name]['exit_code']}): {status}", file=sys.stderr)
+    for name in sorted(set(old["cases"]) - set(CASES)):
+        print(f"{name}: removed", file=sys.stderr)
     TABLE.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")

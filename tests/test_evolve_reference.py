@@ -206,6 +206,28 @@ def test_settle_matches_reference(case, log, pair11, planar11, curved11):
         assert len(ref) == cap
 
 
+@pytest.mark.parametrize("moving", [False, True])
+def test_joint_settle_below_the_window_matches_per_field_settles(moving, log, pair11, curved11):
+    # below PLATEAU_WINDOW steps only tol can end a settle; curved fronts never
+    # reach it, so each field takes exactly the steps of its own capped settle
+    g = sl.Grid.from_box((-2, 2, -2, 2), (24, 24))
+    scheme, flux = sl.SchemeConfig(), pair11.reduced
+    if moving:
+        scheme, flux = sl.SchemeConfig(frame="original"), pair11.flux
+    profs = [curved11] + [sl.make_scaled_gauge(pair11, curved11.dual, s, r, y_extent=(-4.0, 4.0))
+                          for s, r in ((0.3, 0.2), (0.7, -0.4))]
+    pairs = [(sample_profile(p, g), profile_background(p, moving=moving)) for p in profs]
+    cap = xp.PLATEAU_WINDOW - 5
+    ref = RefLog()
+    want = [ref_settle(ref, f, scheme, flux, bg, cap) for f, bg in pairs]
+    got = xp.settle(pairs, scheme, flux, max_steps=cap)
+    assert [f.values.tobytes() for f in got.fields] == [f.values.tobytes() for f in want]
+    assert got.steps == cap and not any(got.converged)
+    # the same steps, interleaved field by field; settle's ghosts are at rest
+    assert sorted(e[1:] for e in log) == sorted(e[1:] for e in ref)
+    assert len(ref) == len(profs) * cap
+
+
 def _stability_setup(pair11, curved11, g):
     """A perturbed curved shock with two companions on their own backgrounds."""
     u0 = sl.Field(g, sample_profile(curved11, g).values
@@ -307,6 +329,11 @@ def test_stability_steps_all_go_through_solver_step(log, pair11, dual11, cone11)
     rep = sl.stability_experiment(prof, phi, g, sl.SchemeConfig(), horizon=0.3,
                                   settle_steps=5, uhat_settle_steps=3)
     n_steps = len(rep.series[1]) - 1
-    # 8 settles (base, 5 comparisons, 2 sandwich bounds) + 9 fields evolved + U_hat
+    # one joint settle of 8 fields (5 comparisons, 2 sandwich bounds, base),
+    # 9 fields evolved, and the U_hat settle
     assert len(log) == 8 * 5 + 9 * n_steps + 3
+    settled = rep.extras["settle"]
+    assert settled["shocks"]["steps"] == 5 and settled["u_hat"]["steps"] == 3
+    assert list(settled["shocks"]["fields"]) == [f"cmp{i}" for i in range(5)] + [
+        "lower", "upper", "base"]
     assert not hasattr(xp, "step")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import shocklab as sl
+from shocklab import experiments as xp
 from shocklab import solver
 from shocklab.errors import (
     BoundaryContact,
@@ -66,7 +67,19 @@ def test_support_experiment_containment(burgers2):
     b2 = sl.Field(g, b1.values + sample_function(phi, g).values)
     rep = sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 1.2)
     assert rep.passed
-    assert rep.checks[0].measured <= 0.0
+    # the largest excess itself: its distance below zero is the margin
+    assert rep.checks[0].measured < 0.0
+
+
+def test_support_experiment_without_support_at_any_check(burgers2):
+    g = sl.Grid.from_box((-3, 9, -3, 9), (48, 48))
+    b1 = sl.Field(g, np.full(g.counts, 1.0))
+    b2 = sl.Field(g, b1.values + sample_function(
+        sl.PerturbationSpec("bump", (0.0, 0.0), 0.8, 0.1), g).values)
+    # only the peak cells pass the threshold at t = 0, and the peak decays
+    rep = sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 1.0, threshold=0.99)
+    assert rep.passed
+    assert rep.checks[0].measured == 0.0 and "no support" in rep.checks[0].note
 
 
 def test_support_experiment_boundary_contact(burgers2):
@@ -235,6 +248,52 @@ def test_settle_reaches_steady_state(pair11, planar11):
     assert np.abs(nxt.values - us.values).sum() * g.cell_volume <= 1e-11
 
 
+@pytest.fixture(scope="module")
+def curved_settle(pair11, dual11):
+    """A curved front and its sandwich bounds settled together under a 2000-step cap."""
+    prof = sl.make_scaled_gauge(pair11, dual11, 0.5, y_extent=(-4.0, 4.0))
+    box = (np.array([0.8, -0.6]), np.array([1.6, 0.6]))
+    lower, upper = sl.sandwich_bounds(prof, box, 0.1)
+    g = sl.Grid.from_box((-2, 3, -3, 3), (40, 48))
+    pairs = [(sample_profile(p, g), sl.profile_background(p)) for p in (lower, prof, upper)]
+    return pairs, settle(pairs, sl.SchemeConfig(), pair11.reduced, max_steps=2000)
+
+
+def test_curved_settle_stops_on_its_plateau(curved_settle):
+    _, settled = curved_settle
+    # well before the cap, without any field reaching tol
+    assert xp.PLATEAU_WINDOW < settled.steps <= 200
+    assert not any(settled.converged)
+    assert settled.summary(["lower", "base", "upper"])["steps"] == settled.steps
+
+
+def test_joint_settle_keeps_the_sandwich_ordered(curved_settle):
+    pairs, settled = curved_settle
+    (lo0, _), (u0, _), (hi0, _) = pairs
+    assert np.all(lo0.values <= u0.values) and np.all(u0.values <= hi0.values)
+    lo, u, hi = (f.values for f in settled.fields)
+    assert np.all(lo <= u) and np.all(u <= hi)
+
+
+def test_joint_settle_runs_a_planar_front_to_tol(pair11, planar11):
+    g = sl.Grid.from_box((-2, 2, -2, 2), (48, 48))
+    curved = sl.make_scaled_gauge(pair11, planar11.dual, 0.5, y_extent=(-4.0, 4.0))
+    pairs = [(sample_profile(p, g), sl.profile_background(p)) for p in (planar11, curved)]
+    settled = settle(pairs, sl.SchemeConfig(), pair11.reduced, max_steps=2000)
+    # the curved field plateaus first; the planar one sets the step count
+    assert settled.converged == [True, False]
+    alone = settle(pairs[0][0], sl.SchemeConfig(), pair11.reduced, pairs[0][1], 2000)
+    assert settled.fields[0].values.tobytes() == alone.values.tobytes()
+    assert settled.changes[0] <= 1e-13 * g.ncells * g.cell_volume
+
+
+def test_settle_honours_its_cap(pair11, curved_settle):
+    pairs, _ = curved_settle
+    for cap in (0, 1, xp.PLATEAU_WINDOW + 3):
+        settled = settle(pairs, sl.SchemeConfig(), pair11.reduced, max_steps=cap)
+        assert settled.steps == cap
+
+
 def test_sandwich_fields_nearly_steady(pair11, dual11, cone11):
     # sandwich bounds are fixed points of the step map up to the front layer:
     # the per-step residual is small and confined to cells near the front
@@ -273,3 +332,25 @@ def test_settle_range_guard_catches_a_broken_update(pair11, planar11, monkeypatc
     monkeypatch.setattr(solver, "step", overshooting_step)
     with pytest.raises(CFLViolation):
         settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)
+
+
+def test_joint_settle_guards_each_field_by_its_own_range(pair11, planar11, monkeypatch):
+    # a constant field at rest next to a shock: its update may not leave its own
+    # range, although it stays inside the range of the pair
+    g = sl.Grid.from_box((-2, 2, -2, 2), (16, 16))
+    pairs = [(sample_profile(planar11, g), sl.profile_background(planar11)),
+             (sl.Field(g, np.zeros(g.counts)), sl.constant_background(0.0, 2))]
+    settled = settle(pairs, sl.SchemeConfig(), pair11.reduced, max_steps=20)
+    assert np.all(settled.fields[1].values == 0.0)
+
+    real_step = solver.step
+
+    def drifting_step(field, *args, **kwargs):
+        nxt, stats = real_step(field, *args, **kwargs)
+        if np.all(np.abs(field.values) < 0.5):
+            return sl.Field(nxt.grid, nxt.values + 1e-6), stats
+        return nxt, stats
+
+    monkeypatch.setattr(solver, "step", drifting_step)
+    with pytest.raises(CFLViolation):
+        settle(pairs, sl.SchemeConfig(), pair11.reduced, max_steps=20)
