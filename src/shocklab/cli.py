@@ -94,9 +94,7 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
               2 * cfg.get("cone.resolution") + 1e-3,
               "angular Hausdorff distance between the two dual constructions"),
     ])
-    write_verdict(report, _outdir(cfg) / "verdict.txt")
-    stderr.write(format_verdict(report))
-    return 0 if report.passed else 1
+    return _emit_report(cfg, report, stderr)
 
 
 def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
@@ -115,18 +113,14 @@ def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
         Check("normals_admissible", normals_ok, 1.0 if normals_ok else 0.0, 1.0),
     ], extras={"unc": prof.unc})
     stdout.write(f"rho,{prof.rho!r}\nunc,{int(prof.unc)}\n")
-    write_verdict(report, out / "verdict.txt")
-    stderr.write(format_verdict(report))
-    return 0 if report.passed else 1
+    return _emit_report(cfg, report, stderr)
 
 
 def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
-    pair = cfg.build_pair()
-    cone, dual = cfg.build_cone_and_dual(pair)
-    prof = cfg.build_profile(pair, dual, cone)
+    prof = cfg.build_profile()
     grid = cfg.build_grid()
     scheme = cfg.build_scheme()
-    flux = scheme.flux_of(pair)
+    flux = scheme.flux_of(prof.pair)
     bg = profile_background(prof, moving=scheme.frame == "original")
     u0 = sample_profile(prof, grid)
     phi = cfg.build_perturbation()
@@ -146,9 +140,7 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
-    pair = cfg.build_pair()
-    cone, dual = cfg.build_cone_and_dual(pair)
-    prof = cfg.build_profile(pair, dual, cone)
+    prof = cfg.build_profile()
     phi = cfg.build_perturbation()
     if phi is None:
         raise ConfigError([(0, "stability requires a perturbation")])
@@ -161,9 +153,7 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
-    pair = cfg.build_pair()
-    cone, dual = cfg.build_cone_and_dual(pair)
-    prof = cfg.build_profile(pair, dual, cone)
+    prof = cfg.build_profile()
     phi = cfg.build_perturbation()
     if phi is None:
         raise ConfigError([(0, "overhead requires a perturbation")])
@@ -215,9 +205,7 @@ def cmd_normalize_check(cfg: RunConfig, stdout, stderr) -> int:
     for k, res in enumerate(residuals):
         stdout.write(f"residual_level_{k},{res!r}\n")
     report = ExperimentReport("normalize-check", checks, extras={"residuals": residuals})
-    write_verdict(report, _outdir(cfg) / "verdict.txt")
-    stderr.write(format_verdict(report))
-    return 0 if report.passed else 1
+    return _emit_report(cfg, report, stderr)
 
 
 HANDLERS = {

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import TrivialCone
 from .fluxes import ShockPair, oleinik_admissible, oleinik_admissible_many
@@ -138,7 +137,6 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float, n_scan: int) -> Admi
         elif not mask[i] and in_run:
             runs.append((start, i))
             in_run = False
-    runs = [(s, e) for s, e in runs]
     start, end = max(runs, key=lambda r: (r[1] - r[0]) % n_scan)
 
     def bisect(theta_in: float, theta_out: float) -> float:
@@ -321,14 +319,11 @@ def dual_cone_from_flux(pair: ShockPair, n_samples: int = 512) -> DualCone:
         raise ValueError("n_samples must be >= 2")
     # Chebyshev nodes: the chord vectors vanish at the end states, so the
     # extreme directions are only reached in the limit; quadratic clustering
-    # keeps the angular truncation error at O(1/n^2).
-    mid = 0.5 * (pair.u_minus + pair.u_plus)
-    half = 0.5 * (pair.u_minus - pair.u_plus)
-    k = np.arange(n_samples)
-    s = mid + half * np.cos((2 * k + 1) * np.pi / (2 * n_samples))
-    vecs = pair.f_bar[None, :] - np.stack(
-        [P.polyval(s, pair.reduced.component(i)) for i in range(pair.d)], axis=1
-    )
+    # keeps the angular truncation error at O(1/n^2).  F(s) is stacked into
+    # C-contiguous (n, d) rows: the summation order of the mean chord
+    # direction below depends on the layout.
+    s = pair.chebyshev_nodes(n_samples)
+    vecs = pair.f_bar[None, :] - np.stack(pair.reduced.value(s), axis=1)
     norms = np.linalg.norm(vecs, axis=1)
     scale = float(norms.max())
     if scale <= 0:

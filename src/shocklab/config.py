@@ -21,18 +21,6 @@ from .solver import Grid, SchemeConfig
 __all__ = ["RunConfig", "parse_config", "emit_config", "tokenize", "validate"]
 
 
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
-
-
 def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(x) for x in s.split(","))
 
@@ -59,36 +47,36 @@ def _enum(*options):
 
 # key -> (parser, default); default None means "unset"
 KEYS = {
-    "flux.burgers_d": (_parse_int, None),
+    "flux.burgers_d": (int, None),
     "flux.poly": (_parse_poly, None),
-    "flux.label": (_parse_str, None),
-    "pair.u_minus": (_parse_float, None),
-    "pair.u_plus": (_parse_float, None),
-    "cone.resolution": (_parse_float, 1e-4),
+    "flux.label": (str, None),
+    "pair.u_minus": (float, None),
+    "pair.u_plus": (float, None),
+    "cone.resolution": (float, 1e-4),
     "profile.front": (_enum("planar", "abs_scaled", "pwl_file"), "planar"),
     "profile.nu": (_parse_floats, None),
-    "profile.offset": (_parse_float, 0.0),
-    "profile.slope": (_parse_float, None),
-    "profile.pwl_path": (_parse_str, None),
+    "profile.offset": (float, 0.0),
+    "profile.slope": (float, None),
+    "profile.pwl_path": (str, None),
     "perturbation.shape": (_enum("bump", "indicator", "sum"), None),
     "perturbation.center": (_parse_floats, None),
-    "perturbation.radius": (_parse_float, None),
-    "perturbation.amplitude": (_parse_float, None),
-    "perturbation.terms": (_parse_str, None),
+    "perturbation.radius": (float, None),
+    "perturbation.amplitude": (float, None),
+    "perturbation.terms": (str, None),
     "grid.counts": (_parse_ints, None),
     "grid.box": (_parse_floats, None),
     "scheme.numerical_flux": (_enum("rusanov", "engquist-osher"), "rusanov"),
-    "scheme.cfl": (_parse_float, None),
+    "scheme.cfl": (float, None),
     "scheme.boundary": (_enum("dirichlet-profile", "outflow"), "dirichlet-profile"),
     "scheme.frame": (_enum("reduced", "original"), "reduced"),
-    "experiment.horizon": (_parse_float, 10.0),
-    "experiment.snapshot_interval": (_parse_float, 0.0),
-    "experiment.threshold": (_parse_float, 1e-3),
-    "experiment.eta": (_parse_float, 0.05),
-    "experiment.t0": (_parse_float, 10.0),
-    "experiment.u_ref": (_parse_float, 0.0),
-    "experiment.settle_steps": (_parse_int, 1500),
-    "output.dir": (_parse_str, "out"),
+    "experiment.horizon": (float, 10.0),
+    "experiment.snapshot_interval": (float, 0.0),
+    "experiment.threshold": (float, 1e-3),
+    "experiment.eta": (float, 0.05),
+    "experiment.t0": (float, 10.0),
+    "experiment.u_ref": (float, 0.0),
+    "experiment.settle_steps": (int, 1500),
+    "output.dir": (str, "out"),
 }
 
 

@@ -22,10 +22,12 @@ from .errors import (
     EtaTooLarge,
     RangeViolation,
 )
-from .fluxes import Flux, burgers_flux, burgers_normalization, is_burgers, poly_abs_max
+from .fluxes import Flux, burgers_flux, burgers_normalization, component_abs_max, is_burgers
 from .profiles import (
     PerturbationSpec,
     ShockProfile,
+    box_corners,
+    cell_box,
     extract_front,
     make_graph,
     sandwich_bounds,
@@ -36,16 +38,15 @@ from .solver import (
     Field,
     Grid,
     SchemeConfig,
-    check_range,
     constant_background,
     evolve,
-    field_range,
     l1_distance,
     profile_background,
     run,
     sample_function,
     sample_profile,
     stable_dt,
+    wave_speed,
 )
 
 __all__ = [
@@ -120,34 +121,29 @@ def settle(
     fields,
     scheme: SchemeConfig,
     flux: Flux,
-    background: Background | None = None,
     max_steps: int = 2000,
     tol: float | None = None,
-):
+) -> Settled:
     """Relax sampled profiles together to numerical steady states of the scheme.
 
-    `fields` is a list of (field, background) pairs, and the result is a
-    Settled.  A single Field is settled against `background`, and the result
-    is the settled Field.
-
-    Sharp two-valued data develop a thin discrete shock layer within a few
-    dozen steps.  Every field takes the same dt, from the union of their start
-    ranges, and the same number of steps, so data ordered at the start stay
-    ordered cellwise (comparison principle).  Step k ends the settle, at the
-    latest at max_steps, once every field's L1 change in that step has either
-    reached tol (default 1e-13 * ncells * cell_volume) or plateaued (see
+    `fields` is a list of (field, background) pairs.  Sharp two-valued data
+    develop a thin discrete shock layer within a few dozen steps.  Every field
+    takes the same dt, from the union of their start ranges, and the same
+    number of steps, so data ordered at the start stay ordered cellwise
+    (comparison principle).  Step k ends the settle, at the latest at
+    max_steps, once every field's L1 change in that step has either reached
+    tol (default 1e-13 * ncells * cell_volume) or plateaued (see
     PLATEAU_WINDOW).  A planar front runs to tol and becomes a fixed point of
     the step; a curved front never gets there, and its layer is formed when
     its change levels off.
     Raises CFLViolation if a step leaves the start range of a field and its
-    ghosts, which a monotone update never does.  The ghost layers stay those
-    of t = 0: a moving background is replaced by a copy at rest, whose layers
-    are evaluated once (no ghost coordinate is -0.0, so dropping the zero
-    shift changes no value).
+    ghosts, which a monotone update never does (`evolve` checks it).  The
+    ghost layers stay those of t = 0: a moving background is replaced by a
+    copy at rest, whose layers are evaluated once (no ghost coordinate is
+    -0.0, so dropping the zero shift changes no value).
     """
-    single = isinstance(fields, Field)
     pairs = []
-    for f, bg in [(fields, background)] if single else fields:
+    for f, bg in fields:
         if bg is not None and np.any(bg.velocity != 0.0):
             bg = Background(bg.fn, np.zeros_like(bg.velocity))
         pairs.append((f, bg))
@@ -156,7 +152,6 @@ def settle(
         raise ValueError("fields must share a grid")
     if tol is None:
         tol = 1e-13 * g.ncells * g.cell_volume
-    guards = [field_range(f, scheme, bg) for f, bg in pairs]
     lo = min(float(f.values.min()) for f, _ in pairs)
     hi = max(float(f.values.max()) for f, _ in pairs)
     dt = stable_dt(flux, g, scheme, lo - 1e-9, hi + 1e-9)
@@ -171,16 +166,13 @@ def settle(
     # of its fields, fewer than a run with the same fields as companions
     del fields, pairs
     for steps, _, current, _ in stepping:
-        for i, (nxt, guard) in enumerate(zip(current, guards)):
-            check_range(nxt.values.min(), nxt.values.max(), guard)
+        for i, nxt in enumerate(current):
             changes[i] = float(np.abs(nxt.values - prev[i].values).sum()) * g.cell_volume
             prev[i] = nxt
         history.append(list(changes))
         back = history[0] if len(history) > PLATEAU_WINDOW else unknown
         if all(c <= tol or c >= PLATEAU_RATIO * b for c, b in zip(changes, back)):
             break
-    if single:
-        return prev[0]
     return Settled(prev, steps, changes, [c <= tol for c in changes])
 
 
@@ -209,15 +201,13 @@ def support_hull(flux: Flux, j, n_samples: int = 64) -> SupportHull:
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     amp = hi - lo
-    c_f = float(np.linalg.norm([
-        poly_abs_max(flux.component(i, 2), lo, hi) for i in range(flux.d)
-    ]))
+    c_f = float(np.linalg.norm(component_abs_max(flux, 2, lo, hi)))
     center = flux.value(lo, 1)
     if amp == 0.0:
         return SupportHull((lo, hi), center[None, :], center, 0.0, c_f, 0.0)
     s = np.linspace(lo, hi, n_samples)
-    f_s = np.stack([P.polyval(s, flux.component(i)) for i in range(flux.d)], axis=1)
-    df = np.stack([P.polyval(s, flux.component(i, 1)) for i in range(flux.d)], axis=1)
+    f_s = flux.value(s).T
+    df = flux.value(s, 1).T
     s1 = np.repeat(s, n_samples)
     s2 = np.tile(s, n_samples)
     mask = s1 != s2
@@ -304,12 +294,10 @@ def support_experiment(
     j_lo = min(float(b1.values.min()), float(b2.values.min()))
     j_hi = max(float(b1.values.max()), float(b2.values.max()))
     hull = support_hull(flux, (j_lo, j_hi))
-    lam = max(float(poly_abs_max(flux.component(i, 1), j_lo, j_hi)) for i in range(g.d))
+    lam = wave_speed(flux, g, j_lo, j_hi)
 
     mesh = g.center_mesh()
-    mask0 = np.abs(diff0) > threshold * amp
-    k_lo = mesh[mask0].min(axis=0) - 0.5 * g.dx
-    k_hi = mesh[mask0].max(axis=0) + 0.5 * g.dx
+    k_lo, k_hi = cell_box(mesh, np.abs(diff0) > threshold * amp, g.dx)
     k_corners = np.array([[k_lo[0], k_lo[1]], [k_hi[0], k_lo[1]],
                           [k_hi[0], k_hi[1]], [k_lo[0], k_hi[1]]])
 
@@ -324,7 +312,8 @@ def support_experiment(
     check_steps = {min(n_steps, max(1, int(round(ts / dt)))): ts for ts in check_times}
     edge = _edge_mask(g)
 
-    # no shared guard: each field's dissipation bound follows its own range
+    # no shared guard: each field's dissipation bound and range check follow
+    # its own range
     for k, t, states, _ in evolve([(b2, bg), (b1, bg)], scheme, flux, dt, n_steps):
         if k not in check_steps:
             continue
@@ -546,20 +535,15 @@ def predicted_absorption_time(profile: ShockProfile, box, eta: float) -> Absorpt
         raise Characteristic("drift direction is not transverse to the front cone")
     lo_s = min(pair.u_plus, pair.u_minus)
     hi_s = pair.u_minus + eta
-    c_f = float(np.linalg.norm([
-        poly_abs_max(pair.flux.component(i, 2), lo_s, hi_s) for i in range(pair.d)
-    ]))
+    c_f = float(np.linalg.norm(component_abs_max(pair.flux, 2, lo_s, hi_s)))
     radius = 2.0 * c_f * eta
     alpha = float(np.min(facets @ drift - radius * np.linalg.norm(facets, axis=1)))
     if alpha <= 0.0:
         raise EtaTooLarge(f"ball radius {radius:.3g} kills the absorption rate; shrink eta")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    corners = np.stack(np.meshgrid(*[(lo[i], hi[i]) for i in range(pair.d)],
-                                   indexing="ij"), axis=-1).reshape(-1, pair.d)
-    min_k = float(np.min(corners @ facets.T))
-    psi0 = float(profile.front.value(np.zeros(()) if pair.d == 2 else np.zeros(pair.d - 1)))
-    t_star = (psi0 - min_k) / alpha
+    min_k = float(np.min(box_corners(lo, hi, pair.d) @ facets.T))
+    t_star = (profile.psi0 - min_k) / alpha
     return AbsorptionEstimate(eta, profile.rho, alpha, c_f, radius, g_drift,
                               float(t_star), (tuple(lo), tuple(hi)))
 
@@ -639,11 +623,9 @@ def overhead_experiment(
               "over_plus": over_plus, "over_minus": over_minus,
               "settle": base_settle.summary(["base"])}
     if eta_state["field"] is not None:
-        mesh = g.center_mesh()
         mask = eta_state["field"].values > pair.u_minus + 1e-3 * pair.jump
         if np.any(mask):
-            k_lo = mesh[mask].min(axis=0) - 0.5 * g.dx
-            k_hi = mesh[mask].max(axis=0) + 0.5 * g.dx
+            k_lo, k_hi = cell_box(g.center_mesh(), mask, g.dx)
         else:
             c = np.asarray(phi.bounding_box[0])
             k_lo, k_hi = c, np.asarray(phi.bounding_box[1])

@@ -27,6 +27,7 @@ __all__ = [
     "eval_flux",
     "critical_points",
     "poly_abs_max",
+    "component_abs_max",
     "make_shock_pair",
     "normal_speed",
     "oleinik_admissible",
@@ -95,8 +96,8 @@ def critical_points(coeffs) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _critical_points(key: bytes) -> np.ndarray:
-    dc = np.trim_zeros(P.polyder(np.frombuffer(key)), "b")
-    r = P.polyroots(dc) if len(dc) > 1 else np.empty(0, dtype=complex)
+    # polyroots trims trailing zero coefficients itself
+    r = P.polyroots(P.polyder(np.frombuffer(key)))
     r = np.sort(r[np.abs(r.imag) < 1e-9].real)
     r.flags.writeable = False
     return r
@@ -111,6 +112,11 @@ def poly_abs_max(coeffs, lo, hi):
         if np.any(inside):
             cand = np.where(inside, np.maximum(cand, abs(float(P.polyval(r, c)))), cand)
     return cand
+
+
+def component_abs_max(flux: Flux, order: int, lo, hi) -> np.ndarray:
+    """Exact max |f_i^(order)| over [lo, hi] of every component i, shape (d,)."""
+    return np.array([poly_abs_max(flux.component(i, order), lo, hi) for i in range(flux.d)])
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,13 @@ class ShockPair:
     @property
     def jump(self) -> float:
         return self.u_minus - self.u_plus
+
+    def chebyshev_nodes(self, n: int) -> np.ndarray:
+        """The n Chebyshev nodes on (u_plus, u_minus), clustered toward both ends."""
+        mid = 0.5 * (self.u_minus + self.u_plus)
+        half = 0.5 * (self.u_minus - self.u_plus)
+        k = np.arange(n)
+        return mid + half * np.cos((2 * k + 1) * np.pi / (2 * n))
 
 
 def make_shock_pair(flux: Flux, u_minus: float, u_plus: float) -> ShockPair:
@@ -206,8 +219,9 @@ def oleinik_admissible_many(
     Every row gets the same floating-point operations as a test of that row
     alone: `np.vecdot` is `np.dot` per row, the Horner recurrence of
     `P.polyval` is elementwise, and the critical points of each excess
-    polynomial come from its own `P.polyroots` call.  Ragged critical-point
-    sets are padded with u_minus, which is a candidate point already.
+    polynomial come from its own `critical_points` call.  Ragged
+    critical-point sets are padded with u_minus, which is a candidate point
+    already.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -222,21 +236,13 @@ def oleinik_admissible_many(
     e[:, 1] -= sigma
     ref = P.polyval(pair.u_minus, e.T)
     if exact:
-        crits = []
-        for row in e:
-            crit = P.polyroots(P.polyder(row))
-            crit = crit[np.abs(crit.imag) < 1e-10].real
-            crits.append(crit[(crit > pair.u_plus) & (crit < pair.u_minus)])
+        crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(critical_points, e)]
         pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
         for row, crit in zip(pts, crits):
             row[: len(crit)] = crit
         pts[:, -2] = pair.u_plus
     else:
-        mid = 0.5 * (pair.u_minus + pair.u_plus)
-        half = 0.5 * (pair.u_minus - pair.u_plus)
-        k = np.arange(n_samples)
-        pts = mid + half * np.cos((2 * k + 1) * np.pi / (2 * n_samples))
-        pts = np.broadcast_to(pts, (len(e), n_samples))
+        pts = np.broadcast_to(pair.chebyshev_nodes(n_samples), (len(e), n_samples))
     worst = np.empty(len(e))
     peak = np.empty(len(e))
     rows = max(1, EXCESS_BLOCK // pts.shape[1])

@@ -41,6 +41,8 @@ __all__ = [
     "bounded_intersection",
     "extract_front",
     "front_normals",
+    "box_corners",
+    "cell_box",
 ]
 
 DEFAULT_UNC_RHO = 0.9
@@ -136,6 +138,11 @@ class ShockProfile:
     @property
     def velocity(self) -> np.ndarray:
         return self.pair.velocity
+
+    @property
+    def psi0(self) -> float:
+        """Front value psi(0) at the frame origin."""
+        return float(self.front.value(np.zeros(()) if self.d == 2 else np.zeros(self.d - 1)))
 
     def eval(self, x) -> np.ndarray:
         """u_minus where r < psi(y), u_plus on and beyond the front."""
@@ -342,6 +349,18 @@ def perturb_end_states(
                       y_extent=(float(y_new.min()), float(y_new.max())))
 
 
+def box_corners(lo, hi, d: int) -> np.ndarray:
+    """The 2^d corners of the axis box [lo, hi] in R^d, shape (2^d, d)."""
+    return np.stack(np.meshgrid(*[(lo[i], hi[i]) for i in range(d)],
+                                indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def cell_box(centers: np.ndarray, mask: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axis box (lo, hi) of the cells under mask: their centers padded by dx/2."""
+    pts = centers[mask]
+    return pts.min(axis=0) - 0.5 * dx, pts.max(axis=0) + 0.5 * dx
+
+
 def sandwich_bounds(
     profile: ShockProfile,
     box: tuple[np.ndarray, np.ndarray] | None,
@@ -362,8 +381,7 @@ def sandwich_bounds(
     hi = np.asarray(box[1], dtype=float)
     if np.any(hi < lo):
         return profile, profile
-    corners = np.stack(np.meshgrid(*[(lo[i], hi[i]) for i in range(profile.d)],
-                                   indexing="ij"), axis=-1).reshape(-1, profile.d)
+    corners = box_corners(lo, hi, profile.d)
     r_c = corners @ profile.dual.W
     y_c = corners @ profile.dual.H
     if profile.d == 2:
@@ -454,7 +472,7 @@ def bounded_intersection(profile: ShockProfile, x) -> FrameBox:
     r0 = float(x @ dual.W)
     y0 = x @ dual.H
     g0 = float(dual.gauge(y0[0] if profile.d == 2 else y0))
-    psi0 = float(profile.front.value(np.zeros(()) if profile.d == 2 else np.zeros(profile.d - 1)))
+    psi0 = profile.psi0
     rho = profile.rho
     gauge_bound = (psi0 + g0 - r0) / (1.0 - rho)
     if gauge_bound < 0:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
-from .fluxes import Flux, critical_points, poly_abs_max
+from .fluxes import Flux, component_abs_max, critical_points, poly_abs_max
 from .profiles import ShockProfile
 
 __all__ = [
@@ -404,10 +404,13 @@ def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
         raise CFLViolation(f"update left the range [{glo}, {ghi}]: [{vmin}, {vmax}]")
 
 
+def wave_speed(flux: Flux, grid: Grid, lo: float, hi: float) -> float:
+    """The bound lambda: max |f_i'| over [lo, hi] and the grid's axes i, exact."""
+    return float(np.max(component_abs_max(flux, 1, lo, hi)[: grid.d]))
+
+
 def stable_dt(flux: Flux, grid: Grid, scheme: SchemeConfig, lo: float, hi: float) -> float:
-    lam = max(_lambda_bound(_key(flux.coeffs[ax]), float(lo), float(hi))
-              for ax in range(grid.d))
-    lam = max(lam, 1e-30)
+    lam = max(wave_speed(flux, grid, lo, hi), 1e-30)
     return scheme.cfl_for(grid.d) * grid.dx / (grid.d * lam)
 
 
@@ -501,11 +504,14 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
     Yields (k, t, fields, stats) after step k = 1..n_steps, which runs from
     (k-1)*dt to t = k*dt: one list of the fields in the order of pairs,
     updated in place, and the StepStats of each.  A range_guard is shared by
-    every field; without one each step takes its dissipation bound from its
-    own range.
+    every field, and `step` checks it.  Without one each step takes its
+    dissipation bound from its own range, and each field is held to its own
+    start range, with its ghosts at t = 0: CFLViolation if it leaves it,
+    which a monotone update never does (max principle).
     """
     fields = [f for f, _ in pairs]
     backgrounds = [bg for _, bg in pairs]
+    guards = None if range_guard is not None else [field_range(f, scheme, bg) for f, bg in pairs]
     del pairs  # a start field lives on only if the caller keeps it
     stats = [None] * len(fields)
     for k in range(1, n_steps + 1):
@@ -515,6 +521,8 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
             # old one before the next field steps
             fields[i], stats[i] = step(fields[i], scheme, flux, bg, (k - 1) * dt, dt,
                                        range_guard)
+            if guards is not None:
+                check_range(fields[i].values.min(), fields[i].values.max(), guards[i])
         yield k, k * dt, fields, stats
 
 

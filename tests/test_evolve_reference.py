@@ -195,7 +195,7 @@ def test_settle_matches_reference(case, log, pair11, planar11, curved11):
     u0 = sample_profile(prof, g)
     ref = RefLog()
     want = ref_settle(ref, u0, scheme, flux, bg, cap)
-    got = xp.settle(u0, scheme, flux, bg, cap)
+    got = xp.settle([(u0, bg)], scheme, flux, cap).fields[0]
     assert got.values.tobytes() == want.values.tobytes()
     # the old loop passed t = 0 to every step, the engine passes the time
     # reached; settle's ghost layers are at rest, so t reaches no value

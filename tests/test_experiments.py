@@ -91,6 +91,26 @@ def test_support_experiment_boundary_contact(burgers2):
         sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 3.0)
 
 
+def test_support_range_guard_catches_a_broken_update(burgers2, monkeypatch):
+    g = sl.Grid.from_box((-3, 9, -3, 9), (48, 48))
+    b1 = sl.Field(g, np.full(g.counts, 1.0))
+    b2 = sl.Field(g, b1.values + sample_function(
+        sl.PerturbationSpec("bump", (0.0, 0.0), 0.8, 0.1), g).values)
+    assert sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 0.5).passed
+
+    real_step = solver.step
+
+    def overshooting_step(*args, **kwargs):
+        nxt, stats = real_step(*args, **kwargs)
+        return sl.Field(nxt.grid, nxt.values + 1e-6), stats
+
+    # both fields overshoot alike, so their difference and its support are
+    # unchanged: only each field's own range check can catch the update
+    monkeypatch.setattr(solver, "step", overshooting_step)
+    with pytest.raises(CFLViolation):
+        sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 0.5)
+
+
 @pytest.mark.slow
 def test_stability_experiment_small(pair11, dual11, cone11):
     prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-5, 5))
@@ -243,7 +263,8 @@ def test_normalization_residual_refinement():
 def test_settle_reaches_steady_state(pair11, planar11):
     g = sl.Grid.from_box((-2, 2, -2, 2), (48, 48))
     bg = sl.profile_background(planar11)
-    us = settle(sample_profile(planar11, g), sl.SchemeConfig(), pair11.reduced, bg, 2500)
+    us = settle([(sample_profile(planar11, g), bg)], sl.SchemeConfig(), pair11.reduced,
+                2500).fields[0]
     nxt, _ = sl.step(us, sl.SchemeConfig(), pair11.reduced, bg)
     assert np.abs(nxt.values - us.values).sum() * g.cell_volume <= 1e-11
 
@@ -282,7 +303,7 @@ def test_joint_settle_runs_a_planar_front_to_tol(pair11, planar11):
     settled = settle(pairs, sl.SchemeConfig(), pair11.reduced, max_steps=2000)
     # the curved field plateaus first; the planar one sets the step count
     assert settled.converged == [True, False]
-    alone = settle(pairs[0][0], sl.SchemeConfig(), pair11.reduced, pairs[0][1], 2000)
+    alone = settle(pairs[:1], sl.SchemeConfig(), pair11.reduced, 2000).fields[0]
     assert settled.fields[0].values.tobytes() == alone.values.tobytes()
     assert settled.changes[0] <= 1e-13 * g.ncells * g.cell_volume
 
@@ -303,7 +324,7 @@ def test_sandwich_fields_nearly_steady(pair11, dual11, cone11):
     mesh = g.center_mesh()
     for p in (lower, upper):
         bg = sl.profile_background(p)
-        f = settle(sample_profile(p, g), sl.SchemeConfig(), pair11.reduced, bg, 1000)
+        f = settle([(sample_profile(p, g), bg)], sl.SchemeConfig(), pair11.reduced, 1000).fields[0]
         nxt, _ = sl.step(f, sl.SchemeConfig(), pair11.reduced, bg)
         resid = np.abs(nxt.values - f.values)
         assert resid.sum() * g.cell_volume <= 5e-3
@@ -320,7 +341,7 @@ def test_settle_range_guard_catches_a_broken_update(pair11, planar11, monkeypatc
     g = sl.Grid.from_box((-2, 2, -2, 2), (16, 16))
     u0 = sample_profile(planar11, g)
     bg = sl.profile_background(planar11)
-    settled = settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)
+    settled = settle([(u0, bg)], sl.SchemeConfig(), pair11.reduced, 20).fields[0]
     assert settled.values.max() <= pair11.u_minus and settled.values.min() >= pair11.u_plus
 
     real_step = solver.step
@@ -331,7 +352,7 @@ def test_settle_range_guard_catches_a_broken_update(pair11, planar11, monkeypatc
 
     monkeypatch.setattr(solver, "step", overshooting_step)
     with pytest.raises(CFLViolation):
-        settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 20)
+        settle([(u0, bg)], sl.SchemeConfig(), pair11.reduced, 20)
 
 
 def test_joint_settle_guards_each_field_by_its_own_range(pair11, planar11, monkeypatch):

@@ -85,7 +85,7 @@ def test_planar_steady_shock_settles(pair11, dual11, cone11):
 
     bg = sl.profile_background(prof)
     u0 = sample_profile(prof, g)
-    us = settle(u0, sl.SchemeConfig(), pair11.reduced, bg, 3000)
+    us = settle([(u0, bg)], sl.SchemeConfig(), pair11.reduced, 3000).fields[0]
     nxt, _ = sl.step(us, sl.SchemeConfig(), pair11.reduced, bg)
     assert np.abs(nxt.values - us.values).sum() * g.cell_volume <= 1e-10
     # changes against the sharp profile stay confined to a thin front layer
@@ -177,7 +177,8 @@ def test_zero_perturbation_l1_probe_is_flat(pair11, planar11):
 
     g = sl.Grid.from_box((-2, 2, -2, 2), (48, 48))
     bg = sl.profile_background(planar11)
-    us = settle(sample_profile(planar11, g), sl.SchemeConfig(), pair11.reduced, bg, 2500)
+    us = settle([(sample_profile(planar11, g), bg)], sl.SchemeConfig(), pair11.reduced,
+                2500).fields[0]
     rep = sl.run(us.copy(), sl.SchemeConfig(), pair11.reduced, 1.0, bg,
                  companions=[Companion("steady", us.copy(), bg)])
     assert np.max(rep.l1["steady"]) <= 1e-10
