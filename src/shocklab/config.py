@@ -205,6 +205,22 @@ def tokenize(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _check_dimensions(cfg: RunConfig, entries: dict[str, tuple[str, int]]) -> None:
+    """One flux component per grid axis, front normal entry and bump center entry."""
+    given = [k for k in ("flux.poly", "flux.burgers_d") if cfg.has(k)]
+    if len(given) != 1:
+        return  # build_flux reports a missing or doubled flux
+    flux_key = given[0]
+    d = len(cfg.get(flux_key)) if flux_key == "flux.poly" else cfg.get(flux_key)
+    errors = []
+    for key in ("grid.counts", "profile.nu", "perturbation.center"):
+        if cfg.has(key) and len(cfg.get(key)) != d:
+            errors.append((entries[key][1], f"{key} has {len(cfg.get(key))} entries, but "
+                           f"the flux ({flux_key}) has {d} components"))
+    if errors:
+        raise ConfigError(errors)
+
+
 def validate(entries: dict[str, tuple[str, int]]) -> RunConfig:
     """Second stage: parse every value with its registered type."""
     errors = []
@@ -221,6 +237,7 @@ def validate(entries: dict[str, tuple[str, int]]) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     cfg = RunConfig(raw)
+    _check_dimensions(cfg, entries)
     # cross-key validation through the real constructors, pinned to lines
     try:
         if cfg.has("pair.u_minus") and cfg.has("pair.u_plus"):

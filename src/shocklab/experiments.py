@@ -144,7 +144,7 @@ def settle(
     """
     pairs = []
     for f, bg in fields:
-        if bg is not None and np.any(bg.velocity != 0.0):
+        if bg is not None and bg.moving:
             bg = Background(bg.fn, np.zeros_like(bg.velocity))
         pairs.append((f, bg))
     g = pairs[0][0].grid
@@ -287,6 +287,8 @@ def support_experiment(
         raise ValueError("fields must share a grid")
     if g.d != 2:
         raise NotImplementedError("support experiment implemented for d = 2")
+    if flux.d != g.d:
+        raise ValueError(f"the flux has {flux.d} components for a {g.d}-D grid")
     diff0 = b2.values - b1.values
     amp = float(np.max(np.abs(diff0)))
     if amp == 0.0:

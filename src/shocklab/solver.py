@@ -5,11 +5,21 @@ the comparison principle, the max principle, and the L1 contraction, which the
 experiments treat as testable guarantees rather than approximations.  All
 reductions use numpy's pairwise summation with fixed operand order, so results
 are independent of how the work is scheduled.
+
+Every update goes through the module-level name `step`; `evolve` is the one
+time loop.  Near a steady shock most cells are already at their discrete
+fixed point, so `evolve` hands `step` a `Band` per field and a step updates
+only the rows along axis 0 that the last step's changes can reach.  The skip
+is exact, not an approximation: with one dt, one lambda and ghost layers at
+rest, a cell whose stencil kept its bits keeps its own.  All rows run on the
+first step, whenever dt or a lambda changes, and always over a moving
+background.  Rows are compared by their int64 bits, since float != misses a
+-0.0 that became 0.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -321,9 +331,13 @@ class Background:
     fn: Callable[[np.ndarray], np.ndarray]
     velocity: np.ndarray
     _steady: dict = field(default_factory=dict, init=False, repr=False)
+    moving: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "moving", bool(np.any(np.asarray(self.velocity) != 0.0)))
 
     def eval(self, points: np.ndarray, t: float) -> np.ndarray:
-        if np.any(self.velocity != 0.0):
+        if self.moving:
             points = points - t * self.velocity
         return self.fn(points)
 
@@ -358,15 +372,26 @@ class StepStats:
     dt: float
     boundary_inflow: float  # net mass inflow rate * dt through all faces
     lambda_max: float
+    vmin: float = np.nan    # min and max of the new field
+    vmax: float = np.nan
+
+
+def _ghost_kind(scheme: SchemeConfig, background: Background | None) -> str:
+    """Where the ghost layers come from: the field's own edge cells ("field"),
+    a background at rest ("steady") or a moving one ("moving")."""
+    if scheme.boundary == "outflow" or background is None:
+        return "field"
+    return "moving" if background.moving else "steady"
 
 
 def _ghost_values(field: Field, scheme: SchemeConfig, background: Background | None, t: float):
     """Ghost layers per (axis, side); dirichlet evaluates the translated background."""
     g = field.grid
-    if scheme.boundary == "outflow" or background is None:
+    kind = _ghost_kind(scheme, background)
+    if kind == "field":
         return {(ax, side): np.moveaxis(field.values, ax, 0)[0 if side == 0 else -1]
                 for ax in range(g.d) for side in (0, 1)}
-    if np.any(background.velocity != 0.0):
+    if kind == "moving":
         return {(ax, side): background.eval(_ghost_points(g, ax, side), t)
                 for ax in range(g.d) for side in (0, 1)}
     ghosts = background._steady.get(g)
@@ -381,19 +406,28 @@ def _ghost_values(field: Field, scheme: SchemeConfig, background: Background | N
     return ghosts
 
 
-def _range_with_ghosts(field: Field, ghosts) -> tuple[float, float]:
-    lo = float(field.values.min())
-    hi = float(field.values.max())
-    for v in ghosts.values():
-        lo = min(lo, float(np.min(v)))
-        hi = max(hi, float(np.max(v)))
+def _ghost_range(ghosts, kind: str) -> tuple[float, float]:
+    """Min and max over the ghost layers, folded in order; (inf, -inf) when
+    they are the field's own cells, which cannot widen its range."""
+    lo, hi = np.inf, -np.inf
+    if kind != "field":
+        for v in ghosts.values():
+            lo = min(lo, float(np.min(v)))
+            hi = max(hi, float(np.max(v)))
     return lo, hi
+
+
+def _range_with_ghosts(vmin, vmax, ghost_range) -> tuple[float, float]:
+    # a tie keeps the field's own value, as folding each layer into it would
+    return min(float(vmin), ghost_range[0]), max(float(vmax), ghost_range[1])
 
 
 def field_range(field: Field, scheme: SchemeConfig, background: Background | None,
                 t: float = 0.0) -> tuple[float, float]:
     """Range of the field together with its ghost layers at time t."""
-    return _range_with_ghosts(field, _ghost_values(field, scheme, background, t))
+    ghosts = _ghost_values(field, scheme, background, t)
+    return _range_with_ghosts(field.values.min(), field.values.max(),
+                              _ghost_range(ghosts, _ghost_kind(scheme, background)))
 
 
 def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
@@ -414,6 +448,61 @@ def stable_dt(flux: Flux, grid: Grid, scheme: SchemeConfig, lo: float, hi: float
     return scheme.cfl_for(grid.d) * grid.dx / (grid.d * lam)
 
 
+@dataclass(eq=False)
+class Band:
+    """What `evolve` keeps of one field from one `step` to the next.
+
+    `values` is the array the last step made, and vmin, vmax its range, so
+    the next step needs no pass for lambda; a field that did not come from
+    that step (a replaced `step`, another caller) starts afresh.  rows [a, b)
+    along axis 0 are the rows the next step can change, and key holds the dt
+    and per-axis lambdas they were found with.  ghost_range is the range of
+    ghost layers at rest, sums the axis-0 boundary-face sums, faces the
+    boundary-face buffers of axes >= 1 and inflow the last step's total.
+    """
+
+    values: np.ndarray | None = None
+    rows: tuple[int, int] = (0, 0)
+    key: tuple = ()
+    vmin: float = np.nan
+    vmax: float = np.nan
+    ghost_range: tuple[float, float] = (np.inf, -np.inf)
+    sums: list = field(default_factory=lambda: [0.0, 0.0])
+    faces: dict = field(default_factory=dict)
+    inflow: float = 0.0
+
+
+def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, int] | None:
+    """First and last row of [a, b) along axis 0 whose bits changed, or None.
+
+    Rows are compared as int64 so that -0.0 -> 0.0 counts as a change (`step`
+    keeps the sign of a zero, as div starts from +0.0, but the test does not
+    lean on that).  Each end is scanned inward in blocks of 2, 4, 8, ...
+    rows: a band whose ends changed costs a few rows, not a pass over it.
+    """
+    o, n = old.view(np.int64), new.view(np.int64)
+
+    def moved(i, j):
+        return np.flatnonzero((o[i:j] != n[i:j]).reshape(j - i, -1).any(axis=1))
+
+    first, k = a, 2
+    while True:
+        if first >= b:
+            return None
+        hit = moved(first, min(first + k, b))
+        if hit.size:
+            first += int(hit[0])
+            break
+        first, k = min(first + k, b), 2 * k
+    last, k = b, 2
+    while True:  # row `first` changed, so this ends
+        i = max(last - k, first)
+        hit = moved(i, last)
+        if hit.size:
+            return first, i + int(hit[-1])
+        last, k = i, 2 * k
+
+
 def step(
     field: Field,
     scheme: SchemeConfig,
@@ -422,6 +511,7 @@ def step(
     t: float = 0.0,
     dt: float | None = None,
     range_guard: tuple[float, float] | None = None,
+    band: Band | None = None,
 ) -> tuple[Field, StepStats]:
     """One conservative unsplit update u <- u - dt/dx * sum_axes (F_right - F_left).
 
@@ -439,60 +529,135 @@ def step(
       summed from +0.0;
     - div starts from zeros and takes ((F_hi - F_lo) / dx) axis by axis; the
       result is u - dt*div;
-    - the boundary inflow sums each face's fluxes from a C-contiguous array,
-      so the pairwise summation order does not depend on the axis.
+    - the boundary inflow sums each face's fluxes from a C-contiguous array
+      of the whole face, so the pairwise summation order does not depend on
+      the axis or on the rows updated.
     Dirichlet ghost layers of a background with zero velocity do not depend
     on t: they are evaluated once per background and grid and kept read-only.
     A moving background is evaluated at every step; only the ghost cell
     centers are cached.
+
+    Band contract (only `evolve` passes a band; see `Band`).  A step updates
+    the rows [a, b) along axis 0 and copies the others; without a band, and
+    whenever the band cannot vouch for the field, [a, b) is every row.  With
+    one dt, one lambda and ghost layers at rest, a cell whose bits and whose
+    stencil neighbours' bits the last step kept keeps its bits again, so the
+    next band is the changed rows widened by one row.  All rows run on the
+    first step, when the field is not the array the last step made, when dt
+    or a lambda differs from the last step, and always for a moving
+    background, whose ghosts change with t.  Rows are compared as int64: a
+    -0.0 that became 0.0 has changed (float != would miss it).  An empty band
+    returns the input field, which is safe because no field is ever written
+    in place.  An axis-0 boundary face is summed again only when the band
+    reaches its row; the band's part of every other boundary face is written
+    into a buffer of the whole face, which is summed as the full step sums
+    it.  The range check and the finiteness test still see the whole new
+    array, and its min and max come back in the StepStats.
     """
     g = field.grid
+    n0 = g.counts[0]
     values = field.values
+    kind = _ghost_kind(scheme, background)
     ghosts = _ghost_values(field, scheme, background, t)
-    lo, hi = _range_with_ghosts(field, ghosts)
+    fresh = band is None or band.values is not values
+    if fresh or kind == "moving":
+        ghost_range = _ghost_range(ghosts, kind)
+    else:
+        ghost_range = band.ghost_range
+    vmin, vmax = (values.min(), values.max()) if fresh else (band.vmin, band.vmax)
+    lo, hi = _range_with_ghosts(vmin, vmax, ghost_range)
     if range_guard is not None:
         # the dissipation bound must come from the shared invariant range so
         # that runs compared cellwise or in L1 use the identical update map
         lo, hi = min(lo, range_guard[0]), max(hi, range_guard[1])
     if dt is None:
         dt = stable_dt(flux, g, scheme, lo, hi)
-    lam_used = 0.0
-    div = np.zeros_like(values)
-    inflow = 0.0
-    area = g.dx ** (g.d - 1)
-    for ax in range(g.d):
-        # the padded copy puts the interface axis first, so both states of
-        # every interface and every flux jump are contiguous blocks; the
-        # elementwise results do not depend on the layout
-        inner = np.moveaxis(values, ax, 0)
-        ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
-        ext[0] = ghosts[(ax, 0)]
-        ext[1:-1] = inner
-        ext[-1] = ghosts[(ax, 1)]
-        # Rusanov dissipation uses one range-wide bound per step: a constant
-        # coefficient keeps the unsplit update order-preserving under the CFL
-        key = _key(flux.coeffs[ax])
-        lam_ax = _lambda_bound(key, float(lo), float(hi))
-        data = _compiled(key)
-        if scheme.numerical_flux == "rusanov":
-            g_ext = _horner(data["c"], ext)
-            f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lam_ax)
+    # Rusanov dissipation uses one range-wide bound per step: a constant
+    # coefficient keeps the unsplit update order-preserving under the CFL
+    keys = [_key(flux.coeffs[ax]) for ax in range(g.d)]
+    lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
+    lam_used = max(0.0, *lams)
+    skip = band is not None and kind != "moving"
+    a, b = 0, n0
+    if skip and not fresh and band.key == (dt, *lams):
+        a, b = band.rows
+
+    if a < b:
+        rows = values[a:b]
+        div = np.zeros_like(rows)
+        inflow = 0.0
+        area = g.dx ** (g.d - 1)
+        for ax in range(g.d):
+            # the padded copy puts the interface axis first, so both states of
+            # every interface and every flux jump are contiguous blocks; the
+            # elementwise results do not depend on the layout.  Along axis 0
+            # the pads are the rows next to the band, or the ghost layers.
+            # np.moveaxis(rows, ax, 0) and its inverse, without its checks
+            front = (ax, *range(ax), *range(ax + 1, g.d))
+            back = (*range(1, ax + 1), 0, *range(ax + 1, g.d))
+            inner = rows.transpose(front)
+            ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
+            ext[1:-1] = inner
+            if ax == 0:
+                ext[0] = ghosts[(0, 0)] if a == 0 else values[a - 1]
+                ext[-1] = ghosts[(0, 1)] if b == n0 else values[b]
+            else:
+                ext[0] = ghosts[(ax, 0)][a:b]
+                ext[-1] = ghosts[(ax, 1)][a:b]
+            data = _compiled(keys[ax])
+            if scheme.numerical_flux == "rusanov":
+                g_ext = _horner(data["c"], ext)
+                f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lams[ax])
+            else:
+                f = _engquist_osher(data, ext[:-1], ext[1:])
+            jump = f[1:] - f[:-1]
+            jump /= g.dx
+            div += jump.transpose(back)
+            # f[0] and f[-1] are C-contiguous faces, like np.take(f, 0, axis=ax)
+            if not skip:
+                face_lo, face_hi = float(f[0].sum()), float(f[-1].sum())
+            elif ax == 0:
+                # an outer face of axis 0 changes only with the row next to it
+                if a == 0:
+                    band.sums[0] = float(f[0].sum())
+                if b == n0:
+                    band.sums[1] = float(f[-1].sum())
+                face_lo, face_hi = band.sums
+            else:
+                # the band's part of each face, written into the whole face
+                if ax not in band.faces:  # the first step runs every row
+                    band.faces[ax] = (np.empty_like(f[0]), np.empty_like(f[-1]))
+                buf_lo, buf_hi = band.faces[ax]
+                buf_lo[a:b] = f[0]
+                buf_hi[a:b] = f[-1]
+                face_lo, face_hi = float(buf_lo.sum()), float(buf_hi.sum())
+            inflow += (face_lo - face_hi) * area
+        div *= dt
+        if (a, b) == (0, n0):
+            new_values = values - div
         else:
-            f = _engquist_osher(data, ext[:-1], ext[1:])
-        jump = f[1:] - f[:-1]
-        jump /= g.dx
-        div += np.moveaxis(jump, 0, ax)
-        # f[0] and f[-1] are C-contiguous faces, like np.take(f, 0, axis=ax)
-        inflow += (float(f[0].sum()) - float(f[-1].sum())) * area
-        lam_used = max(lam_used, lam_ax)
-    div *= dt
-    new_values = values - div
-    vmin, vmax = new_values.min(), new_values.max()
-    if range_guard is not None:
-        check_range(vmin, vmax, range_guard)
-    if not (np.isfinite(vmin) and np.isfinite(vmax)):
-        raise ValueError("field values must be finite")
-    return Field._trusted(g, new_values), StepStats(dt, inflow * dt, lam_used)
+            new_values = np.empty_like(values)
+            new_values[:a] = values[:a]
+            new_values[b:] = values[b:]
+            np.subtract(rows, div, out=new_values[a:b])
+        vmin, vmax = new_values.min(), new_values.max()
+        if range_guard is not None:
+            check_range(vmin, vmax, range_guard)
+        if not (np.isfinite(vmin) and np.isfinite(vmax)):
+            raise ValueError("field values must be finite")
+        result = Field._trusted(g, new_values)
+    else:
+        # no row can change: the same bits, the same faces, the same checks
+        new_values, inflow, result = values, band.inflow, field
+    if band is not None:
+        if skip:
+            moved = _moved_rows(values, new_values, a, b) if a < b else None
+            band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0),
+                                                      min(moved[1] + 2, n0))
+            band.key = (dt, *lams)
+        band.values, band.vmin, band.vmax = new_values, vmin, vmax
+        band.ghost_range, band.inflow = ghost_range, inflow
+    return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax))
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -503,16 +668,23 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
 
     Yields (k, t, fields, stats) after step k = 1..n_steps, which runs from
     (k-1)*dt to t = k*dt: one list of the fields in the order of pairs,
-    updated in place, and the StepStats of each.  A range_guard is shared by
-    every field, and `step` checks it.  Without one each step takes its
-    dissipation bound from its own range, and each field is held to its own
-    start range, with its ghosts at t = 0: CFLViolation if it leaves it,
-    which a monotone update never does (max principle).
+    updated in place, and the StepStats of each, whose vmin and vmax are
+    those of the field yielded.  A range_guard is shared by every field, and
+    `step` checks it.  Without one each step takes its dissipation bound from
+    its own range, and each field is held to its own start range, with its
+    ghosts at t = 0: CFLViolation if it leaves it, which a monotone update
+    never does (max principle).
+
+    Every update goes through the module-level name `solver.step`, with one
+    `Band` per field: over ghost layers at rest, a step after the first
+    updates only the rows that the last step's changes can reach (see
+    `step`).  The outputs are bit-identical to stepping every row.
     """
     fields = [f for f, _ in pairs]
     backgrounds = [bg for _, bg in pairs]
     guards = None if range_guard is not None else [field_range(f, scheme, bg) for f, bg in pairs]
     del pairs  # a start field lives on only if the caller keeps it
+    bands = [Band() for _ in fields]
     stats = [None] * len(fields)
     for k in range(1, n_steps + 1):
         for i, bg in enumerate(backgrounds):
@@ -520,9 +692,14 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
             # reaches every update; replacing the field at once frees the
             # old one before the next field steps
             fields[i], stats[i] = step(fields[i], scheme, flux, bg, (k - 1) * dt, dt,
-                                       range_guard)
+                                       range_guard, bands[i])
+            if fields[i].values is not bands[i].values:
+                # not the array the step reported on: a replaced `step`
+                values = fields[i].values
+                stats[i] = replace(stats[i], vmin=float(values.min()),
+                                   vmax=float(values.max()))
             if guards is not None:
-                check_range(fields[i].values.min(), fields[i].values.max(), guards[i])
+                check_range(stats[i].vmin, stats[i].vmax, guards[i])
         yield k, k * dt, fields, stats
 
 
@@ -596,22 +773,22 @@ def run(
     snapshots: list[tuple[float, Field]] = []
     cum_in = 0.0
 
-    def record(t):
+    def record(t, vmin, vmax):
         main = fields[0]
         times.append(t)
-        sups.append(float(main.values.max()))
-        infs.append(float(main.values.min()))
+        sups.append(float(vmax))
+        infs.append(float(vmin))
         masses.append(main.mass)
         for name, f in zip(names, fields[1:]):
             l1s[name].append(l1_distance(main, f))
 
-    record(0.0)
+    record(0.0, initial.values.min(), initial.values.max())
     if 0 in snap_steps:
         snapshots.append((0.0, initial.copy()))
     for k, t, fields, stats in evolve(pairs, scheme, flux, dt, n_steps, range_guard):
         cum_in += stats[0].boundary_inflow
         if k % probe_every == 0 or k == n_steps:
-            record(t)
+            record(t, stats[0].vmin, stats[0].vmax)
             inflows.append(cum_in)
         if on_step is not None:
             on_step(t, fields[0], dict(zip(names, fields[1:])))

@@ -134,6 +134,42 @@ def test_support_command(tmp_path):
     assert "containment: pass" in (tmp_path / "out" / "verdict.txt").read_text()
 
 
+def test_support_with_a_3d_flux_on_a_2d_grid_is_a_config_error(tmp_path):
+    # without the check this evolved to the first checkpoint and then died in
+    # the hull sum with a raw NumPy ValueError
+    cfg = tmp_path / "sup.cfg"
+    cfg.write_text(
+        "flux.burgers_d = 3\n"
+        "pair.u_minus = 1.0\n"
+        "pair.u_plus = -1.0\n"
+        "grid.counts = 48,48\n"
+        "grid.box = -3,9,-3,9\n"
+        "perturbation.shape = bump\n"
+        "perturbation.center = 0,0\n"
+        "perturbation.radius = 0.8\n"
+        "perturbation.amplitude = 0.1\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    code, _, err = run_cli(["support", "--config", str(cfg)])
+    assert code == 2
+    assert "config error: line 4: grid.counts has 2 entries" in err
+    assert "config error: line 7: perturbation.center has 2 entries" in err
+    assert "flux.burgers_d" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_with_a_2d_flux_on_a_3d_grid_is_a_config_error(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.format(out=tmp_path / "out")
+                   .replace("grid.counts = 48,48", "grid.counts = 12,12,12")
+                   .replace("grid.box = -1.5,1.5,-1.5,1.5", "grid.box = -1.5,1.5,-1.5,1.5,-1.5,1.5"))
+    code, _, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert err == ("config error: line 6: grid.counts has 3 entries, but the flux "
+                   "(flux.burgers_d) has 2 components\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_normalize_check_command(tmp_path):
     cfg = tmp_path / "n.cfg"
     cfg.write_text(f"flux.burgers_d = 2\nexperiment.u_ref = 0.8\noutput.dir = {tmp_path / 'out'}\n")

@@ -91,6 +91,16 @@ def test_support_experiment_boundary_contact(burgers2):
         sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 3.0)
 
 
+def test_support_rejects_a_flux_of_another_dimension(monkeypatch):
+    g = sl.Grid.from_box((-3, 9, -3, 9), (24, 24))
+    b1 = sl.Field(g, np.full(g.counts, 1.0))
+    b2 = sl.Field(g, b1.values + sample_function(
+        sl.PerturbationSpec("bump", (0.0, 0.0), 0.8, 0.1), g).values)
+    monkeypatch.setattr(solver, "step", None)  # it fails before the first step
+    with pytest.raises(ValueError, match="3 components for a 2-D grid"):
+        sl.support_experiment(sl.burgers_flux(3), b1, b2, sl.SchemeConfig(), 0.5)
+
+
 def test_support_range_guard_catches_a_broken_update(burgers2, monkeypatch):
     g = sl.Grid.from_box((-3, 9, -3, 9), (48, 48))
     b1 = sl.Field(g, np.full(g.counts, 1.0))
