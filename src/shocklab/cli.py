@@ -69,13 +69,7 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
     if cone.trivial:
         stdout.write("trivial," + ",".join(["0.0"] * pair.d) + "\n")
         return 0
-    rows = []
-    if cone.d == 2:
-        t1, t2 = cone.sector
-        rows.append(("primal_ray", np.array([np.cos(t1), np.sin(t1)])))
-        rows.append(("primal_ray", np.array([np.cos(t2), np.sin(t2)])))
-    else:
-        rows.extend(("primal_ray", g) for g in cone.generators)
+    rows = [("primal_ray", g) for g in cone.generators]
     rows.extend(("dual_ray", g) for g in dual.generators)
     rows.append(("axis_W", dual.W))
     rows.append(("lambda", dual.lam))

@@ -58,14 +58,8 @@ class AdmissibleCone:
     trivial: bool = False
 
     @property
-    def width(self) -> float:
-        if self.sector is None:
-            return float("nan")
-        return self.sector[1] - self.sector[0]
-
-    @property
     def degenerate_ray(self) -> bool:
-        return self.sector is not None and self.width == 0.0
+        return self.sector is not None and self.sector[1] - self.sector[0] == 0.0
 
 
 def sector_cone(theta1: float, theta2: float, pair: ShockPair | None = None) -> AdmissibleCone:
@@ -99,22 +93,23 @@ def _extreme_rays(vectors: np.ndarray) -> np.ndarray:
     return pts[idx]
 
 
-def admissible_cone(pair: ShockPair, resolution: float = 1e-4, n_scan: int = 1024) -> AdmissibleCone:
+def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone:
     """Locate the admissibility cone of a shock pair.
 
-    d = 2: circular scan for an admissible seed, then bisection of the two
-    boundary angles down to `resolution` radians.  d >= 3: admissibility test
-    on a quasi-uniform direction grid sized from `resolution` as an angular
-    spacing, hulled into a polyhedral cone.
+    d = 2: circular scan of 1024 directions for an admissible seed, then
+    bisection of the two boundary angles down to `resolution` radians.
+    d >= 3: admissibility test on a quasi-uniform direction grid sized from
+    `resolution` as an angular spacing, hulled into a polyhedral cone.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if pair.d == 2:
-        return _admissible_cone_2d(pair, resolution, n_scan)
+        return _admissible_cone_2d(pair, resolution)
     return _admissible_cone_nd(pair, resolution)
 
 
-def _admissible_cone_2d(pair: ShockPair, resolution: float, n_scan: int) -> AdmissibleCone:
+def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
+    n_scan = 1024
     # exact excess maximization keeps the predicate sharp enough for deep bisection
     def adm(theta: float) -> bool:
         return oleinik_admissible(pair, _unit(theta), exact=True).admissible
@@ -173,11 +168,11 @@ def _admissible_cone_nd(pair: ShockPair, resolution: float) -> AdmissibleCone:
     return AdmissibleCone(3, pair, directions=adm, generators=gens, dual_generators=dual_gens)
 
 
-def _interior_direction(generators: np.ndarray, n_probe: int = 4096) -> np.ndarray:
+def _interior_direction(generators: np.ndarray) -> np.ndarray:
     """Direction maximizing the worst inner product with the given rays."""
     d = generators.shape[1]
     if d == 3:
-        probes = np.vstack([_fibonacci_sphere(n_probe), generators])
+        probes = np.vstack([_fibonacci_sphere(4096), generators])
     else:
         probes = generators
     probes = probes / np.linalg.norm(probes, axis=1, keepdims=True)
@@ -235,11 +230,6 @@ class DualCone:
     primal_generators: np.ndarray
     degenerate: bool = False
 
-    def coords(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Split x = y + r W into (r, y-coordinates)."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.W, x @ self.H
-
     def point(self, r, y) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -250,11 +240,11 @@ class DualCone:
     def gauge(self, y) -> np.ndarray:
         return gauge_value(self, y)
 
-    def same_frame(self, other: "DualCone", tol: float = 1e-9) -> bool:
+    def same_frame(self, other: "DualCone") -> bool:
         return (
             self.d == other.d
-            and np.max(np.abs(self.W - other.W)) <= tol
-            and np.max(np.abs(self.H - other.H)) <= tol
+            and np.max(np.abs(self.W - other.W)) <= 1e-9
+            and np.max(np.abs(self.H - other.H)) <= 1e-9
         )
 
 

@@ -21,12 +21,49 @@ from .solver import Grid, SchemeConfig
 __all__ = ["RunConfig", "parse_config", "emit_config", "tokenize", "validate"]
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"must be finite, got {x!r}")
+    return x
+
+
+def _positive(s: str) -> float:
+    x = _finite(s)
+    if not x > 0:
+        raise ValueError(f"must be positive, got {x!r}")
+    return x
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(","))
+    return tuple(_finite(x) for x in s.split(","))
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
+
+
+def _parse_terms(s: str) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """`shape:c_1,...,c_d,radius,amplitude` terms separated by `;`."""
+    terms = []
+    for part in s.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        kind, _, rest = part.partition(":")
+        kind = kind.strip()
+        if kind not in ("bump", "indicator"):
+            raise ValueError(f"term {part!r}: shape must be bump or indicator, got {kind!r}")
+        try:
+            nums = _parse_floats(rest)
+        except ValueError:
+            raise ValueError(f"term {part!r}: expected finite numbers after the shape") from None
+        if len(nums) < 3:
+            raise ValueError(f"term {part!r}: expected a center, a radius and an amplitude")
+        if not nums[-2] > 0:
+            raise ValueError(f"term {part!r}: radius must be positive")
+        terms.append((kind, nums))
+    return tuple(terms)
 
 
 def _parse_poly(s: str) -> tuple[tuple[float, ...], ...]:
@@ -50,31 +87,31 @@ KEYS = {
     "flux.burgers_d": (int, None),
     "flux.poly": (_parse_poly, None),
     "flux.label": (str, None),
-    "pair.u_minus": (float, None),
-    "pair.u_plus": (float, None),
-    "cone.resolution": (float, 1e-4),
+    "pair.u_minus": (_finite, None),
+    "pair.u_plus": (_finite, None),
+    "cone.resolution": (_positive, 1e-4),
     "profile.front": (_enum("planar", "abs_scaled", "pwl_file"), "planar"),
     "profile.nu": (_parse_floats, None),
-    "profile.offset": (float, 0.0),
-    "profile.slope": (float, None),
+    "profile.offset": (_finite, 0.0),
+    "profile.slope": (_finite, None),
     "profile.pwl_path": (str, None),
     "perturbation.shape": (_enum("bump", "indicator", "sum"), None),
     "perturbation.center": (_parse_floats, None),
-    "perturbation.radius": (float, None),
-    "perturbation.amplitude": (float, None),
-    "perturbation.terms": (str, None),
+    "perturbation.radius": (_positive, None),
+    "perturbation.amplitude": (_finite, None),
+    "perturbation.terms": (_parse_terms, None),
     "grid.counts": (_parse_ints, None),
     "grid.box": (_parse_floats, None),
     "scheme.numerical_flux": (_enum("rusanov", "engquist-osher"), "rusanov"),
-    "scheme.cfl": (float, None),
+    "scheme.cfl": (_finite, None),
     "scheme.boundary": (_enum("dirichlet-profile", "outflow"), "dirichlet-profile"),
     "scheme.frame": (_enum("reduced", "original"), "reduced"),
-    "experiment.horizon": (float, 10.0),
-    "experiment.snapshot_interval": (float, 0.0),
-    "experiment.threshold": (float, 1e-3),
-    "experiment.eta": (float, 0.05),
-    "experiment.t0": (float, 10.0),
-    "experiment.u_ref": (float, 0.0),
+    "experiment.horizon": (_positive, 10.0),
+    "experiment.snapshot_interval": (_finite, 0.0),
+    "experiment.threshold": (_finite, 1e-3),
+    "experiment.eta": (_finite, 0.05),
+    "experiment.t0": (_finite, 10.0),
+    "experiment.u_ref": (_finite, 0.0),
     "experiment.settle_steps": (int, 1500),
     "output.dir": (str, "out"),
 }
@@ -132,15 +169,15 @@ class RunConfig:
             frame=self.get("scheme.frame"),
         )
 
-    def build_profile(self, pair=None, dual=None, cone=None, y_extent=None) -> ShockProfile:
+    def build_profile(self, pair=None, dual=None, cone=None) -> ShockProfile:
         pair = pair or self.build_pair()
         if dual is None or cone is None:
             cone, dual = self.build_cone_and_dual(pair)
-        if y_extent is None and self.has("grid.box"):
+        y_extent = (-8.0, 8.0)
+        if self.has("grid.box"):
             box = self.get("grid.box")
             span = max(box[1] - box[0], box[3] - box[2])
             y_extent = (-span, span)
-        y_extent = y_extent or (-8.0, 8.0)
         kind = self.get("profile.front")
         if kind == "planar":
             if not self.has("profile.nu"):
@@ -155,23 +192,21 @@ class RunConfig:
         path = self.get("profile.pwl_path")
         if not path:
             raise ConfigError([(0, "profile.pwl_path is required for a pwl_file front")])
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return make_graph(pair, dual, (rows[:, 0], rows[:, 1]), y_extent=y_extent)
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if rows.shape[1] < 2:
+                raise ValueError("expected a header and then rows of y,psi")
+            return make_graph(pair, dual, (rows[:, 0], rows[:, 1]), y_extent=y_extent)
+        except ValueError as exc:
+            raise ConfigError([(0, f"profile.pwl_path {path}: {exc}")]) from exc
 
     def build_perturbation(self) -> PerturbationSpec | None:
         if not self.has("perturbation.shape"):
             return None
         shape = self.get("perturbation.shape")
         if shape == "sum":
-            terms = []
-            for part in (self.get("perturbation.terms") or "").split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                kind, _, rest = part.partition(":")
-                nums = [float(x) for x in rest.split(",")]
-                terms.append(PerturbationSpec(kind.strip(), tuple(nums[:-2]),
-                                              nums[-2], nums[-1]))
+            terms = [PerturbationSpec(kind, nums[:-2], nums[-2], nums[-1])
+                     for kind, nums in self.get("perturbation.terms") or ()]
             if not terms:
                 raise ConfigError([(0, "perturbation.terms is required for shape=sum")])
             return PerturbationSpec("sum", terms=tuple(terms))
@@ -217,6 +252,11 @@ def _check_dimensions(cfg: RunConfig, entries: dict[str, tuple[str, int]]) -> No
         if cfg.has(key) and len(cfg.get(key)) != d:
             errors.append((entries[key][1], f"{key} has {len(cfg.get(key))} entries, but "
                            f"the flux ({flux_key}) has {d} components"))
+    for kind, nums in cfg.get("perturbation.terms") or ():
+        if len(nums) != d + 2:
+            errors.append((entries["perturbation.terms"][1],
+                           f"perturbation.terms: a {kind} term has {len(nums)} numbers, but "
+                           f"the flux ({flux_key}) has {d} components, so it needs {d + 2}"))
     if errors:
         raise ConfigError(errors)
 
@@ -262,6 +302,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _emit_value(key: str, value) -> str:
+    if KEYS[key][0] is _parse_terms:
+        return "; ".join(f"{kind}:" + ",".join(map(repr, nums)) for kind, nums in value)
     if isinstance(value, tuple) and KEYS[key][0] is _parse_poly:
         return "[" + ",".join("[" + ",".join(repr(c) for c in comp) + "]" for comp in value) + "]"
     if isinstance(value, tuple):

@@ -282,16 +282,14 @@ class NondegeneracyResult:
     failures: tuple[tuple[float, tuple[float, ...]], ...]
 
 
-def check_nondegeneracy(flux: Flux, n_directions: int = 64) -> NondegeneracyResult:
+def check_nondegeneracy(flux: Flux) -> NondegeneracyResult:
     """Certify that tau + f'(s).xi is never the zero polynomial for (tau, xi) != 0.
 
     A symbolic pass asks whether any real xi annihilates every non-constant
     coefficient of f'; the coefficient matrix has full column rank exactly when
-    no such xi exists.  Sampled unit directions provide the spot check the
+    no such xi exists.  64 sampled unit directions provide the spot check the
     symbolic pass certifies.
     """
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
     d = flux.d
     ncols = max(len(flux.component(i, 1)) for i in range(d))
     mat = np.zeros((d, ncols))
@@ -313,7 +311,7 @@ def check_nondegeneracy(flux: Flux, n_directions: int = 64) -> NondegeneracyResu
         failures.append((float(vec[0]), tuple(float(x) for x in vec[1:])))
     rng = np.random.default_rng(0)
     scale = max(1.0, float(np.max(np.abs(mat))))
-    for _ in range(n_directions):
+    for _ in range(64):
         v = rng.normal(size=1 + d)
         v /= np.linalg.norm(v)
         coeffs = v[1:] @ mat

@@ -45,8 +45,11 @@ __all__ = [
     "cell_box",
 ]
 
-DEFAULT_UNC_RHO = 0.9
+# a front is uniformly non-characteristic (UNC) when its ratio rho is at most this
+UNC_RHO = 0.9
 DEFAULT_NORMAL_MARGIN = 0.05
+# samples of a front across its y extent: graph nodes, the grid of the ratio, resampling
+FRONT_NODES = 1025
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +157,12 @@ class ShockProfile:
         psi = self.front.value(y)
         return np.where(r < psi, self.pair.u_minus, self.pair.u_plus)
 
-    def same_frame(self, other: "ShockProfile", tol: float = 1e-9) -> bool:
+    def same_frame(self, other: "ShockProfile") -> bool:
         return (
             self.pair.flux.coeffs == other.pair.flux.coeffs
             and self.pair.u_minus == other.pair.u_minus
             and self.pair.u_plus == other.pair.u_plus
-            and self.dual.same_frame(other.dual, tol)
+            and self.dual.same_frame(other.dual)
         )
 
 
@@ -170,12 +173,12 @@ def front_normals(profile: ShockProfile) -> np.ndarray:
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
-def _slope_ratio(dual: DualCone, slopes: np.ndarray, n_dirs: int = 512) -> float:
+def _slope_ratio(dual: DualCone, slopes: np.ndarray) -> float:
     """sup over directions of |g . delta| / gauge(delta) for each slope row g."""
     if dual.d == 2:
         deltas = np.array([[1.0], [-1.0]])
     else:
-        ang = np.linspace(0, 2 * np.pi, n_dirs, endpoint=False)
+        ang = np.linspace(0, 2 * np.pi, 512, endpoint=False)
         deltas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     worst = 0.0
     for delta in deltas:
@@ -189,26 +192,24 @@ def _slope_ratio(dual: DualCone, slopes: np.ndarray, n_dirs: int = 512) -> float
     return worst
 
 
-def estimate_rho(profile: ShockProfile, n_pairs: int = 256) -> float:
+def estimate_rho(profile: ShockProfile) -> float:
     """Supremum of |psi(y') - psi(y)| / gauge(y' - y) over sampled pairs.
 
     Adjacent pairs of the sampling grid are always included (exact for
-    piecewise-linear fronts on their own grid); n_pairs long-range pairs are
+    piecewise-linear fronts on their own grid); 256 long-range pairs are
     drawn from a fixed-seed generator on top.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
     if profile.d != 2:
         return _slope_ratio(profile.dual, profile.front.slopes)
     front = profile.front
     if front.kind == "pwl":
         nodes = front.params["nodes"]
     else:
-        nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], 1025)
+        nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], FRONT_NODES)
     rng = np.random.default_rng(0)
     lo, hi = float(nodes[0]), float(nodes[-1])
-    ya = np.concatenate([nodes[:-1], nodes[1:], rng.uniform(lo, hi, n_pairs)])
-    yb = np.concatenate([nodes[1:], nodes[:-1], rng.uniform(lo, hi, n_pairs)])
+    ya = np.concatenate([nodes[:-1], nodes[1:], rng.uniform(lo, hi, 256)])
+    yb = np.concatenate([nodes[1:], nodes[:-1], rng.uniform(lo, hi, 256)])
     keep = ya != yb
     ya, yb = ya[keep], yb[keep]
     num = np.abs(front.value(yb) - front.value(ya))
@@ -222,12 +223,12 @@ def estimate_rho(profile: ShockProfile, n_pairs: int = 256) -> float:
     return float(np.max(num[good] / den[good]))
 
 
-def _finish_profile(pair, dual, front, y_extent, rho_tol, unc_rho) -> ShockProfile:
+def _finish_profile(pair, dual, front, y_extent, rho_tol) -> ShockProfile:
     probe = ShockProfile(pair, dual, front, rho=0.0, unc=False, y_extent=y_extent)
     rho = estimate_rho(probe)
     if rho > 1.0 + rho_tol:
         raise NotLipschitzInGauge(f"front ratio {rho:.6g} exceeds 1; normals leave the cone")
-    return ShockProfile(pair, dual, front, rho=rho, unc=bool(rho <= unc_rho), y_extent=y_extent)
+    return ShockProfile(pair, dual, front, rho=rho, unc=bool(rho <= UNC_RHO), y_extent=y_extent)
 
 
 def make_planar(
@@ -237,7 +238,6 @@ def make_planar(
     offset: float = 0.0,
     cone: AdmissibleCone | None = None,
     y_extent: tuple[float, float] = (-8.0, 8.0),
-    unc_rho: float = DEFAULT_UNC_RHO,
 ) -> ShockProfile:
     """Planar shock with front {x . nu = offset}, nu oriented toward D_plus."""
     nu = np.asarray(nu, dtype=float)
@@ -245,17 +245,13 @@ def make_planar(
     if cone is not None:
         admissible = cone_contains(cone, nu, 0.0)
     else:
-        admissible = float(np.min(pair_dual_margin(dual, nu))) >= -1e-12
+        # nu is admissible iff its inner products with the dual generators are >= 0
+        admissible = float(np.min(dual.generators @ nu)) >= -1e-12
     if not admissible:
         raise InadmissibleNormal(f"direction {nu} fails the chord condition")
     front = _planar_front(dual, nu, offset)
     rho = _slope_ratio(dual, front.slopes)
-    return ShockProfile(pair, dual, front, rho=rho, unc=bool(rho <= unc_rho), y_extent=y_extent)
-
-
-def pair_dual_margin(dual: DualCone, nu: np.ndarray) -> np.ndarray:
-    """Inner products of nu with the dual generators; all >= 0 iff nu is admissible."""
-    return dual.generators @ nu
+    return ShockProfile(pair, dual, front, rho=rho, unc=bool(rho <= UNC_RHO), y_extent=y_extent)
 
 
 def make_graph(
@@ -263,9 +259,7 @@ def make_graph(
     dual: DualCone,
     psi,
     y_extent: tuple[float, float] = (-8.0, 8.0),
-    n_nodes: int = 1025,
     rho_tol: float = 1e-6,
-    unc_rho: float = DEFAULT_UNC_RHO,
 ) -> ShockProfile:
     """Graph-front shock from samples, a callable, or a prebuilt Front.
 
@@ -275,7 +269,7 @@ def make_graph(
     if isinstance(psi, Front):
         front = psi
     elif callable(psi):
-        nodes = np.linspace(y_extent[0], y_extent[1], n_nodes)
+        nodes = np.linspace(y_extent[0], y_extent[1], FRONT_NODES)
         values = np.asarray(psi(nodes), dtype=float)
         if not np.all(np.isfinite(values)):
             raise ValueError("front values must be finite on the sample grid")
@@ -285,7 +279,7 @@ def make_graph(
         if not np.all(np.isfinite(values)):
             raise ValueError("front values must be finite on the sample grid")
         front = _pwl_front(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
-    return _finish_profile(pair, dual, front, y_extent, rho_tol, unc_rho)
+    return _finish_profile(pair, dual, front, y_extent, rho_tol)
 
 
 def make_scaled_gauge(
@@ -294,12 +288,10 @@ def make_scaled_gauge(
     slope: float,
     offset: float = 0.0,
     y_extent: tuple[float, float] = (-8.0, 8.0),
-    rho_tol: float = 1e-6,
-    unc_rho: float = DEFAULT_UNC_RHO,
 ) -> ShockProfile:
     """Front psi(y) = slope * gauge(y) + offset (a cone-shaped shock)."""
     front = _scaled_gauge_front(dual, slope, offset)
-    return _finish_profile(pair, dual, front, y_extent, rho_tol, unc_rho)
+    return _finish_profile(pair, dual, front, y_extent, 1e-6)
 
 
 def perturb_end_states(
@@ -307,7 +299,6 @@ def perturb_end_states(
     u_hat_minus: float,
     u_hat_plus: float,
     margin: float = DEFAULT_NORMAL_MARGIN,
-    resolution: float = 1e-4,
 ) -> ShockProfile:
     """Keep the front, change the end states, and re-certify every normal.
 
@@ -320,7 +311,7 @@ def perturb_end_states(
     if u_hat_minus == profile.pair.u_minus and u_hat_plus == profile.pair.u_plus:
         return profile
     new_pair = make_shock_pair(profile.pair.flux, u_hat_minus, u_hat_plus)
-    cone = admissible_cone(new_pair, resolution)
+    cone = admissible_cone(new_pair, 1e-4)
     if cone.trivial:
         raise NotUNCAfterPerturbation("perturbed pair admits no shock direction")
     for nu in front_normals(profile):
@@ -331,7 +322,7 @@ def perturb_end_states(
     new_dual = dual_cone(cone)
     if new_dual.same_frame(profile.dual):
         front = profile.front
-        return _finish_profile(new_pair, new_dual, front, profile.y_extent, 1e-6, DEFAULT_UNC_RHO)
+        return _finish_profile(new_pair, new_dual, front, profile.y_extent, 1e-6)
     if profile.front.kind == "planar":
         return make_planar(
             new_pair, new_dual, np.asarray(profile.front.params["nu"]),
@@ -340,7 +331,7 @@ def perturb_end_states(
     if profile.d != 2:
         raise NotImplementedError("frame change of non-planar fronts only supported for d = 2")
     # re-express the front in the perturbed frame by resampling front points
-    nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], 1025)
+    nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], FRONT_NODES)
     pts = profile.dual.point(profile.front.value(nodes), nodes)
     r_new = pts @ new_dual.W
     y_new = (pts @ new_dual.H)[:, 0]
@@ -410,8 +401,8 @@ def sandwich_bounds(
     upper_front = Front("combine", upper_fn,
                         np.vstack([profile.front.slopes, cone_slopes]),
                         {"op": "sandwich_upper", "r1": r1})
-    lower = _finish_profile(profile.pair, dual, lower_front, profile.y_extent, 1e-6, DEFAULT_UNC_RHO)
-    upper = _finish_profile(profile.pair, dual, upper_front, profile.y_extent, 1e-6, DEFAULT_UNC_RHO)
+    lower = _finish_profile(profile.pair, dual, lower_front, profile.y_extent, 1e-6)
+    upper = _finish_profile(profile.pair, dual, upper_front, profile.y_extent, 1e-6)
     return lower, upper
 
 
@@ -430,8 +421,8 @@ def front_surgery(
     b, h, k = base.front, first.front, second.front
     h_hat = _combine_front("min", (h, _combine_front("max", (b, k))))
     k_hat = _combine_front("max", (k, _combine_front("min", (b, h))))
-    lo = _finish_profile(base.pair, base.dual, h_hat, base.y_extent, 1e-6, DEFAULT_UNC_RHO)
-    hi = _finish_profile(base.pair, base.dual, k_hat, base.y_extent, 1e-6, DEFAULT_UNC_RHO)
+    lo = _finish_profile(base.pair, base.dual, h_hat, base.y_extent, 1e-6)
+    hi = _finish_profile(base.pair, base.dual, k_hat, base.y_extent, 1e-6)
     return lo, hi
 
 
@@ -562,29 +553,22 @@ class PerturbationSpec:
         return c - self.radius, c + self.radius
 
 
-def extract_front(
-    field,
-    pair: ShockPair,
-    dual: DualCone,
-    level: float | None = None,
-    rho_tol: float = 0.1,
-    value_slack: float = 0.05,
-):
+def extract_front(field, pair: ShockPair, dual: DualCone):
     """Recover the front of a near-two-valued field as samples over H.
 
     Walks each grid column along the frame axis and takes the last crossing of
     the mid level by linear interpolation; columns entirely on one side get the
-    domain boundary value.  Returns (nodes, samples, profile).
+    domain boundary value.  Values may stray 5% of the jump past the end
+    states, and the front ratio 0.1 past 1.  Returns (nodes, samples, profile).
     """
     grid = field.grid
     if pair.d != 2 or grid.d != 2:
         raise NotImplementedError("front extraction implemented for d = 2")
     jump = pair.jump
     vmin, vmax = float(field.values.min()), float(field.values.max())
-    if vmin < pair.u_plus - value_slack * jump or vmax > pair.u_minus + value_slack * jump:
+    if vmin < pair.u_plus - 0.05 * jump or vmax > pair.u_minus + 0.05 * jump:
         raise ValueError("field values stray too far from the end states")
-    if level is None:
-        level = 0.5 * (pair.u_minus + pair.u_plus)
+    level = 0.5 * (pair.u_minus + pair.u_plus)
 
     w = dual.W
     axis = int(np.argmax(np.abs(w)))
@@ -635,5 +619,5 @@ def extract_front(
     if not any_crossing:
         raise NoCrossing("no column of the field crosses the mid level")
     profile = make_graph(pair, dual, (nodes, psi),
-                         y_extent=(float(nodes[0]), float(nodes[-1])), rho_tol=rho_tol)
+                         y_extent=(float(nodes[0]), float(nodes[-1])), rho_tol=0.1)
     return nodes, psi, profile

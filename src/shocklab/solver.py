@@ -422,10 +422,10 @@ def _range_with_ghosts(vmin, vmax, ghost_range) -> tuple[float, float]:
     return min(float(vmin), ghost_range[0]), max(float(vmax), ghost_range[1])
 
 
-def field_range(field: Field, scheme: SchemeConfig, background: Background | None,
-                t: float = 0.0) -> tuple[float, float]:
-    """Range of the field together with its ghost layers at time t."""
-    ghosts = _ghost_values(field, scheme, background, t)
+def field_range(field: Field, scheme: SchemeConfig,
+                background: Background | None) -> tuple[float, float]:
+    """Range of the field together with its ghost layers at t = 0."""
+    ghosts = _ghost_values(field, scheme, background, 0.0)
     return _range_with_ghosts(field.values.min(), field.values.max(),
                               _ghost_range(ghosts, _ghost_kind(scheme, background)))
 
@@ -841,12 +841,12 @@ def sample_function(fn, grid: Grid, subsamples: int = 4) -> Field:
     return Field(grid, out)
 
 
-def sample_profile(profile: ShockProfile, grid: Grid, n_sub: int = 16) -> Field:
+def sample_profile(profile: ShockProfile, grid: Grid) -> Field:
     """Cell averages of a two-valued shock, exact in the frame-axis direction.
 
     For d = 2 with the frame axis grid-aligned, each cell gets the exact area
-    fraction cut by the front at n_sub quadrature ordinates, which keeps the
-    mass of a front displacement accurate to O(dx^2 / n_sub).
+    fraction cut by the front at 16 quadrature ordinates, which keeps the
+    mass of a front displacement accurate to O(dx^2 / 16).
     """
     dual = profile.dual
     w = dual.W
@@ -857,13 +857,13 @@ def sample_profile(profile: ShockProfile, grid: Grid, n_sub: int = 16) -> Field:
     other = 1 - axis
     sgn = float(np.sign(w[axis]))
     h_col = dual.H[other, 0]
-    offs = (np.arange(n_sub) + 0.5) / n_sub * grid.dx
+    offs = (np.arange(16) + 0.5) / 16 * grid.dx
     y_world = grid.lo[other] + np.add.outer(np.arange(grid.counts[other]) * grid.dx, offs)
     psi = profile.front.value(y_world * h_col)          # front in r-coordinate
     r_at = psi * sgn                                     # front in world coordinate
     r_lo = grid.lo[axis] + np.arange(grid.counts[axis]) * grid.dx
     # fraction of the cell on the D_minus side (r < psi)
-    # one (cells x n_sub) array, updated in place: the same operations as
+    # one (cells x 16) array, updated in place: the same operations as
     # clip((r_at - r_lo) / dx, 0, 1) without three fresh arrays of that size
     frac = np.subtract(r_at[None, :, :], r_lo[:, None, None])
     frac /= grid.dx

@@ -203,3 +203,37 @@ def test_overhead_command(tmp_path):
     verdict = (tmp_path / "out" / "verdict.txt").read_text()
     assert "extinction: pass" in verdict
     assert "domination: pass" in verdict
+
+
+# one broken key per case, appended to a config of tests/test_cli_digests.py
+# (later lines win); "{csv}" is a front file holding a non-number
+SUM = "perturbation.shape = sum\nperturbation.terms = {}\n"
+BROKEN = {
+    "terms-non-number": ("simulate", SUM.format("bump:0.4,abc,0.5,0.3")),
+    "terms-unknown-shape": ("simulate", SUM.format("blob:0.4,0.2,0.5,0.3")),
+    "terms-one-number-too-many": ("simulate", SUM.format("bump:0.4,0.2,0.1,0.5,0.3")),
+    "horizon-zero": ("simulate", "experiment.horizon = 0\n"),
+    "radius-negative": ("simulate", "perturbation.radius = -0.5\n"),
+    "amplitude-nan": ("simulate", "perturbation.amplitude = nan\n"),
+    "horizon-infinite": ("simulate", "experiment.horizon = inf\n"),
+    "center-nan": ("simulate", "perturbation.center = nan,0\n"),  # silently drops the bump
+    "resolution-zero": ("cone", "cone.resolution = 0\n"),
+    "pwl-file-non-number": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {csv}\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_a_broken_key_is_a_config_error(case, tmp_path):
+    from test_cli_digests import CASES
+
+    base, broken = BROKEN[case]
+    command, cfg = CASES[base]
+    csv = tmp_path / "front.csv"
+    csv.write_text("y,psi\n-1,0\n0,abc\n1,0\n")
+    out = tmp_path / "out"
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + broken.format(csv=csv) + f"output.dir = {out}\n")
+    code, _, err = run_cli([command, "--config", str(path)])
+    assert code == 2
+    assert err.startswith(("config error:", "error:")), err
+    assert not (out / "verdict.txt").exists()
