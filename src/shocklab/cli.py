@@ -17,6 +17,7 @@ from .config import RunConfig, tokenize, validate
 from .cones import dual_cone_from_flux
 from .errors import ConfigError, ShockLabError
 from .experiments import Check, ExperimentReport
+from .fluxes import is_burgers
 from .profiles import front_normals
 from .snapshots import format_verdict, write_probes_csv, write_snapshot, write_verdict
 from .solver import Field, profile_background, run, sample_function, sample_profile
@@ -134,6 +135,8 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
+    if cfg.get("scheme.frame") != "reduced":
+        raise cfg.error("scheme.frame", "stability runs in the reduced (steady) frame")
     prof = cfg.build_profile()
     phi = cfg.build_perturbation()
     if phi is None:
@@ -147,6 +150,8 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
+    if not is_burgers(cfg.build_flux()):
+        raise cfg.error("flux.poly", "overhead extinction is asserted for the multi-D Burgers flux")
     prof = cfg.build_profile()
     phi = cfg.build_perturbation()
     if phi is None:
@@ -159,6 +164,9 @@ def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, stdout, stderr) -> int:
+    if cfg.get("experiment.t0") >= cfg.get("experiment.horizon"):
+        raise cfg.error("experiment.t0", "the measurement window must start before "
+                        "experiment.horizon")
     grid = cfg.build_grid()
     phi = cfg.build_perturbation()
     if phi is None:

@@ -8,7 +8,7 @@ back to a silent default.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,22 @@ def _positive(s: str) -> float:
     return x
 
 
+def _fraction(s: str) -> float:
+    x = _positive(s)
+    if not x < 1:
+        raise ValueError(f"must be less than 1, got {x!r}")
+    return x
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(_finite(x) for x in s.split(","))
 
 
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
+def _parse_counts(s: str) -> tuple[int, ...]:
+    counts = tuple(int(x) for x in s.split(","))
+    if len(counts) not in (2, 3) or min(counts) < 4:
+        raise ValueError(f"expected 2 or 3 counts of at least 4 cells each, got {counts}")
+    return counts
 
 
 def _parse_terms(s: str) -> tuple[tuple[str, tuple[float, ...]], ...]:
@@ -86,7 +96,6 @@ def _enum(*options):
 KEYS = {
     "flux.burgers_d": (int, None),
     "flux.poly": (_parse_poly, None),
-    "flux.label": (str, None),
     "pair.u_minus": (_finite, None),
     "pair.u_plus": (_finite, None),
     "cone.resolution": (_positive, 1e-4),
@@ -100,7 +109,7 @@ KEYS = {
     "perturbation.radius": (_positive, None),
     "perturbation.amplitude": (_finite, None),
     "perturbation.terms": (_parse_terms, None),
-    "grid.counts": (_parse_ints, None),
+    "grid.counts": (_parse_counts, None),
     "grid.box": (_parse_floats, None),
     "scheme.numerical_flux": (_enum("rusanov", "engquist-osher"), "rusanov"),
     "scheme.cfl": (_finite, None),
@@ -108,7 +117,7 @@ KEYS = {
     "scheme.frame": (_enum("reduced", "original"), "reduced"),
     "experiment.horizon": (_positive, 10.0),
     "experiment.snapshot_interval": (_finite, 0.0),
-    "experiment.threshold": (_finite, 1e-3),
+    "experiment.threshold": (_fraction, 1e-3),
     "experiment.eta": (_finite, 0.05),
     "experiment.t0": (_finite, 10.0),
     "experiment.u_ref": (_finite, 0.0),
@@ -122,6 +131,7 @@ class RunConfig:
     """Validated run description; objects are built lazily by the builders."""
 
     raw: dict[str, object]
+    lines: dict[str, int] = field(default_factory=dict, init=False)  # 0: from --set
 
     def get(self, key: str):
         if key in self.raw:
@@ -131,17 +141,19 @@ class RunConfig:
     def has(self, key: str) -> bool:
         return key in self.raw
 
+    def error(self, key: str, msg: str) -> ConfigError:
+        """A ConfigError about key, at its line."""
+        return ConfigError([(self.lines.get(key, 0), f"{key}: {msg}")])
+
     # -- builders -----------------------------------------------------------
 
     def build_flux(self) -> Flux:
         if self.has("flux.poly") and self.has("flux.burgers_d"):
             raise ConfigError([(0, "give either flux.poly or flux.burgers_d, not both")])
-        label = self.get("flux.label") or ""
         if self.has("flux.poly"):
-            return Flux(self.get("flux.poly"), label=label)
+            return Flux(self.get("flux.poly"))
         if self.has("flux.burgers_d"):
-            f = burgers_flux(self.get("flux.burgers_d"))
-            return Flux(f.coeffs, label=label) if label else f
+            return burgers_flux(self.get("flux.burgers_d"))
         raise ConfigError([(0, "flux.poly or flux.burgers_d is required")])
 
     def build_pair(self):
@@ -152,6 +164,9 @@ class RunConfig:
 
     def build_cone_and_dual(self, pair=None):
         pair = pair or self.build_pair()
+        if pair.d not in (2, 3):
+            key = "flux.poly" if self.has("flux.poly") else "flux.burgers_d"
+            raise self.error(key, f"the admissible cone is built for d = 2 or 3, not {pair.d}")
         cone = admissible_cone(pair, self.get("cone.resolution"))
         return cone, dual_cone(cone)
 
@@ -198,7 +213,7 @@ class RunConfig:
                 raise ValueError("expected a header and then rows of y,psi")
             return make_graph(pair, dual, (rows[:, 0], rows[:, 1]), y_extent=y_extent)
         except ValueError as exc:
-            raise ConfigError([(0, f"profile.pwl_path {path}: {exc}")]) from exc
+            raise self.error("profile.pwl_path", f"{path}: {exc}") from exc
 
     def build_perturbation(self) -> PerturbationSpec | None:
         if not self.has("perturbation.shape"):
@@ -277,23 +292,24 @@ def validate(entries: dict[str, tuple[str, int]]) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     cfg = RunConfig(raw)
+    cfg.lines.update((key, ln) for key, (_, ln) in entries.items())
     _check_dimensions(cfg, entries)
-    # cross-key validation through the real constructors, pinned to lines
-    try:
-        if cfg.has("pair.u_minus") and cfg.has("pair.u_plus"):
-            cfg.build_pair()
-        if cfg.has("grid.counts") and cfg.has("grid.box"):
-            cfg.build_grid()
-        cfg.build_scheme()
-    except ConfigError:
-        raise
-    except (ShockLabError, ValueError) as exc:
-        ln = 0
-        for key in ("pair.u_plus", "grid.box", "scheme.cfl"):
-            if key in entries:
-                ln = entries[key][1]
-                break
-        raise ConfigError([(ln, str(exc))]) from exc
+    # cross-key validation through the real constructors: each builder that
+    # has its keys runs, and its error is pinned to the line of its own key
+    # (grid.counts has its own range check in its parser, so what the grid
+    # still rejects is the box)
+    for build, needs, key in ((cfg.build_pair, ("pair.u_minus", "pair.u_plus"), "pair.u_plus"),
+                              (cfg.build_grid, ("grid.counts", "grid.box"), "grid.box"),
+                              (cfg.build_scheme, (), "scheme.cfl")):
+        if all(cfg.has(k) for k in needs):
+            try:
+                build()
+            except ConfigError:
+                raise
+            except (ShockLabError, ValueError) as exc:
+                errors.append((cfg.lines.get(key, 0), str(exc)))
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

@@ -40,6 +40,7 @@ from .solver import (
     SchemeConfig,
     constant_background,
     evolve,
+    fixed_steps,
     l1_distance,
     profile_background,
     run,
@@ -302,9 +303,7 @@ def support_experiment(
     check_times = np.linspace(horizon / 6, horizon, 6)
     worst_excess = None   # largest excess seen at a checkpoint; negative when contained
 
-    dt = stable_dt(flux, g, scheme, j_lo, j_hi)
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    dt = horizon / n_steps
+    dt, n_steps = fixed_steps(horizon, stable_dt(flux, g, scheme, j_lo, j_hi))
     check_steps = {min(n_steps, max(1, int(round(ts / dt)))): ts for ts in check_times}
     edge = _edge_mask(g)
 
@@ -670,8 +669,7 @@ def dispersion_experiment(
     g = data.grid
     d = g.d
     alpha, beta = dispersion_exponents(d)
-    bflux = Flux(tuple(_shift_poly(c, u_ref) for c in burgers_flux(d).coeffs),
-                 label=f"burgers{d}d@{u_ref}")
+    bflux = Flux(tuple(_shift_poly(c, u_ref) for c in burgers_flux(d).coeffs))
 
     edge = _edge_mask(g)
 

@@ -42,7 +42,6 @@ class Flux:
     """Flux with one polynomial per spatial component, coefficients ascending."""
 
     coeffs: tuple[tuple[float, ...], ...]
-    label: str = ""
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -73,7 +72,7 @@ def burgers_flux(d: int) -> Flux:
     """Multi-D Burgers flux: component i is s^(i+1) for i = 1..d."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return Flux(tuple((0.0,) * (i + 1) + (1.0,) for i in range(1, d + 1)), label=f"burgers{d}d")
+    return Flux(tuple((0.0,) * (i + 1) + (1.0,) for i in range(1, d + 1)))
 
 
 def is_burgers(flux: Flux) -> bool:
@@ -166,7 +165,7 @@ def make_shock_pair(flux: Flux, u_minus: float, u_plus: float) -> ShockPair:
             c.append(0.0)
         c[1] -= v[i]
         red.append(tuple(c))
-    reduced = Flux(tuple(red), label=flux.label + ":reduced" if flux.label else "reduced")
+    reduced = Flux(tuple(red))
     f_bar = reduced.value(u_minus)
     mismatch = np.max(np.abs(reduced.value(u_plus) - f_bar))
     scale = max(1.0, float(np.max(np.abs(f_bar))))

@@ -138,33 +138,23 @@ class Field:
         """Multilinear interpolation of cell-center values, clamped at edges."""
         pts = np.asarray(points, dtype=float)
         g = self.grid
-        out = None
         idx = []
-        frac = []
+        weights = []
         for ax in range(g.d):
             t = (pts[..., ax] - (g.lo[ax] + 0.5 * g.dx)) / g.dx
             i0 = np.clip(np.floor(t).astype(int), 0, g.counts[ax] - 2)
             idx.append(i0)
-            frac.append(np.clip(t - i0, 0.0, 1.0))
-        if g.d == 2:
-            i, j = idx
-            s, t = frac
-            v = self.values
-            out = (
-                v[i, j] * (1 - s) * (1 - t)
-                + v[i + 1, j] * s * (1 - t)
-                + v[i, j + 1] * (1 - s) * t
-                + v[i + 1, j + 1] * s * t
-            )
-        else:
-            i, j, k = idx
-            s, t, r = frac
-            v = self.values
-            out = np.zeros(pts.shape[:-1])
-            for di, ws in ((0, 1 - s), (1, s)):
-                for dj, wt in ((0, 1 - t), (1, t)):
-                    for dk, wr in ((0, 1 - r), (1, r)):
-                        out += v[i + di, j + dj, k + dk] * ws * wt * wr
+            s = np.clip(t - i0, 0.0, 1.0)
+            weights.append((1 - s, s))
+        # the 2^d corners with axis 0 varying fastest; each term multiplies
+        # its weights in axis order, and the sum starts from the first term
+        out = None
+        for corner in range(2 ** g.d):
+            bits = [(corner >> ax) & 1 for ax in range(g.d)]
+            term = self.values[tuple(i + k for i, k in zip(idx, bits))]
+            for w, k in zip(weights, bits):
+                term = term * w[k]
+            out = term if out is None else out + term
         return out
 
 
@@ -325,7 +315,8 @@ class Background:
     """Far-field state used for dirichlet ghost cells; translates with velocity.
 
     While the velocity is zero the ghost layers do not depend on t, so each
-    grid's layers are evaluated once and kept, read-only, in _steady.
+    grid's layers are evaluated once and kept, read-only, in _steady, with
+    their range.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -385,35 +376,32 @@ def _ghost_kind(scheme: SchemeConfig, background: Background | None) -> str:
 
 
 def _ghost_values(field: Field, scheme: SchemeConfig, background: Background | None, t: float):
-    """Ghost layers per (axis, side); dirichlet evaluates the translated background."""
+    """Ghost layers per (axis, side) and their range; dirichlet evaluates the
+    translated background, and a background at rest keeps both per grid."""
     g = field.grid
     kind = _ghost_kind(scheme, background)
     if kind == "field":
+        # the field's own edge cells cannot widen its range
         return {(ax, side): np.moveaxis(field.values, ax, 0)[0 if side == 0 else -1]
-                for ax in range(g.d) for side in (0, 1)}
-    if kind == "moving":
-        return {(ax, side): background.eval(_ghost_points(g, ax, side), t)
-                for ax in range(g.d) for side in (0, 1)}
-    ghosts = background._steady.get(g)
-    if ghosts is None:
-        ghosts = {}
-        for ax in range(g.d):
-            for side in (0, 1):
-                v = np.asarray(background.eval(_ghost_points(g, ax, side), t)).view()
+                for ax in range(g.d) for side in (0, 1)}, (np.inf, -np.inf)
+    cached = background._steady.get(g)
+    if cached is None:
+        ghosts = {(ax, side): np.asarray(background.eval(_ghost_points(g, ax, side), t)).view()
+                  for ax in range(g.d) for side in (0, 1)}
+        cached = ghosts, _ghost_range(ghosts)
+        if kind == "steady":
+            for v in ghosts.values():
                 v.flags.writeable = False
-                ghosts[(ax, side)] = v
-        background._steady[g] = ghosts
-    return ghosts
+            background._steady[g] = cached
+    return cached
 
 
-def _ghost_range(ghosts, kind: str) -> tuple[float, float]:
-    """Min and max over the ghost layers, folded in order; (inf, -inf) when
-    they are the field's own cells, which cannot widen its range."""
+def _ghost_range(ghosts) -> tuple[float, float]:
+    """Min and max over the ghost layers, folded in order."""
     lo, hi = np.inf, -np.inf
-    if kind != "field":
-        for v in ghosts.values():
-            lo = min(lo, float(np.min(v)))
-            hi = max(hi, float(np.max(v)))
+    for v in ghosts.values():
+        lo = min(lo, float(np.min(v)))
+        hi = max(hi, float(np.max(v)))
     return lo, hi
 
 
@@ -425,9 +413,8 @@ def _range_with_ghosts(vmin, vmax, ghost_range) -> tuple[float, float]:
 def field_range(field: Field, scheme: SchemeConfig,
                 background: Background | None) -> tuple[float, float]:
     """Range of the field together with its ghost layers at t = 0."""
-    ghosts = _ghost_values(field, scheme, background, 0.0)
-    return _range_with_ghosts(field.values.min(), field.values.max(),
-                              _ghost_range(ghosts, _ghost_kind(scheme, background)))
+    _, ghost_range = _ghost_values(field, scheme, background, 0.0)
+    return _range_with_ghosts(field.values.min(), field.values.max(), ghost_range)
 
 
 def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
@@ -456,18 +443,17 @@ class Band:
     the next step needs no pass for lambda; a field that did not come from
     that step (a replaced `step`, another caller) starts afresh.  rows [a, b)
     along axis 0 are the rows the next step can change, and key holds the dt
-    and per-axis lambdas they were found with.  ghost_range is the range of
-    ghost layers at rest, sums the axis-0 boundary-face sums, faces the
-    boundary-face buffers of axes >= 1 and inflow the last step's total.
+    and per-axis lambdas they were found with; a band whose rows are None
+    records none, so every step through it runs every row.  faces holds the
+    flux buffers of both outer faces of each axis, whole faces, and inflow
+    the last step's total.
     """
 
     values: np.ndarray | None = None
-    rows: tuple[int, int] = (0, 0)
+    rows: tuple[int, int] | None = (0, 0)
     key: tuple = ()
     vmin: float = np.nan
     vmax: float = np.nan
-    ghost_range: tuple[float, float] = (np.inf, -np.inf)
-    sums: list = field(default_factory=lambda: [0.0, 0.0])
     faces: dict = field(default_factory=dict)
     inflow: float = 0.0
 
@@ -529,41 +515,39 @@ def step(
       summed from +0.0;
     - div starts from zeros and takes ((F_hi - F_lo) / dx) axis by axis; the
       result is u - dt*div;
-    - the boundary inflow sums each face's fluxes from a C-contiguous array
-      of the whole face, so the pairwise summation order does not depend on
-      the axis or on the rows updated.
+    - the boundary inflow sums each outer face's fluxes from a C-contiguous
+      buffer of the whole face, so the pairwise summation order does not
+      depend on the axis or on the rows updated.
     Dirichlet ghost layers of a background with zero velocity do not depend
     on t: they are evaluated once per background and grid and kept read-only.
     A moving background is evaluated at every step; only the ghost cell
     centers are cached.
 
-    Band contract (only `evolve` passes a band; see `Band`).  A step updates
-    the rows [a, b) along axis 0 and copies the others; without a band, and
-    whenever the band cannot vouch for the field, [a, b) is every row.  With
-    one dt, one lambda and ghost layers at rest, a cell whose bits and whose
-    stencil neighbours' bits the last step kept keeps its bits again, so the
-    next band is the changed rows widened by one row.  All rows run on the
-    first step, when the field is not the array the last step made, when dt
-    or a lambda differs from the last step, and always for a moving
-    background, whose ghosts change with t.  Rows are compared as int64: a
-    -0.0 that became 0.0 has changed (float != would miss it).  An empty band
-    returns the input field, which is safe because no field is ever written
-    in place.  An axis-0 boundary face is summed again only when the band
-    reaches its row; the band's part of every other boundary face is written
-    into a buffer of the whole face, which is summed as the full step sums
-    it.  The range check and the finiteness test still see the whole new
-    array, and its min and max come back in the StepStats.
+    Band contract (see `Band`).  Only `evolve` passes a band; a call without
+    one steps through a fresh band that records no rows.  A step updates the
+    rows [a, b) along axis 0 and copies the others; whenever the band cannot
+    vouch for the field, [a, b) is every row.  With one dt, one lambda and
+    ghost layers at rest, a cell whose bits and whose stencil neighbours'
+    bits the last step kept keeps its bits again, so the next band is the
+    changed rows widened by one row.  All rows run on the first
+    step, when the field is not the array the last step made, when dt or a
+    lambda differs from the last step, and always for a moving background,
+    whose ghosts change with t.  Rows are compared as int64: a -0.0 that
+    became 0.0 has changed (float != would miss it).  An empty band returns
+    the input field, which is safe because no field is ever written in
+    place.  Each outer face's fluxes live in a buffer of the whole face in
+    the band: an axis-0 face is refilled when the band reaches its row, and
+    the band's rows of every other face are written into it.  The range
+    check and the finiteness test still see the whole new array, and its
+    min and max come back in the StepStats.
     """
     g = field.grid
     n0 = g.counts[0]
     values = field.values
-    kind = _ghost_kind(scheme, background)
-    ghosts = _ghost_values(field, scheme, background, t)
-    fresh = band is None or band.values is not values
-    if fresh or kind == "moving":
-        ghost_range = _ghost_range(ghosts, kind)
-    else:
-        ghost_range = band.ghost_range
+    if band is None:
+        band = Band(rows=None)
+    ghosts, ghost_range = _ghost_values(field, scheme, background, t)
+    fresh = band.values is not values
     vmin, vmax = (values.min(), values.max()) if fresh else (band.vmin, band.vmax)
     lo, hi = _range_with_ghosts(vmin, vmax, ghost_range)
     if range_guard is not None:
@@ -577,9 +561,8 @@ def step(
     keys = [_key(flux.coeffs[ax]) for ax in range(g.d)]
     lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
     lam_used = max(0.0, *lams)
-    skip = band is not None and kind != "moving"
     a, b = 0, n0
-    if skip and not fresh and band.key == (dt, *lams):
+    if not fresh and band.key == (dt, *lams):
         a, b = band.rows
 
     if a < b:
@@ -613,25 +596,17 @@ def step(
             jump = f[1:] - f[:-1]
             jump /= g.dx
             div += jump.transpose(back)
-            # f[0] and f[-1] are C-contiguous faces, like np.take(f, 0, axis=ax)
-            if not skip:
-                face_lo, face_hi = float(f[0].sum()), float(f[-1].sum())
-            elif ax == 0:
-                # an outer face of axis 0 changes only with the row next to it
-                if a == 0:
-                    band.sums[0] = float(f[0].sum())
-                if b == n0:
-                    band.sums[1] = float(f[-1].sum())
-                face_lo, face_hi = band.sums
-            else:
-                # the band's part of each face, written into the whole face
-                if ax not in band.faces:  # the first step runs every row
-                    band.faces[ax] = (np.empty_like(f[0]), np.empty_like(f[-1]))
-                buf_lo, buf_hi = band.faces[ax]
-                buf_lo[a:b] = f[0]
-                buf_hi[a:b] = f[-1]
-                face_lo, face_hi = float(buf_lo.sum()), float(buf_hi.sum())
-            inflow += (face_lo - face_hi) * area
+            # f[0] and f[-1] are C-contiguous, like np.take(f, 0, axis=ax); an
+            # axis-0 face is f[0] or f[-1] only when the band reaches its row
+            if ax not in band.faces:  # the first step runs every row
+                band.faces[ax] = (np.empty_like(f[0]), np.empty_like(f[-1]))
+            face_lo, face_hi = band.faces[ax]
+            part = slice(a, b) if ax else slice(None)
+            if ax or a == 0:
+                face_lo[part] = f[0]
+            if ax or b == n0:
+                face_hi[part] = f[-1]
+            inflow += (float(face_lo.sum()) - float(face_hi.sum())) * area
         div *= dt
         if (a, b) == (0, n0):
             new_values = values - div
@@ -649,18 +624,22 @@ def step(
     else:
         # no row can change: the same bits, the same faces, the same checks
         new_values, inflow, result = values, band.inflow, field
-    if band is not None:
-        if skip:
-            moved = _moved_rows(values, new_values, a, b) if a < b else None
-            band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0),
-                                                      min(moved[1] + 2, n0))
-            band.key = (dt, *lams)
-        band.values, band.vmin, band.vmax = new_values, vmin, vmax
-        band.ghost_range, band.inflow = ghost_range, inflow
+    if band.rows is not None and _ghost_kind(scheme, background) != "moving":
+        moved = _moved_rows(values, new_values, a, b) if a < b else None
+        band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
+        band.key = (dt, *lams)
+    band.values, band.vmin, band.vmax, band.inflow = new_values, vmin, vmax, inflow
     return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax))
 
 
 # -- trajectories ---------------------------------------------------------------
+
+def fixed_steps(horizon: float, dt: float) -> tuple[float, int]:
+    """The fixed step that divides horizon into whole steps no longer than
+    dt (up to rounding), and their number."""
+    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
+    return horizon / n_steps, n_steps
+
 
 def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
            range_guard: tuple[float, float] | None = None):
@@ -759,9 +738,7 @@ def run(
     pairs = [(initial, background)] + [(c.field, c.background) for c in companions]
     ranges = [field_range(f, scheme, bg) for f, bg in pairs]
     lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
-    dt = stable_dt(flux, initial.grid, scheme, lo, hi)
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    dt = horizon / n_steps
+    dt, n_steps = fixed_steps(horizon, stable_dt(flux, initial.grid, scheme, lo, hi))
     if range_guard is None:
         range_guard = (lo, hi)
     snap_steps = {min(n_steps, max(0, int(round(ts / dt)))) for ts in snapshot_times or []}

@@ -219,6 +219,14 @@ BROKEN = {
     "center-nan": ("simulate", "perturbation.center = nan,0\n"),  # silently drops the bump
     "resolution-zero": ("cone", "cone.resolution = 0\n"),
     "pwl-file-non-number": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {csv}\n"),
+    # checks of keys that one command reads, made before it does any work
+    "t0-past-horizon": ("dispersion", "experiment.t0 = 100\n"),
+    "threshold-negative": ("support", "experiment.threshold = -1\n"),
+    "threshold-zero": ("support", "experiment.threshold = 0\n"),
+    "threshold-one": ("support", "experiment.threshold = 1\n"),  # no cell above it at t = 0
+    "stability-original-frame": ("stability", "scheme.frame = original\n"),
+    "overhead-not-burgers": ("overhead", "flux.poly = [[0,0,1],[0,0,0,2]]\n"),
+    "cone-5d": ("cone", "flux.burgers_d = 5\n"),
 }
 
 
@@ -228,6 +236,8 @@ def test_a_broken_key_is_a_config_error(case, tmp_path):
 
     base, broken = BROKEN[case]
     command, cfg = CASES[base]
+    if "flux.poly" in broken:  # it takes the place of the base's flux
+        cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
     csv = tmp_path / "front.csv"
     csv.write_text("y,psi\n-1,0\n0,abc\n1,0\n")
     out = tmp_path / "out"
@@ -235,5 +245,7 @@ def test_a_broken_key_is_a_config_error(case, tmp_path):
     path.write_text(cfg + broken.format(csv=csv) + f"output.dir = {out}\n")
     code, _, err = run_cli([command, "--config", str(path)])
     assert code == 2
-    assert err.startswith(("config error:", "error:")), err
+    first = len(cfg.splitlines()) + 1  # the broken lines follow the base config
+    assert err.startswith(tuple(f"config error: line {n}:"
+                                for n in range(first, first + broken.count("\n")))), err
     assert not (out / "verdict.txt").exists()

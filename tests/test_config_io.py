@@ -47,6 +47,23 @@ def test_wrong_order_reports_line():
     assert "u_plus" in msg
 
 
+PAIR = "flux.burgers_d = 2\npair.u_minus = 1.0\npair.u_plus = -1.0\n"
+
+
+@pytest.mark.parametrize("tail, line, words", [
+    ("scheme.cfl = 0.7\n", 4, "cfl must lie in"),
+    ("grid.counts = 8,8\ngrid.box = 0,1,0,2\n", 5, "non-uniform"),
+    ("grid.box = 0,1,0,1\ngrid.counts = 8,2\n", 5, "at least 4 cells"),
+    ("grid.counts = 8,8\ngrid.box = 0,1,0\n", 5, "2 entries per axis"),
+])
+def test_a_cross_key_error_reports_the_line_at_fault(tail, line, words):
+    # the pair on line 3 is fine, so no error may be reported there
+    with pytest.raises(ConfigError) as err:
+        parse_config(PAIR + tail)
+    (got, msg), = err.value.diagnostics
+    assert got == line and words in msg, (got, msg)
+
+
 def test_unknown_key_is_an_error():
     with pytest.raises(ConfigError) as err:
         parse_config("flux.burgers_d = 2\nscheme.nmerical_flux = rusanov\n")
@@ -56,7 +73,8 @@ def test_unknown_key_is_an_error():
 
 @pytest.mark.parametrize("key", ["cone.sphere_samples = 512", "run.threads = 2",
                                  "experiment.kind = stability", "experiment.comparisons = 3",
-                                 "experiment.unc_margin = 0.1", "run.seed = 7"])
+                                 "experiment.unc_margin = 0.1", "run.seed = 7",
+                                 "flux.label = burgers"])
 def test_removed_keys_are_unknown(key):
     # no removed key ever changed a run; accepting them would ignore them silently
     with pytest.raises(ConfigError) as err:

@@ -213,8 +213,8 @@ def test_steady_ghosts_are_cached_read_only(pair11, planar11):
     for k in range(5):
         f, _ = sl.step(f, scheme, pair11.reduced, bg, 0.1 * k)
     assert len(calls) == 4  # one evaluation per face, not per step
-    ghosts = solver._ghost_values(f, scheme, bg, 7.0)
-    assert ghosts is solver._ghost_values(f, scheme, bg, 0.0)
+    ghosts, _ = solver._ghost_values(f, scheme, bg, 7.0)
+    assert ghosts is solver._ghost_values(f, scheme, bg, 0.0)[0]
     for v in ghosts.values():
         assert not v.flags.writeable
         with pytest.raises(ValueError):
@@ -226,7 +226,7 @@ def test_one_background_on_two_grids(planar11):
     scheme = sl.SchemeConfig()
     for g in (sl.Grid.from_box((-2, 2, -2, 2), (8, 8)),
               sl.Grid.from_box((-1, 3, 0, 2), (12, 6))):
-        ghosts = solver._ghost_values(sl.Field(g, np.zeros(g.counts)), scheme, bg, 0.0)
+        ghosts, _ = solver._ghost_values(sl.Field(g, np.zeros(g.counts)), scheme, bg, 0.0)
         assert ghosts[(0, 0)].shape == (g.counts[1],)
         assert ghosts[(1, 1)].shape == (g.counts[0],)
         assert np.array_equal(ghosts[(0, 0)], g.lo[0] - 0.5 * g.dx + 2.0 * g.centers(1))
@@ -238,8 +238,8 @@ def test_moving_background_ghosts_follow_time():
     g = sl.Grid.from_box((-2, 2, -2, 2), (8, 8))
     f = sl.Field(g, np.zeros(g.counts))
     scheme = sl.SchemeConfig()
-    early = solver._ghost_values(f, scheme, bg, 0.0)
-    late = solver._ghost_values(f, scheme, bg, 0.4)
+    early, _ = solver._ghost_values(f, scheme, bg, 0.0)
+    late, _ = solver._ghost_values(f, scheme, bg, 0.4)
     for key in early:
         assert np.allclose(late[key], early[key] - 0.2)
     assert bg._steady == {}
