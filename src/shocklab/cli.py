@@ -137,7 +137,15 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
 def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
     if cfg.get("scheme.frame") != "reduced":
         raise cfg.error("scheme.frame", "stability runs in the reduced (steady) frame")
-    prof = cfg.build_profile()
+    pair = cfg.build_pair()
+    if cfg.get("perturbation.shape") in ("bump", "indicator") and cfg.has("perturbation.amplitude") \
+            and abs(cfg.get("perturbation.amplitude")) > pair.jump:
+        # the bump's peak (the indicator's value) is its amplitude, and the
+        # perturbed data must stay in [u_plus, u_minus] at that point
+        raise cfg.error("perturbation.amplitude", f"the perturbed data must stay between "
+                        f"pair.u_plus and pair.u_minus, so |amplitude| may not exceed the "
+                        f"jump {pair.jump!r}")
+    prof = cfg.build_profile(pair)
     phi = cfg.build_perturbation()
     if phi is None:
         raise ConfigError([(0, "stability requires a perturbation")])

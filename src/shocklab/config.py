@@ -78,9 +78,15 @@ def _parse_terms(s: str) -> tuple[tuple[str, tuple[float, ...]], ...]:
 
 def _parse_poly(s: str) -> tuple[tuple[float, ...], ...]:
     val = ast.literal_eval(s)
-    if not isinstance(val, (list, tuple)):
-        raise ValueError("expected a list of coefficient lists")
-    return tuple(tuple(float(c) for c in comp) for comp in val)
+    if not (isinstance(val, (list, tuple)) and val and all(
+            isinstance(comp, (list, tuple)) and comp
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in comp)
+            for comp in val)):
+        raise ValueError("expected a list of non-empty lists of numbers")
+    coeffs = tuple(tuple(float(c) for c in comp) for comp in val)
+    if not np.all(np.isfinite(np.concatenate(coeffs))):
+        raise ValueError(f"coefficients must be finite, got {list(map(list, coeffs))}")
+    return coeffs
 
 
 def _enum(*options):
@@ -287,7 +293,7 @@ def validate(entries: dict[str, tuple[str, int]]) -> RunConfig:
         parser, _ = KEYS[key]
         try:
             raw[key] = parser(value)
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, SyntaxError, OverflowError) as exc:
             errors.append((ln, f"{key}: {exc}"))
     if errors:
         raise ConfigError(errors)

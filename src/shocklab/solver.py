@@ -202,10 +202,46 @@ def _key(coeffs) -> bytes:
     return np.asarray(coeffs, dtype=float).tobytes()
 
 
+def _plan(c: np.ndarray, full: bool) -> tuple:
+    """The steps of P.polyval(x, c) that can change a bit, for finite x.
+
+    P.polyval computes c[-1] + x*0, then c[-i] + c0*x for i = 2..n.  A step
+    is (multiply, operand), the operand None standing for x.  Without a -0.0
+    among the coefficients these steps go:
+    - c[-1] + x*0 followed by *x is x*c[-1], since c[-1] plus a zero is
+      c[-1] unless c[-1] is -0.0; and x*1.0 is x;
+    - an inner + 0.0, which only turns -0.0 into +0.0.  Leaving it out can
+      change only the sign of a zero: *x keeps a zero a zero, + c[-i] gives
+      c[-i] from either zero, and the last step, + c[0], which always runs,
+      gives +0.0 or c[0] from either.
+    The value of such a plan is never -0.0, so a later + 0.0 or - 0.0 is an
+    identity too.  A full plan, for a constant or a -0.0 coefficient, keeps
+    every step.
+    """
+    n = len(c)
+    if full:
+        steps = [(True, 0.0), (False, float(c[-1]))]
+    else:
+        steps = [] if c[-1] == 1.0 else [(True, float(c[-1]))]
+    for i in range(2, n + 1):
+        if full or i > 2:
+            steps.append((True, None))
+        if full or c[-i] != 0.0 or i == n:
+            steps.append((False, float(c[-i])))
+    return tuple(steps)
+
+
 @lru_cache(maxsize=256)
 def _compiled(key: bytes) -> dict:
     c = np.frombuffer(key)
     dc = P.polyder(c)
+    full = len(c) == 1 or bool(np.any(np.signbit(c) & (c == 0.0)))
+
+    def shift(v):
+        # a trimmed plan never gives -0.0, so adding or subtracting a zero
+        # cannot change a bit: such a shift is None and its step goes
+        return v if full or v != 0.0 else None
+
     # Engquist-Osher: the intervals between the sign changes of g' on which
     # g' > 0 (or < 0), each with g at the point of the interval nearest to 0
     edges = np.concatenate([[-np.inf], critical_points(c), [np.inf]])
@@ -225,21 +261,27 @@ def _compiled(key: bytes) -> dict:
     pos, neg = [], []
     for k in range(len(edges) - 1):
         l, r = edges[k], edges[k + 1]
-        piece = (l, r, P.polyval(float(np.clip(0.0, l, r)), c))
+        piece = (l, r, shift(P.polyval(float(np.clip(0.0, l, r)), c)))
         if signs[k] > 0:
             pos.append(piece)
         elif signs[k] < 0:
             neg.append(piece)
-    return {"c": c, "dc": dc, "g0": float(P.polyval(0.0, c)), "pos": pos, "neg": neg}
+    return {"plan": _plan(c, full), "full": full, "dc": dc,
+            "g0": shift(float(P.polyval(0.0, c))), "pos": pos, "neg": neg}
 
 
-def _horner(c: np.ndarray, x):
-    """P.polyval(x, c) by the same operations, c[-1] + x*0 then c[-i] + c0*x, in one buffer."""
-    out = x * 0
-    out += c[-1]
-    for i in range(2, len(c) + 1):
-        out *= x
-        out += c[-i]
+def _horner(plan: tuple, x):
+    """P.polyval(x, c) for finite x, bit for bit, by the steps of c's plan
+    (see `_plan`); the first step makes the buffer the others update."""
+    out = x
+    for multiply, v in plan:
+        v = x if v is None else v
+        if out is x:
+            out = x * v if multiply else x + v
+        elif multiply:
+            out *= v
+        else:
+            out += v
     return out
 
 
@@ -264,25 +306,37 @@ def _rusanov(g_a, g_b, a, b, lam):
     return f
 
 
-def _eo_part(pieces, c: np.ndarray, x):
-    """integral from 0 to x of the positive (or negative) part of g'."""
+def _eo_part(data: dict, side: str, x):
+    """integral from 0 to x of the positive (or negative) part of g', or
+    None for a side without pieces."""
     total = None
-    for l, r, g_c0 in pieces:
-        part = _horner(c, np.clip(x, l, r))
-        part -= g_c0
+    for l, r, g_c0 in data[side]:
+        part = _horner(data["plan"], np.clip(x, l, r))
+        if g_c0 is not None:
+            part -= g_c0
         if total is None:
-            part += 0.0  # the sum starts from +0.0, which turns -0.0 into +0.0
+            if data["full"]:
+                part += 0.0  # the sum starts from +0.0, which turns -0.0 into +0.0
             total = part
         else:
             total += part
-    return np.zeros_like(x) if total is None else total
+    return total
 
 
 def _engquist_osher(data: dict, a, b):
-    """g(0) + integral_0^a (g')^+ + integral_0^b (g')^-, in that order."""
-    f = _eo_part(data["pos"], data["c"], a)
-    f += data["g0"]
-    f += _eo_part(data["neg"], data["c"], b)
+    """g(0) + integral_0^a (g')^+ + integral_0^b (g')^-, in that order; a
+    shift of None and an empty negative part are additions of zeros that
+    cannot change a bit."""
+    f = _eo_part(data, "pos", a)
+    if f is None:
+        f = np.zeros_like(a)
+    if data["g0"] is not None:
+        f += data["g0"]
+    neg = _eo_part(data, "neg", b)
+    if neg is not None:
+        f += neg
+    elif data["full"]:
+        f += 0.0  # the empty part's zeros
     return f
 
 
@@ -293,7 +347,8 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
     interval-exact wave speed bound by default (lam overrides it with a fixed
     per-step bound, which is what keeps the full update order-preserving);
     Engquist-Osher integrates the sign decomposition of g' exactly between its
-    real roots.  Both are consistent (H(s, s) = g(s)), nondecreasing in a, and
+    real roots.  For finite states both equal the plain formulas evaluated
+    with P.polyval bit for bit (see `_plan`).  Both are consistent (H(s, s) = g(s)), nondecreasing in a, and
     nonincreasing in b.
     """
     key = _key(flux_component)
@@ -302,7 +357,7 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
     if kind == "rusanov":
         if lam is None:
             lam = _lambda_max(key, np.minimum(a, b), np.maximum(a, b))
-        return _rusanov(_horner(data["c"], a), _horner(data["c"], b), a, b, lam)
+        return _rusanov(_horner(data["plan"], a), _horner(data["plan"], b), a, b, lam)
     if kind == "engquist-osher":
         return _engquist_osher(data, a, b)
     raise ValueError(f"unknown numerical flux {kind!r}")
@@ -509,10 +564,16 @@ def step(
     The result is bit-identical to the plain formula, so the order of the
     floating-point operations is part of the contract:
     - per axis, g is evaluated once per cell of the ghost-padded array by
-      Horner's rule in exactly P.polyval's steps (c[-1] + x*0, then
-      c[-i] + c0*x); Rusanov is 0.5*(g(a) + g(b)) - (0.5*lam)*(b - a) with one
-      range-wide lam, Engquist-Osher (g(0) + Pos(a)) + Neg(b), each part
-      summed from +0.0;
+      the Horner plan of its coefficients, cached per coefficient key: the
+      steps of P.polyval (c[-1] + x*0, then c[-i] + c0*x) less those that
+      cannot change a bit of a finite x.  Without a -0.0 coefficient,
+      c[-1] + x*0 then *x is x*c[-1], *1.0 goes, and an inner + 0.0 goes,
+      since the last step, + c[0], always runs and leaves no -0.0; a -0.0
+      coefficient keeps every step (see `_plan`).  Rusanov is
+      0.5*(g(a) + g(b)) - (0.5*lam)*(b - a) with one range-wide lam,
+      Engquist-Osher (g(0) + Pos(a)) + Neg(b), each part summed from +0.0,
+      where adding or subtracting a zero that cannot change a bit is left
+      out by the same rule;
     - div starts from zeros and takes ((F_hi - F_lo) / dx) axis by axis; the
       result is u - dt*div;
     - the boundary inflow sums each outer face's fluxes from a C-contiguous
@@ -589,7 +650,7 @@ def step(
                 ext[-1] = ghosts[(ax, 1)][a:b]
             data = _compiled(keys[ax])
             if scheme.numerical_flux == "rusanov":
-                g_ext = _horner(data["c"], ext)
+                g_ext = _horner(data["plan"], ext)
                 f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lams[ax])
             else:
                 f = _engquist_osher(data, ext[:-1], ext[1:])

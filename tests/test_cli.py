@@ -1,9 +1,13 @@
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
+from shocklab import config, solver
 from shocklab.cli import main
 
 CONE_CFG = """\
@@ -227,6 +231,10 @@ BROKEN = {
     "stability-original-frame": ("stability", "scheme.frame = original\n"),
     "overhead-not-burgers": ("overhead", "flux.poly = [[0,0,1],[0,0,0,2]]\n"),
     "cone-5d": ("cone", "flux.burgers_d = 5\n"),
+    "poly-infinite": ("cone", "flux.poly = [[0,0,1e999],[0,0,0,1]]\n"),
+    "poly-not-nested": ("cone", "flux.poly = [1,2]\n"),
+    "poly-integer-past-float": ("cone", "flux.poly = [[0,0,1%s],[0,0,0,1]]\n" % ("0" * 400)),
+    "stability-amplitude-huge": ("stability", "perturbation.amplitude = 1e308\n"),
 }
 
 
@@ -249,3 +257,65 @@ def test_a_broken_key_is_a_config_error(case, tmp_path):
     assert err.startswith(tuple(f"config error: line {n}:"
                                 for n in range(first, first + broken.count("\n")))), err
     assert not (out / "verdict.txt").exists()
+
+
+SCALARS = (int, config._finite, config._positive, config._fraction)
+LISTS = (config._parse_floats, config._parse_counts)
+
+
+def _numeric_keys():
+    """(case, key, holds a list, entries) of every numeric key of the digest configs."""
+    from test_cli_digests import CASES
+
+    found = []
+    for case, (_, cfg) in sorted(CASES.items()):
+        for line in cfg.splitlines():
+            key, _, value = (part.strip() for part in line.partition("="))
+            parser = config.KEYS[key][0]
+            if parser in SCALARS or parser in LISTS:
+                found.append((case, key, parser in LISTS, len(value.split(","))))
+    return found
+
+
+NUMERIC_KEYS = _numeric_keys()
+
+
+@st.composite
+def broken_numbers(draw):
+    """A digest case, one numeric key of it, and a value that key cannot take."""
+    case, key, is_list, entries = draw(st.sampled_from(NUMERIC_KEYS))
+    numbers = st.integers(4, 9).map(str)  # valid floats and valid cell counts
+    wrong_length = st.integers(1 if is_list else 2, 7).filter(
+        lambda n: not is_list or n != entries)
+    not_finite = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999"])
+    if is_list:  # one bad entry among the right number of them
+        not_finite = not_finite.map(lambda v: ",".join([v] + ["4"] * (entries - 1)))
+    value = draw(st.one_of(
+        not_finite,
+        st.text(alphabet="abcxyz_-+", min_size=1, max_size=5),
+        wrong_length.flatmap(lambda n: st.lists(numbers, min_size=n, max_size=n)).map(",".join),
+    ))
+    return case, key, value
+
+
+def _no_evolution(*args, **kwargs):
+    raise AssertionError("a broken config reached solver.step")
+
+
+@settings(max_examples=150, deadline=None)
+@given(broken_numbers())
+def test_a_broken_number_fails_before_any_evolution(broken):
+    from test_cli_digests import CASES
+
+    case, key, value = broken
+    command, cfg = CASES[case]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "step", _no_evolution)
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "c.cfg"
+        # later lines win: the broken value replaces the config's own
+        path.write_text(cfg + f"{key} = {value}\noutput.dir = {out}\n")
+        code, _, err = run_cli([command, "--config", str(path)])
+        assert code == 2, (case, key, value, err)
+        assert err.startswith(f"config error: line {len(cfg.splitlines()) + 1}:"), err
+        assert not (out / "verdict.txt").exists()

@@ -8,6 +8,7 @@ the checking Field constructor.  The optimized step must reproduce its bytes.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
@@ -185,6 +186,36 @@ def test_numerical_flux_is_bit_identical_to_reference(kind, rng):
             got = float(sl.numerical_flux(coeffs, s, r, kind))
             want = float(_ref_flux(coeffs, np.asarray(s), np.asarray(r), kind))
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# coefficients and states where a step of P.polyval can be an identity or
+# not: signed zeros, subnormals, squares that underflow and ones that overflow.
+# The other coefficients stay above 1e-3 in size: the Engquist-Osher split
+# needs the roots of g', and a tiny leading coefficient overflows them.
+COEFFICIENTS = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 1e-3)), min_size=1, max_size=6)
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e200, -1e200]
+STATES = st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGES), st.floats(-3.0, 3.0))] * 2),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=COEFFICIENTS, states=STATES)
+@example(coeffs=[0.0, 1.0, -0.0], states=[(2.0, -3.0), (-0.0, 0.0)])  # c[-1] = -0.0
+@example(coeffs=[0.0, 0.0, 0.0, 1.0], states=[(-1e-160, 1e200), (-5e-324, -1e200)])
+def test_horner_plan_and_fluxes_match_polyval_bit_for_bit(coeffs, states):
+    c = np.array(coeffs)
+    a, b = np.array(states).T
+    with np.errstate(all="ignore"):
+        plan = solver._compiled(solver._key(c))["plan"]
+        for x in (a, b, a[0]):
+            assert np.asarray(solver._horner(plan, x)).tobytes() == \
+                np.asarray(P.polyval(x, c)).tobytes(), (coeffs, x)
+        for kind, lam in (("rusanov", None), ("rusanov", 2.5), ("engquist-osher", None)):
+            got = np.asarray(sl.numerical_flux(coeffs, a, b, kind, lam=lam))
+            want = np.asarray(_ref_flux(coeffs, a, b, kind, lam=lam))
+            assert got.tobytes() == want.tobytes(), (coeffs, kind, lam)
 
 
 # -- the fast paths ---------------------------------------------------------------
