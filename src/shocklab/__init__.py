@@ -13,7 +13,6 @@ from .cones import (
     cone_contains,
     dual_cone,
     dual_cone_from_flux,
-    gauge_value,
     sector_cone,
 )
 from .experiments import (
@@ -39,7 +38,6 @@ from .fluxes import (
     burgers_flux,
     burgers_normalization,
     check_nondegeneracy,
-    eval_flux,
     make_shock_pair,
     normal_speed,
     oleinik_admissible,

@@ -17,13 +17,10 @@ from .config import RunConfig, tokenize, validate
 from .cones import dual_cone_from_flux
 from .errors import ConfigError, ShockLabError
 from .experiments import Check, ExperimentReport
-from .fluxes import is_burgers
+from .fluxes import burgers_flux, is_burgers
 from .profiles import front_normals
 from .snapshots import format_verdict, write_probes_csv, write_snapshot, write_verdict
 from .solver import Field, profile_background, run, sample_function, sample_profile
-
-COMMANDS = ("cone", "profile", "simulate", "stability", "overhead",
-            "dispersion", "support", "normalize-check")
 
 
 def _load_config(path: str, overrides: list[str]) -> RunConfig:
@@ -118,8 +115,9 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
     flux = scheme.flux_of(prof.pair)
     bg = profile_background(prof, moving=scheme.frame == "original")
     u0 = sample_profile(prof, grid)
-    phi = cfg.build_perturbation()
-    if phi is not None:
+    if cfg.has("perturbation.shape"):
+        phi = cfg.build_perturbation()
+        cfg.check_amplitude(prof.pair.u_plus, prof.pair.u_minus, flux, grid)
         u0 = Field(grid, u0.values + sample_function(phi, grid).values)
     rep = run(u0, scheme, flux, cfg.get("experiment.horizon"), bg,
               snapshot_times=_snapshot_times(cfg))
@@ -138,19 +136,18 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
     if cfg.get("scheme.frame") != "reduced":
         raise cfg.error("scheme.frame", "stability runs in the reduced (steady) frame")
     pair = cfg.build_pair()
-    if cfg.get("perturbation.shape") in ("bump", "indicator") and cfg.has("perturbation.amplitude") \
-            and abs(cfg.get("perturbation.amplitude")) > pair.jump:
+    phi = cfg.build_perturbation()
+    if phi.shape != "sum" and abs(phi.amplitude) > pair.jump:
         # the bump's peak (the indicator's value) is its amplitude, and the
         # perturbed data must stay in [u_plus, u_minus] at that point
         raise cfg.error("perturbation.amplitude", f"the perturbed data must stay between "
                         f"pair.u_plus and pair.u_minus, so |amplitude| may not exceed the "
                         f"jump {pair.jump!r}")
+    grid = cfg.build_grid()
+    cfg.check_amplitude(pair.u_plus, pair.u_minus, pair.reduced, grid)
     prof = cfg.build_profile(pair)
-    phi = cfg.build_perturbation()
-    if phi is None:
-        raise ConfigError([(0, "stability requires a perturbation")])
     report = xp.stability_experiment(
-        prof, phi, cfg.build_grid(), cfg.build_scheme(), cfg.get("experiment.horizon"),
+        prof, phi, grid, cfg.build_scheme(), cfg.get("experiment.horizon"),
         settle_steps=cfg.get("experiment.settle_steps"),
         snapshot_times=_snapshot_times(cfg),
     )
@@ -160,12 +157,12 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
 def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
     if not is_burgers(cfg.build_flux()):
         raise cfg.error("flux.poly", "overhead extinction is asserted for the multi-D Burgers flux")
-    prof = cfg.build_profile()
     phi = cfg.build_perturbation()
-    if phi is None:
-        raise ConfigError([(0, "overhead requires a perturbation")])
+    pair, grid, scheme = cfg.build_pair(), cfg.build_grid(), cfg.build_scheme()
+    cfg.check_amplitude(pair.u_plus, pair.u_minus, scheme.flux_of(pair), grid)
+    prof = cfg.build_profile(pair)
     report = xp.overhead_experiment(
-        prof, phi, cfg.build_grid(), cfg.build_scheme(), cfg.get("experiment.horizon"),
+        prof, phi, grid, scheme, cfg.get("experiment.horizon"),
         eta=cfg.get("experiment.eta"), settle_steps=cfg.get("experiment.settle_steps"),
     )
     return _emit_report(cfg, report, stderr)
@@ -177,9 +174,9 @@ def cmd_dispersion(cfg: RunConfig, stdout, stderr) -> int:
                         "experiment.horizon")
     grid = cfg.build_grid()
     phi = cfg.build_perturbation()
-    if phi is None:
-        raise ConfigError([(0, "dispersion requires a perturbation")])
     u_ref = cfg.get("experiment.u_ref")
+    # the experiment also evolves the doubled data
+    cfg.check_amplitude(u_ref, u_ref, burgers_flux(grid.d), grid, scale=2.0)
     data = sample_function(lambda p: u_ref + phi(p), grid)
     report = xp.dispersion_experiment(
         data, cfg.build_scheme(), cfg.get("experiment.horizon"),
@@ -192,9 +189,8 @@ def cmd_support(cfg: RunConfig, stdout, stderr) -> int:
     grid = cfg.build_grid()
     flux = cfg.build_flux()
     phi = cfg.build_perturbation()
-    if phi is None:
-        raise ConfigError([(0, "support requires a perturbation")])
     base = cfg.get("pair.u_minus") if cfg.has("pair.u_minus") else 1.0
+    cfg.check_amplitude(base, base, flux, grid)
     b1 = Field(grid, np.full(grid.counts, float(base)))
     b2 = Field(grid, b1.values + sample_function(phi, grid).values)
     report = xp.support_experiment(
@@ -235,7 +231,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     parser = argparse.ArgumentParser(prog="shocklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a flat config file")
         p.add_argument("--set", action="append", default=[], metavar="section.key=value",

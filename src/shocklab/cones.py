@@ -25,7 +25,6 @@ __all__ = [
     "sector_cone",
     "dual_cone",
     "dual_cone_from_flux",
-    "gauge_value",
     "cone_contains",
 ]
 
@@ -238,7 +237,15 @@ class DualCone:
         return np.multiply.outer(r, self.W) + y @ self.H.T
 
     def gauge(self, y) -> np.ndarray:
-        return gauge_value(self, y)
+        """gauge(y) = min { r : y + r W in dual cone } = max over facets of c_i . y."""
+        y = np.asarray(y, dtype=float)
+        scalar = y.ndim == 0 or (y.ndim == 1 and self.d > 2 and y.shape[0] == self.d - 1)
+        if self.d == 2:
+            vals = np.multiply.outer(y, self.facet_slopes[:, 0]).max(axis=-1)
+            return float(vals) if np.ndim(y) == 0 else vals
+        y2 = np.atleast_2d(y)
+        vals = (y2 @ self.facet_slopes.T).max(axis=-1)
+        return float(vals[0]) if scalar else vals.reshape(y.shape[:-1])
 
     def same_frame(self, other: "DualCone") -> bool:
         return (
@@ -284,23 +291,19 @@ def dual_cone(cone: AdmissibleCone) -> DualCone:
     """Dual of the admissibility cone, with frame and gauge attached."""
     if cone.trivial:
         raise TrivialCone("admissible cone is {0}")
+    if cone.degenerate_ray:
+        # dual of a single ray is the halfspace {n . lam >= 0}; the only
+        # canonical axis is lam itself (flagged: no interior theory here)
+        t1 = cone.sector[0]
+        lam = _unit(t1)
+        gens = np.stack([_unit(t1 - np.pi / 2), _unit(t1 + np.pi / 2)])
+        return _frame(gens, lam[None, :], lam, degenerate=True, w=lam)
     if cone.d == 2:
         t1, t2 = cone.sector
-        if cone.degenerate_ray:
-            # dual of a single ray is the halfspace {n . lam >= 0}; the only
-            # canonical axis is lam itself (flagged: no interior theory here)
-            lam = _unit(t1)
-            gens = np.stack([_unit(t1 - np.pi / 2), _unit(t1 + np.pi / 2)])
-            return _frame(gens, lam[None, :], lam, degenerate=True, w=lam)
-        gens = np.stack([_unit(t2 - np.pi / 2), _unit(t1 + np.pi / 2)])
         lam = _unit(0.5 * (t1 + t2))  # Chebyshev pick: bisector maximizes the margin
-        primal = np.stack([_unit(t1), _unit(t2)])
-        return _frame(gens, primal, lam)
-    gens = cone.dual_generators
-    if gens is None:
-        gens = _dual_generators_nd(cone.generators)
-    lam = _interior_direction(gens)  # in (A dual) dual = primal hull
-    return _frame(gens, cone.generators, lam)
+    else:
+        lam = _interior_direction(cone.dual_generators)  # in (A dual) dual = primal hull
+    return _frame(cone.dual_generators, cone.generators, lam)
 
 
 def dual_cone_from_flux(pair: ShockPair, n_samples: int = 512) -> DualCone:
@@ -339,18 +342,6 @@ def dual_cone_from_flux(pair: ShockPair, n_samples: int = 512) -> DualCone:
     return _frame(gens, primal, lam)
 
 
-def gauge_value(dual: DualCone, y) -> np.ndarray:
-    """gauge(y) = min { r : y + r W in dual cone } = max over facets of c_i . y."""
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0 or (y.ndim == 1 and dual.d > 2 and y.shape[0] == dual.d - 1)
-    if dual.d == 2:
-        vals = np.multiply.outer(y, dual.facet_slopes[:, 0]).max(axis=-1)
-        return float(vals) if np.ndim(y) == 0 else vals
-    y2 = np.atleast_2d(y)
-    vals = (y2 @ dual.facet_slopes.T).max(axis=-1)
-    return float(vals[0]) if scalar else vals.reshape(y.shape[:-1])
-
-
 def cone_contains(cone: AdmissibleCone, nu, margin: float = 0.0) -> bool:
     """Membership of a unit direction with a safety distance to the boundary.
 
@@ -371,10 +362,7 @@ def cone_contains(cone: AdmissibleCone, nu, margin: float = 0.0) -> bool:
             return False
         dist = min(rel, (t2 - t1) - rel)
         return dist >= margin
-    gens = cone.dual_generators
-    if gens is None:
-        gens = _dual_generators_nd(cone.generators)
-    worst = float((gens @ nu).min())
+    worst = float((cone.dual_generators @ nu).min())
     if worst < 0:
         return False
     return float(np.arcsin(min(worst, 1.0))) >= margin

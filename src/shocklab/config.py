@@ -11,12 +11,13 @@ import ast
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .cones import admissible_cone, dual_cone
 from .errors import ConfigError, ShockLabError
 from .fluxes import Flux, burgers_flux, make_shock_pair
 from .profiles import PerturbationSpec, ShockProfile, make_graph, make_planar, make_scaled_gauge
-from .solver import Grid, SchemeConfig
+from .solver import Grid, SchemeConfig, wave_speed
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "tokenize", "validate"]
 
@@ -40,6 +41,12 @@ def _fraction(s: str) -> float:
     if not x < 1:
         raise ValueError(f"must be less than 1, got {x!r}")
     return x
+
+
+def _path(s: str) -> str:
+    if not s:
+        raise ValueError("expected a file path")
+    return s
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
@@ -73,6 +80,8 @@ def _parse_terms(s: str) -> tuple[tuple[str, tuple[float, ...]], ...]:
         if not nums[-2] > 0:
             raise ValueError(f"term {part!r}: radius must be positive")
         terms.append((kind, nums))
+    if not terms:
+        raise ValueError("expected at least one term")
     return tuple(terms)
 
 
@@ -86,6 +95,18 @@ def _parse_poly(s: str) -> tuple[tuple[float, ...], ...]:
     coeffs = tuple(tuple(float(c) for c in comp) for comp in val)
     if not np.all(np.isfinite(np.concatenate(coeffs))):
         raise ValueError(f"coefficients must be finite, got {list(map(list, coeffs))}")
+    # the roots of a component and of its first two derivatives come from a
+    # companion matrix, which divides by the leading coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, comp in enumerate(coeffs):
+            c = np.trim_zeros(np.array(comp), "b")
+            for order in range(3):
+                if len(c) < 2:
+                    break
+                if not np.all(np.isfinite(np.concatenate([c, c[:-1] / c[-1]]))):
+                    raise ValueError(f"component {i}: the companion matrix of its derivative "
+                                     f"of order {order} overflows")
+                c = np.trim_zeros(P.polyder(c), "b")
     return coeffs
 
 
@@ -109,7 +130,7 @@ KEYS = {
     "profile.nu": (_parse_floats, None),
     "profile.offset": (_finite, 0.0),
     "profile.slope": (_finite, None),
-    "profile.pwl_path": (str, None),
+    "profile.pwl_path": (_path, None),
     "perturbation.shape": (_enum("bump", "indicator", "sum"), None),
     "perturbation.center": (_parse_floats, None),
     "perturbation.radius": (_positive, None),
@@ -151,36 +172,42 @@ class RunConfig:
         """A ConfigError about key, at its line."""
         return ConfigError([(self.lines.get(key, 0), f"{key}: {msg}")])
 
+    def require(self, *keys: str) -> list:
+        """The values of keys; a ConfigError naming each one that is not set."""
+        missing = [(0, f"{k} is required") for k in keys if not self.has(k)]
+        if missing:
+            raise ConfigError(missing)
+        return [self.get(k) for k in keys]
+
+    def flux_key(self) -> str | None:
+        """The key that gives the flux, flux.poly or flux.burgers_d; None if neither."""
+        given = [k for k in ("flux.poly", "flux.burgers_d") if self.has(k)]
+        if len(given) == 2:
+            raise self.error("flux.poly", "give either flux.poly or flux.burgers_d, not both")
+        return given[0] if given else None
+
     # -- builders -----------------------------------------------------------
 
     def build_flux(self) -> Flux:
-        if self.has("flux.poly") and self.has("flux.burgers_d"):
-            raise ConfigError([(0, "give either flux.poly or flux.burgers_d, not both")])
-        if self.has("flux.poly"):
-            return Flux(self.get("flux.poly"))
-        if self.has("flux.burgers_d"):
-            return burgers_flux(self.get("flux.burgers_d"))
-        raise ConfigError([(0, "flux.poly or flux.burgers_d is required")])
+        key = self.flux_key()
+        if key is None:
+            raise ConfigError([(0, "flux.poly or flux.burgers_d is required")])
+        return Flux(self.get(key)) if key == "flux.poly" else burgers_flux(self.get(key))
 
     def build_pair(self):
-        for k in ("pair.u_minus", "pair.u_plus"):
-            if not self.has(k):
-                raise ConfigError([(0, f"{k} is required")])
-        return make_shock_pair(self.build_flux(), self.get("pair.u_minus"), self.get("pair.u_plus"))
+        return make_shock_pair(self.build_flux(), *self.require("pair.u_minus", "pair.u_plus"))
 
     def build_cone_and_dual(self, pair=None):
         pair = pair or self.build_pair()
         if pair.d not in (2, 3):
-            key = "flux.poly" if self.has("flux.poly") else "flux.burgers_d"
-            raise self.error(key, f"the admissible cone is built for d = 2 or 3, not {pair.d}")
+            raise self.error(self.flux_key(),
+                             f"the admissible cone is built for d = 2 or 3, not {pair.d}")
         cone = admissible_cone(pair, self.get("cone.resolution"))
         return cone, dual_cone(cone)
 
     def build_grid(self) -> Grid:
-        for k in ("grid.counts", "grid.box"):
-            if not self.has(k):
-                raise ConfigError([(0, f"{k} is required")])
-        return Grid.from_box(self.get("grid.box"), self.get("grid.counts"))
+        counts, box = self.require("grid.counts", "grid.box")
+        return Grid.from_box(box, counts)
 
     def build_scheme(self) -> SchemeConfig:
         return SchemeConfig(
@@ -201,18 +228,12 @@ class RunConfig:
             y_extent = (-span, span)
         kind = self.get("profile.front")
         if kind == "planar":
-            if not self.has("profile.nu"):
-                raise ConfigError([(0, "profile.nu is required for a planar front")])
-            return make_planar(pair, dual, self.get("profile.nu"), self.get("profile.offset"),
-                               cone=cone, y_extent=y_extent)
+            return make_planar(pair, dual, self.require("profile.nu")[0],
+                               self.get("profile.offset"), cone=cone, y_extent=y_extent)
         if kind == "abs_scaled":
-            if not self.has("profile.slope"):
-                raise ConfigError([(0, "profile.slope is required for an abs_scaled front")])
-            return make_scaled_gauge(pair, dual, self.get("profile.slope"),
+            return make_scaled_gauge(pair, dual, self.require("profile.slope")[0],
                                      self.get("profile.offset"), y_extent=y_extent)
-        path = self.get("profile.pwl_path")
-        if not path:
-            raise ConfigError([(0, "profile.pwl_path is required for a pwl_file front")])
+        path = self.require("profile.pwl_path")[0]
         try:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             if rows.shape[1] < 2:
@@ -221,21 +242,38 @@ class RunConfig:
         except ValueError as exc:
             raise self.error("profile.pwl_path", f"{path}: {exc}") from exc
 
-    def build_perturbation(self) -> PerturbationSpec | None:
-        if not self.has("perturbation.shape"):
-            return None
-        shape = self.get("perturbation.shape")
+    def build_perturbation(self) -> PerturbationSpec:
+        shape = self.require("perturbation.shape")[0]
         if shape == "sum":
-            terms = [PerturbationSpec(kind, nums[:-2], nums[-2], nums[-1])
-                     for kind, nums in self.get("perturbation.terms") or ()]
-            if not terms:
-                raise ConfigError([(0, "perturbation.terms is required for shape=sum")])
-            return PerturbationSpec("sum", terms=tuple(terms))
-        for k in ("perturbation.center", "perturbation.radius", "perturbation.amplitude"):
-            if not self.has(k):
-                raise ConfigError([(0, f"{k} is required")])
-        return PerturbationSpec(shape, tuple(self.get("perturbation.center")),
-                                self.get("perturbation.radius"), self.get("perturbation.amplitude"))
+            return PerturbationSpec("sum", terms=tuple(
+                PerturbationSpec(kind, nums[:-2], nums[-2], nums[-1])
+                for kind, nums in self.require("perturbation.terms")[0]))
+        center, radius, amplitude = self.require(
+            "perturbation.center", "perturbation.radius", "perturbation.amplitude")
+        return PerturbationSpec(shape, tuple(center), radius, amplitude)
+
+    def check_amplitude(self, lo: float, hi: float, flux: Flux, grid: Grid,
+                        scale: float = 1.0) -> None:
+        """Reject a perturbation whose cell averages or wave speed would overflow.
+
+        A bump's peak and an indicator's value are its amplitude, so a base
+        in [lo, hi] plus up to `scale` times the perturbation stays in [lo, hi]
+        widened by scale * (the sum of |amplitude| over the terms).
+        """
+        if self.get("perturbation.shape") == "sum":
+            key = "perturbation.terms"
+            a = scale * sum(abs(nums[-1]) for _, nums in self.get(key))
+        else:
+            key = "perturbation.amplitude"
+            a = scale * abs(self.get(key))
+        lo, hi = lo - a, hi + a
+        with np.errstate(over="ignore", invalid="ignore"):
+            # sample_function sums 4 subsamples per axis before it divides
+            ok = (np.isfinite(4.0 * max(abs(lo), abs(hi)))
+                  and np.isfinite(wave_speed(flux, grid, lo, hi)))
+        if not ok:
+            raise self.error(key, f"a total |amplitude| of {a!r} overflows the cell averages "
+                             f"or the wave speed of data in [{lo!r}, {hi!r}]")
 
 
 def tokenize(text: str) -> dict[str, tuple[str, int]]:
@@ -263,10 +301,9 @@ def tokenize(text: str) -> dict[str, tuple[str, int]]:
 
 def _check_dimensions(cfg: RunConfig, entries: dict[str, tuple[str, int]]) -> None:
     """One flux component per grid axis, front normal entry and bump center entry."""
-    given = [k for k in ("flux.poly", "flux.burgers_d") if cfg.has(k)]
-    if len(given) != 1:
-        return  # build_flux reports a missing or doubled flux
-    flux_key = given[0]
+    flux_key = cfg.flux_key()
+    if flux_key is None:
+        return  # build_flux reports a missing flux
     d = len(cfg.get(flux_key)) if flux_key == "flux.poly" else cfg.get(flux_key)
     errors = []
     for key in ("grid.counts", "profile.nu", "perturbation.center"):

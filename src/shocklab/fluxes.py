@@ -24,7 +24,6 @@ __all__ = [
     "OleinikBatch",
     "NondegeneracyResult",
     "burgers_flux",
-    "eval_flux",
     "critical_points",
     "poly_abs_max",
     "component_abs_max",
@@ -79,18 +78,15 @@ def is_burgers(flux: Flux) -> bool:
     return flux.coeffs == burgers_flux(flux.d).coeffs
 
 
-def eval_flux(flux: Flux, s, order: int = 0) -> np.ndarray:
-    """f(s), f'(s) or f''(s) by exact polynomial evaluation."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    return flux.value(s, order)
+def _key(coeffs) -> bytes:
+    # the cache key of a coefficient sequence: -0.0 and 0.0 compare and hash
+    # equal, so a tuple key would let one answer for the other
+    return np.asarray(coeffs, dtype=float).tobytes()
 
 
 def critical_points(coeffs) -> np.ndarray:
     """Sorted real roots of p' for p with ascending coefficients (read-only)."""
-    # keyed by the bytes: -0.0 and 0.0 compare and hash equal but can give
-    # roots of different sign
-    return _critical_points(np.asarray(coeffs, dtype=float).tobytes())
+    return _critical_points(_key(coeffs))
 
 
 @lru_cache(maxsize=256)

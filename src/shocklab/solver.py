@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
-from .fluxes import Flux, component_abs_max, critical_points, poly_abs_max
+from .fluxes import Flux, _key, critical_points, poly_abs_max
 from .profiles import ShockProfile
 
 __all__ = [
@@ -196,12 +196,6 @@ class SchemeConfig:
 
 # -- numerical interface fluxes ------------------------------------------------
 
-def _key(coeffs) -> bytes:
-    """Cache key of a coefficient sequence: -0.0 and 0.0 compare and hash
-    equal, so a tuple key would let one answer for the other."""
-    return np.asarray(coeffs, dtype=float).tobytes()
-
-
 def _plan(c: np.ndarray, full: bool) -> tuple:
     """The steps of P.polyval(x, c) that can change a bit, for finite x.
 
@@ -232,9 +226,16 @@ def _plan(c: np.ndarray, full: bool) -> tuple:
 
 
 @lru_cache(maxsize=256)
+def _derivative(key: bytes) -> np.ndarray:
+    """g' of the coefficient key; the wave-speed bound needs no more of it
+    than this, and none of the Engquist-Osher pieces of `_compiled`."""
+    return P.polyder(np.frombuffer(key))
+
+
+@lru_cache(maxsize=256)
 def _compiled(key: bytes) -> dict:
     c = np.frombuffer(key)
-    dc = P.polyder(c)
+    dc = _derivative(key)
     full = len(c) == 1 or bool(np.any(np.signbit(c) & (c == 0.0)))
 
     def shift(v):
@@ -266,7 +267,7 @@ def _compiled(key: bytes) -> dict:
             pos.append(piece)
         elif signs[k] < 0:
             neg.append(piece)
-    return {"plan": _plan(c, full), "full": full, "dc": dc,
+    return {"plan": _plan(c, full), "full": full,
             "g0": shift(float(P.polyval(0.0, c))), "pos": pos, "neg": neg}
 
 
@@ -287,7 +288,7 @@ def _horner(plan: tuple, x):
 
 def _lambda_max(key: bytes, lo, hi):
     """max |g'| over [lo, hi], exact via the critical points of g'."""
-    return poly_abs_max(_compiled(key)["dc"], lo, hi)
+    return poly_abs_max(_derivative(key), lo, hi)
 
 
 @lru_cache(maxsize=1024)
@@ -481,13 +482,17 @@ def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
 
 
 def wave_speed(flux: Flux, grid: Grid, lo: float, hi: float) -> float:
-    """The bound lambda: max |f_i'| over [lo, hi] and the grid's axes i, exact."""
-    return float(np.max(component_abs_max(flux, 1, lo, hi)[: grid.d]))
+    """The bound lambda: max |f_i'| over [lo, hi] and the grid's axes i, exact;
+    the per-axis bounds are those `step` uses."""
+    return float(np.max([_lambda_bound(_key(flux.coeffs[ax]), float(lo), float(hi))
+                         for ax in range(grid.d)]))
 
 
 def stable_dt(flux: Flux, grid: Grid, scheme: SchemeConfig, lo: float, hi: float) -> float:
-    lam = max(wave_speed(flux, grid, lo, hi), 1e-30)
-    return scheme.cfl_for(grid.d) * grid.dx / (grid.d * lam)
+    lam = wave_speed(flux, grid, lo, hi)
+    if not np.isfinite(lam):
+        raise ValueError(f"the wave speed over [{lo}, {hi}] is not finite")
+    return scheme.cfl_for(grid.d) * grid.dx / (grid.d * max(lam, 1e-30))
 
 
 @dataclass(eq=False)
@@ -669,13 +674,10 @@ def step(
                 face_hi[part] = f[-1]
             inflow += (float(face_lo.sum()) - float(face_hi.sum())) * area
         div *= dt
-        if (a, b) == (0, n0):
-            new_values = values - div
-        else:
-            new_values = np.empty_like(values)
-            new_values[:a] = values[:a]
-            new_values[b:] = values[b:]
-            np.subtract(rows, div, out=new_values[a:b])
+        new_values = np.empty_like(values)
+        new_values[:a] = values[:a]
+        new_values[b:] = values[b:]
+        np.subtract(rows, div, out=new_values[a:b])
         vmin, vmax = new_values.min(), new_values.max()
         if range_guard is not None:
             check_range(vmin, vmax, range_guard)
@@ -709,11 +711,11 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
     Yields (k, t, fields, stats) after step k = 1..n_steps, which runs from
     (k-1)*dt to t = k*dt: one list of the fields in the order of pairs,
     updated in place, and the StepStats of each, whose vmin and vmax are
-    those of the field yielded.  A range_guard is shared by every field, and
-    `step` checks it.  Without one each step takes its dissipation bound from
-    its own range, and each field is held to its own start range, with its
-    ghosts at t = 0: CFLViolation if it leaves it, which a monotone update
-    never does (max principle).
+    those of the field yielded.  A range_guard is shared by every field and
+    sets each step's dissipation bound; without one each step takes the bound
+    from its own range.  Each field is held to its guard, the shared one or
+    its own start range with its ghosts at t = 0: CFLViolation if it leaves
+    it, which a monotone update never does (max principle).
 
     Every update goes through the module-level name `solver.step`, with one
     `Band` per field: over ghost layers at rest, a step after the first
@@ -722,7 +724,7 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
     """
     fields = [f for f, _ in pairs]
     backgrounds = [bg for _, bg in pairs]
-    guards = None if range_guard is not None else [field_range(f, scheme, bg) for f, bg in pairs]
+    guards = [range_guard or field_range(f, scheme, bg) for f, bg in pairs]
     del pairs  # a start field lives on only if the caller keeps it
     bands = [Band() for _ in fields]
     stats = [None] * len(fields)
@@ -738,8 +740,7 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
                 values = fields[i].values
                 stats[i] = replace(stats[i], vmin=float(values.min()),
                                    vmax=float(values.max()))
-            if guards is not None:
-                check_range(stats[i].vmin, stats[i].vmax, guards[i])
+            check_range(stats[i].vmin, stats[i].vmax, guards[i])
         yield k, k * dt, fields, stats
 
 

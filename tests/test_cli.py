@@ -209,6 +209,10 @@ def test_overhead_command(tmp_path):
     assert "domination: pass" in verdict
 
 
+def _no_evolution(*args, **kwargs):
+    raise AssertionError("a broken config reached solver.step")
+
+
 # one broken key per case, appended to a config of tests/test_cli_digests.py
 # (later lines win); "{csv}" is a front file holding a non-number
 SUM = "perturbation.shape = sum\nperturbation.terms = {}\n"
@@ -223,6 +227,7 @@ BROKEN = {
     "center-nan": ("simulate", "perturbation.center = nan,0\n"),  # silently drops the bump
     "resolution-zero": ("cone", "cone.resolution = 0\n"),
     "pwl-file-non-number": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {csv}\n"),
+    "pwl-path-empty": ("profile", "profile.front = pwl_file\nprofile.pwl_path = \n"),
     # checks of keys that one command reads, made before it does any work
     "t0-past-horizon": ("dispersion", "experiment.t0 = 100\n"),
     "threshold-negative": ("support", "experiment.threshold = -1\n"),
@@ -235,12 +240,28 @@ BROKEN = {
     "poly-not-nested": ("cone", "flux.poly = [1,2]\n"),
     "poly-integer-past-float": ("cone", "flux.poly = [[0,0,1%s],[0,0,0,1]]\n" % ("0" * 400)),
     "stability-amplitude-huge": ("stability", "perturbation.amplitude = 1e308\n"),
+    # a huge but finite amplitude overflows the sampled data (1e308) or the
+    # wave speed (1e200, where dt became 0)
+    "amplitude-1e308-simulate": ("simulate", "perturbation.amplitude = 1e308\n"),
+    "amplitude-1e308-overhead": ("overhead", "perturbation.amplitude = 1e308\n"),
+    "amplitude-1e308-dispersion": ("dispersion", "perturbation.amplitude = 1e308\n"),
+    "amplitude-1e308-support": ("support", "perturbation.amplitude = 1e308\n"),
+    "amplitude-1e200-simulate": ("simulate", "perturbation.amplitude = 1e200\n"),
+    "amplitude-1e200-overhead": ("overhead", "perturbation.amplitude = 1e200\n"),
+    "amplitude-1e200-dispersion": ("dispersion", "perturbation.amplitude = 1e200\n"),
+    "amplitude-1e200-support": ("support", "perturbation.amplitude = 1e200\n"),
+    "stability-terms-amplitude-huge": ("stability", SUM.format("bump:2.7,0.0,1.6,1e308")),
+    # a companion matrix that divides by a leading coefficient tiny next to the others
+    "poly-leading-subnormal": ("cone", "flux.poly = [[0,0,1,2.2e-313],[0,0,0,1]]\n"),
+    "poly-leading-tiny": ("cone", "flux.poly = [[0,0,1e10,1e-300],[0,0,0,1]]\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN))
-def test_a_broken_key_is_a_config_error(case, tmp_path):
+def test_a_broken_key_is_a_config_error(case, tmp_path, monkeypatch):
     from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
 
     base, broken = BROKEN[case]
     command, cfg = CASES[base]
@@ -256,6 +277,45 @@ def test_a_broken_key_is_a_config_error(case, tmp_path):
     first = len(cfg.splitlines()) + 1  # the broken lines follow the base config
     assert err.startswith(tuple(f"config error: line {n}:"
                                 for n in range(first, first + broken.count("\n")))), err
+    assert not (out / "verdict.txt").exists()
+
+
+# (digest case, the required key deleted from it)
+MISSING = [("simulate", "flux.burgers_d"), ("simulate", "pair.u_minus"),
+           ("simulate", "grid.box"), ("simulate", "perturbation.amplitude"),
+           ("simulate", "profile.nu"), ("stability", "profile.slope")] + [
+    (case, "perturbation.shape") for case in ("stability", "overhead", "dispersion", "support")]
+
+
+@pytest.mark.parametrize("case, key", MISSING)
+def test_a_missing_key_is_a_config_error(case, key, tmp_path, monkeypatch):
+    from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    command, cfg = CASES[case]
+    assert f"{key} = " in cfg
+    cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith(f"{key} = "))
+    out = tmp_path / "out"
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"output.dir = {out}\n")
+    code, _, err = run_cli([command, "--config", str(path)])
+    assert code == 2
+    assert err.startswith("config error: ") and key in err, err
+    assert not (out / "verdict.txt").exists()
+
+
+def test_both_flux_keys_are_a_config_error(tmp_path, monkeypatch):
+    from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    command, cfg = CASES["simulate"]
+    out = tmp_path / "out"
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"flux.poly = [[0,0,1],[0,0,0,1]]\noutput.dir = {out}\n")
+    code, _, err = run_cli([command, "--config", str(path)])
+    assert code == 2
+    assert err.startswith(f"config error: line {len(cfg.splitlines()) + 1}: flux.poly:"), err
+    assert "flux.burgers_d" in err
     assert not (out / "verdict.txt").exists()
 
 
@@ -296,10 +356,6 @@ def broken_numbers(draw):
         wrong_length.flatmap(lambda n: st.lists(numbers, min_size=n, max_size=n)).map(",".join),
     ))
     return case, key, value
-
-
-def _no_evolution(*args, **kwargs):
-    raise AssertionError("a broken config reached solver.step")
 
 
 @settings(max_examples=150, deadline=None)

@@ -365,6 +365,29 @@ def test_settle_range_guard_catches_a_broken_update(pair11, planar11, monkeypatc
         settle([(u0, bg)], sl.SchemeConfig(), pair11.reduced, 20)
 
 
+def test_run_shared_guard_catches_a_broken_update(monkeypatch):
+    # run hands evolve one guard for every field, and evolve holds each field
+    # to it: a replaced step that leaves it raises, also on a run's only step,
+    # where no later step sees the field
+    g = sl.Grid.from_box((-2, 2, -2, 2), (16, 16))
+    values = np.zeros(g.counts)
+    values[6:10, 6:10] = 0.5
+    u0 = sl.Field(g, values)
+    bg = sl.constant_background(0.0, 2)
+    scheme, flux = sl.SchemeConfig(), sl.burgers_flux(2)
+    horizon = solver.stable_dt(flux, g, scheme, 0.0, 0.5)   # one step
+    assert sl.run(u0, scheme, flux, horizon, bg).sup[-1] <= 0.5
+    real_step = solver.step
+
+    def overshooting_step(*args, **kwargs):
+        nxt, stats = real_step(*args, **kwargs)
+        return sl.Field(nxt.grid, nxt.values + 1e-3), stats
+
+    monkeypatch.setattr(solver, "step", overshooting_step)
+    with pytest.raises(CFLViolation):
+        sl.run(u0, scheme, flux, horizon, bg)
+
+
 def test_joint_settle_guards_each_field_by_its_own_range(pair11, planar11, monkeypatch):
     # a constant field at rest next to a shock: its update may not leave its own
     # range, although it stays inside the range of the pair

@@ -8,14 +8,9 @@ from shocklab.fluxes import is_burgers
 
 
 def test_eval_flux_burgers_values(burgers2):
-    assert np.allclose(sl.eval_flux(burgers2, 1.0), [1.0, 1.0])
-    assert np.allclose(sl.eval_flux(burgers2, 0.0, order=1), [0.0, 0.0])
-    assert np.allclose(sl.eval_flux(sl.burgers_flux(3), 2.0), [4.0, 8.0, 16.0])
-
-
-def test_eval_flux_rejects_bad_order(burgers2):
-    with pytest.raises(ValueError):
-        sl.eval_flux(burgers2, 1.0, order=3)
+    assert np.allclose(burgers2.value(1.0), [1.0, 1.0])
+    assert np.allclose(burgers2.value(0.0, order=1), [0.0, 0.0])
+    assert np.allclose(sl.burgers_flux(3).value(2.0), [4.0, 8.0, 16.0])
 
 
 def test_flux_requires_coefficients():

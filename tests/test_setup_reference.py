@@ -1,20 +1,23 @@
 """Batched cone tests and streamed cell sampling against copies of the originals.
 
 The references below are the straightforward forms: one chord-admissibility
-test per direction with its own `P.polyval` and `np.dot` calls, and cell
-averages from one subsample mesh over the whole grid.  The batched
-`oleinik_admissible_many` and the slab-wise `sample_function` must reproduce
-their bytes.
+test per direction with its own `P.polyval` and `np.dot` calls, cell
+averages from one subsample mesh over the whole grid, and a 2-D dual cone
+whose rays are rebuilt from the sector's angles.  The batched
+`oleinik_admissible_many`, the slab-wise `sample_function` and `dual_cone`,
+which reads the rays stored in the cone, must reproduce their bytes.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
 from shocklab import cones, solver
+from shocklab.errors import TrivialCone
 from shocklab.fluxes import OleinikResult
 
 # -0.0 coefficients, a constant term, a component that loses its top degree
@@ -216,3 +219,56 @@ def test_sample_function_memory_is_bounded_on_48_cubed():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert {float(prof.pair.u_minus), float(prof.pair.u_plus)} <= set(np.unique(field.values))
+
+
+def _ref_dual_cone_2d(cone):
+    """The 2-D branch of `dual_cone` that rebuilt the rays from the sector."""
+    t1, t2 = cone.sector
+    if cone.degenerate_ray:
+        lam = cones._unit(t1)
+        gens = np.stack([cones._unit(t1 - np.pi / 2), cones._unit(t1 + np.pi / 2)])
+        return cones._frame(gens, lam[None, :], lam, degenerate=True, w=lam)
+    gens = np.stack([cones._unit(t2 - np.pi / 2), cones._unit(t1 + np.pi / 2)])
+    lam = cones._unit(0.5 * (t1 + t2))
+    primal = np.stack([cones._unit(t1), cones._unit(t2)])
+    return cones._frame(gens, primal, lam)
+
+
+def _assert_same_dual(cone):
+    try:
+        want = _ref_dual_cone_2d(cone)
+    except TrivialCone:
+        with pytest.raises(TrivialCone):
+            sl.dual_cone(cone)
+        return
+    got = sl.dual_cone(cone)
+    assert got.degenerate is want.degenerate
+    for name in ("generators", "W", "lam", "H", "facet_slopes", "primal_generators"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False))
+WIDTHS = st.one_of(st.sampled_from([0.0, -0.0, np.pi / 2]),
+                   st.floats(0.0, 3.14, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t1=ANGLES, width=WIDTHS, as_numpy=st.booleans())
+@example(t1=0.0, width=0.0, as_numpy=False)
+@example(t1=-0.0, width=0.0, as_numpy=False)
+@example(t1=-0.0, width=0.5, as_numpy=True)
+def test_dual_cone_2d_matches_rays_rebuilt_from_the_sector(t1, width, as_numpy):
+    t2 = t1 + width
+    if as_numpy:
+        t1, t2 = np.float64(t1), np.float64(t2)
+    _assert_same_dual(sl.sector_cone(t1, t2))
+
+
+@pytest.mark.parametrize("flux, states", [(sl.burgers_flux(2), (1.0, -1.0)),
+                                          (sl.burgers_flux(2), (1.5, 0.5)),
+                                          (CUBIC2, (0.8, -1.3))])
+def test_dual_cone_2d_of_computed_cones_matches_rays_rebuilt_from_the_sector(flux, states):
+    _assert_same_dual(sl.admissible_cone(sl.make_shock_pair(flux, *states), 1e-8))
