@@ -2,6 +2,10 @@
 
 Exit codes: 0 all checks passed, 1 at least one failed invariant,
 2 usage or configuration error.
+
+A run writes at most 10,000 snapshots: `simulate` and `stability` reject an
+experiment.horizon / experiment.snapshot_interval ratio above that before
+any work (an interval of 0 writes none).
 """
 
 from __future__ import annotations
@@ -53,12 +57,18 @@ def _emit_report(cfg: RunConfig, report: ExperimentReport, stderr) -> int:
     return 0 if report.passed else 1
 
 
+MAX_SNAPSHOTS = 10_000
+
+
 def _snapshot_times(cfg: RunConfig) -> list[float]:
     horizon = cfg.get("experiment.horizon")
     dt = cfg.get("experiment.snapshot_interval")
-    if dt and dt > 0:
-        return list(np.arange(dt, horizon + 1e-12, dt))
-    return []
+    if dt == 0:
+        return []
+    if horizon / dt > MAX_SNAPSHOTS:
+        raise cfg.error("experiment.snapshot_interval", f"experiment.horizon / {dt!r} "
+                        f"asks for more than {MAX_SNAPSHOTS} snapshots")
+    return list(np.arange(dt, horizon + 1e-12, dt))
 
 
 def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
@@ -92,7 +102,7 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
 def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
     cone, dual = cfg.build_cone_and_dual(pair)
-    prof = cfg.build_profile(pair, dual, cone)
+    prof = cfg.build_profile(pair, dual)
     out = _outdir(cfg)
     ys = np.linspace(prof.y_extent[0], prof.y_extent[1], 257)
     psis = prof.front.value(ys)
@@ -109,6 +119,7 @@ def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
+    snapshot_times = _snapshot_times(cfg)
     prof = cfg.build_profile()
     grid = cfg.build_grid()
     scheme = cfg.build_scheme()
@@ -120,7 +131,7 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
         cfg.check_amplitude(prof.pair.u_plus, prof.pair.u_minus, flux, grid)
         u0 = Field(grid, u0.values + sample_function(phi, grid).values)
     rep = run(u0, scheme, flux, cfg.get("experiment.horizon"), bg,
-              snapshot_times=_snapshot_times(cfg))
+              snapshot_times=snapshot_times)
     drift = float(np.max(np.abs((rep.mass - rep.mass[0]) - rep.boundary_inflow)))
     scale = max(1.0, abs(rep.mass[0]))
     checks = [Check("mass_conservation", drift <= 1e-10 * scale, drift, 1e-10 * scale,
@@ -135,6 +146,7 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
 def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
     if cfg.get("scheme.frame") != "reduced":
         raise cfg.error("scheme.frame", "stability runs in the reduced (steady) frame")
+    snapshot_times = _snapshot_times(cfg)
     pair = cfg.build_pair()
     phi = cfg.build_perturbation()
     if phi.shape != "sum" and abs(phi.amplitude) > pair.jump:
@@ -149,7 +161,7 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
     report = xp.stability_experiment(
         prof, phi, grid, cfg.build_scheme(), cfg.get("experiment.horizon"),
         settle_steps=cfg.get("experiment.settle_steps"),
-        snapshot_times=_snapshot_times(cfg),
+        snapshot_times=snapshot_times,
     )
     return _emit_report(cfg, report, stderr)
 

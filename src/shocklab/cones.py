@@ -215,7 +215,8 @@ class DualCone:
 
     generators: unit extreme rays of the dual cone.
     W: unit interior axis; lam: unit supporting direction in the primal cone.
-    H: (d, d-1) orthonormal basis of the complement of W.
+    H: (d, d-1) orthonormal basis of the complement of W; `frame` maps world
+    points to (r, y).
     facet_slopes: rows c_i with gauge(y) = max_i c_i . y; one row per primal
     generator xi, c_i = -(H^T xi)/(xi . W).
     """
@@ -235,6 +236,21 @@ class DualCone:
         if y.shape[-1] != self.d - 1:
             y = y[..., None]
         return np.multiply.outer(r, self.W) + y @ self.H.T
+
+    def frame(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(r, y) = (x . W, x H) of world points x, shape (..., d); y has the
+        shape `gauge` and the front functions take, (...) for d = 2."""
+        x = np.asarray(x, dtype=float)
+        y = x @ self.H
+        return x @ self.W, (y[..., 0] if self.d == 2 else y)
+
+    @property
+    def grid_axis(self) -> tuple[int, float] | None:
+        """(axis, sign) if W is sign times a grid axis to within 1e-12, else None."""
+        axis = int(np.argmax(np.abs(self.W)))
+        if abs(abs(self.W[axis]) - 1.0) > 1e-12:
+            return None
+        return axis, float(np.sign(self.W[axis]))
 
     def gauge(self, y) -> np.ndarray:
         """gauge(y) = min { r : y + r W in dual cone } = max over facets of c_i . y."""

@@ -36,6 +36,20 @@ def _positive(s: str) -> float:
     return x
 
 
+def _nonnegative(s: str) -> float:
+    x = _finite(s)
+    if not x >= 0:
+        raise ValueError(f"must be at least 0, got {x!r}")
+    return x
+
+
+def _count(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 def _fraction(s: str) -> float:
     x = _positive(s)
     if not x < 1:
@@ -51,6 +65,15 @@ def _path(s: str) -> str:
 
 def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(_finite(x) for x in s.split(","))
+
+
+def _parse_direction(s: str) -> tuple[float, ...]:
+    v = _parse_floats(s)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not (norm > 0 and np.isfinite(norm)):
+        raise ValueError(f"expected a vector of positive, finite length, got {v}")
+    return v
 
 
 def _parse_counts(s: str) -> tuple[int, ...]:
@@ -127,7 +150,7 @@ KEYS = {
     "pair.u_plus": (_finite, None),
     "cone.resolution": (_positive, 1e-4),
     "profile.front": (_enum("planar", "abs_scaled", "pwl_file"), "planar"),
-    "profile.nu": (_parse_floats, None),
+    "profile.nu": (_parse_direction, None),
     "profile.offset": (_finite, 0.0),
     "profile.slope": (_finite, None),
     "profile.pwl_path": (_path, None),
@@ -143,12 +166,12 @@ KEYS = {
     "scheme.boundary": (_enum("dirichlet-profile", "outflow"), "dirichlet-profile"),
     "scheme.frame": (_enum("reduced", "original"), "reduced"),
     "experiment.horizon": (_positive, 10.0),
-    "experiment.snapshot_interval": (_finite, 0.0),
+    "experiment.snapshot_interval": (_nonnegative, 0.0),  # 0: no snapshots
     "experiment.threshold": (_fraction, 1e-3),
     "experiment.eta": (_finite, 0.05),
-    "experiment.t0": (_finite, 10.0),
+    "experiment.t0": (_positive, 10.0),
     "experiment.u_ref": (_finite, 0.0),
-    "experiment.settle_steps": (int, 1500),
+    "experiment.settle_steps": (_count, 1500),
     "output.dir": (str, "out"),
 }
 
@@ -195,7 +218,15 @@ class RunConfig:
         return Flux(self.get(key)) if key == "flux.poly" else burgers_flux(self.get(key))
 
     def build_pair(self):
-        return make_shock_pair(self.build_flux(), *self.require("pair.u_minus", "pair.u_plus"))
+        """The shock pair; a state at which a flux value overflows is an error
+        at that state's line."""
+        flux = self.build_flux()
+        states = self.require("pair.u_minus", "pair.u_plus")
+        for key, u in zip(("pair.u_minus", "pair.u_plus"), states):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.all(np.isfinite(flux.value(u))):
+                    raise self.error(key, f"the flux values at {u!r} overflow")
+        return make_shock_pair(flux, *states)
 
     def build_cone_and_dual(self, pair=None):
         pair = pair or self.build_pair()
@@ -217,30 +248,35 @@ class RunConfig:
             frame=self.get("scheme.frame"),
         )
 
-    def build_profile(self, pair=None, dual=None, cone=None) -> ShockProfile:
+    def build_profile(self, pair=None, dual=None) -> ShockProfile:
+        """The profile of the profile.* keys; a profile that cannot exist (an
+        inadmissible normal, a front ratio above 1, a bad front file) is an
+        error at the key that gives its front."""
         pair = pair or self.build_pair()
-        if dual is None or cone is None:
-            cone, dual = self.build_cone_and_dual(pair)
+        if dual is None:
+            dual = self.build_cone_and_dual(pair)[1]
         y_extent = (-8.0, 8.0)
         if self.has("grid.box"):
             box = self.get("grid.box")
             span = max(box[1] - box[0], box[3] - box[2])
             y_extent = (-span, span)
         kind = self.get("profile.front")
-        if kind == "planar":
-            return make_planar(pair, dual, self.require("profile.nu")[0],
-                               self.get("profile.offset"), cone=cone, y_extent=y_extent)
-        if kind == "abs_scaled":
-            return make_scaled_gauge(pair, dual, self.require("profile.slope")[0],
-                                     self.get("profile.offset"), y_extent=y_extent)
-        path = self.require("profile.pwl_path")[0]
+        key = {"planar": "profile.nu", "abs_scaled": "profile.slope",
+               "pwl_file": "profile.pwl_path"}[kind]
+        value = self.require(key)[0]
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if kind == "planar":
+                return make_planar(pair, dual, value, self.get("profile.offset"),
+                                   y_extent=y_extent)
+            if kind == "abs_scaled":
+                return make_scaled_gauge(pair, dual, value, self.get("profile.offset"),
+                                         y_extent=y_extent)
+            rows = np.loadtxt(value, delimiter=",", skiprows=1, ndmin=2)
             if rows.shape[1] < 2:
                 raise ValueError("expected a header and then rows of y,psi")
             return make_graph(pair, dual, (rows[:, 0], rows[:, 1]), y_extent=y_extent)
-        except ValueError as exc:
-            raise self.error("profile.pwl_path", f"{path}: {exc}") from exc
+        except (ShockLabError, ValueError) as exc:
+            raise self.error(key, f"{value}: {exc}") from exc
 
     def build_perturbation(self) -> PerturbationSpec:
         shape = self.require("perturbation.shape")[0]

@@ -166,7 +166,7 @@ def settle(
     del fields, pairs
     for steps, _, current, _ in stepping:
         for i, nxt in enumerate(current):
-            changes[i] = float(np.abs(nxt.values - prev[i].values).sum()) * g.cell_volume
+            changes[i] = l1_distance(nxt, prev[i])
             prev[i] = nxt
         history.append(list(changes))
         back = history[0] if len(history) > PLATEAU_WINDOW else unknown
@@ -190,8 +190,8 @@ class SupportHull:
 
 
 def support_hull(flux: Flux, j, n_samples: int = 64) -> SupportHull:
-    """Hull of (f(s2) - f(s1))/(s2 - s1) over J x J, with f'(s) on the diagonal."""
-    lo, hi = (float(j[0]), float(j[1])) if np.ndim(j) else (float(j), float(j))
+    """Hull of (f(s2) - f(s1))/(s2 - s1) over J x J, J = [j[0], j[1]], f'(s) on the diagonal."""
+    lo, hi = float(j[0]), float(j[1])
     if hi < lo:
         raise ValueError("interval must be ordered")
     if n_samples < 2:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import AdmissibleCone, DualCone, admissible_cone, cone_contains, dual_cone
+from .cones import DualCone, admissible_cone, cone_contains, dual_cone
 from .errors import (
     EmptyInterior,
     FrameMismatch,
@@ -131,12 +131,16 @@ class ShockProfile:
     dual: DualCone
     front: Front
     rho: float
-    unc: bool
     y_extent: tuple[float, float] = (-8.0, 8.0)
 
     @property
     def d(self) -> int:
         return self.pair.d
+
+    @property
+    def unc(self) -> bool:
+        """Uniformly non-characteristic: the front ratio rho is at most UNC_RHO."""
+        return bool(self.rho <= UNC_RHO)
 
     @property
     def velocity(self) -> np.ndarray:
@@ -149,11 +153,7 @@ class ShockProfile:
 
     def eval(self, x) -> np.ndarray:
         """u_minus where r < psi(y), u_plus on and beyond the front."""
-        x = np.asarray(x, dtype=float)
-        r = x @ self.dual.W
-        y = x @ self.dual.H
-        if self.d == 2:
-            y = y[..., 0]
+        r, y = self.dual.frame(x)
         psi = self.front.value(y)
         return np.where(r < psi, self.pair.u_minus, self.pair.u_plus)
 
@@ -224,11 +224,11 @@ def estimate_rho(profile: ShockProfile) -> float:
 
 
 def _finish_profile(pair, dual, front, y_extent, rho_tol) -> ShockProfile:
-    probe = ShockProfile(pair, dual, front, rho=0.0, unc=False, y_extent=y_extent)
+    probe = ShockProfile(pair, dual, front, rho=0.0, y_extent=y_extent)
     rho = estimate_rho(probe)
     if rho > 1.0 + rho_tol:
         raise NotLipschitzInGauge(f"front ratio {rho:.6g} exceeds 1; normals leave the cone")
-    return ShockProfile(pair, dual, front, rho=rho, unc=bool(rho <= UNC_RHO), y_extent=y_extent)
+    return ShockProfile(pair, dual, front, rho=rho, y_extent=y_extent)
 
 
 def make_planar(
@@ -236,22 +236,17 @@ def make_planar(
     dual: DualCone,
     nu,
     offset: float = 0.0,
-    cone: AdmissibleCone | None = None,
     y_extent: tuple[float, float] = (-8.0, 8.0),
 ) -> ShockProfile:
-    """Planar shock with front {x . nu = offset}, nu oriented toward D_plus."""
+    """Planar shock with front {x . nu = offset}, nu oriented toward D_plus;
+    nu is admissible iff no dual generator has an inner product < -1e-12 with it."""
     nu = np.asarray(nu, dtype=float)
     nu = nu / np.linalg.norm(nu)
-    if cone is not None:
-        admissible = cone_contains(cone, nu, 0.0)
-    else:
-        # nu is admissible iff its inner products with the dual generators are >= 0
-        admissible = float(np.min(dual.generators @ nu)) >= -1e-12
-    if not admissible:
+    if not float(np.min(dual.generators @ nu)) >= -1e-12:
         raise InadmissibleNormal(f"direction {nu} fails the chord condition")
     front = _planar_front(dual, nu, offset)
-    rho = _slope_ratio(dual, front.slopes)
-    return ShockProfile(pair, dual, front, rho=rho, unc=bool(rho <= UNC_RHO), y_extent=y_extent)
+    return ShockProfile(pair, dual, front, rho=_slope_ratio(dual, front.slopes),
+                        y_extent=y_extent)
 
 
 def make_graph(
@@ -261,24 +256,20 @@ def make_graph(
     y_extent: tuple[float, float] = (-8.0, 8.0),
     rho_tol: float = 1e-6,
 ) -> ShockProfile:
-    """Graph-front shock from samples, a callable, or a prebuilt Front.
+    """Graph-front shock from samples (nodes, values), or from a callable psi
+    sampled at FRONT_NODES points across y_extent; the front interpolates them.
 
     Rejects fronts whose gauge-Lipschitz ratio exceeds 1 (+ rho_tol): their
     normals would leave the admissibility cone.
     """
-    if isinstance(psi, Front):
-        front = psi
-    elif callable(psi):
+    if callable(psi):
         nodes = np.linspace(y_extent[0], y_extent[1], FRONT_NODES)
         values = np.asarray(psi(nodes), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("front values must be finite on the sample grid")
-        front = _pwl_front(nodes, values)
     else:
         nodes, values = psi
-        if not np.all(np.isfinite(values)):
-            raise ValueError("front values must be finite on the sample grid")
-        front = _pwl_front(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("front values must be finite on the sample grid")
+    front = _pwl_front(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
     return _finish_profile(pair, dual, front, y_extent, rho_tol)
 
 
@@ -324,17 +315,13 @@ def perturb_end_states(
         front = profile.front
         return _finish_profile(new_pair, new_dual, front, profile.y_extent, 1e-6)
     if profile.front.kind == "planar":
-        return make_planar(
-            new_pair, new_dual, np.asarray(profile.front.params["nu"]),
-            profile.front.params["offset"], cone=cone, y_extent=profile.y_extent,
-        )
+        return make_planar(new_pair, new_dual, np.asarray(profile.front.params["nu"]),
+                           profile.front.params["offset"], y_extent=profile.y_extent)
     if profile.d != 2:
         raise NotImplementedError("frame change of non-planar fronts only supported for d = 2")
     # re-express the front in the perturbed frame by resampling front points
     nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], FRONT_NODES)
-    pts = profile.dual.point(profile.front.value(nodes), nodes)
-    r_new = pts @ new_dual.W
-    y_new = (pts @ new_dual.H)[:, 0]
+    r_new, y_new = new_dual.frame(profile.dual.point(profile.front.value(nodes), nodes))
     order = np.argsort(y_new)
     return make_graph(new_pair, new_dual, (y_new[order], r_new[order]),
                       y_extent=(float(y_new.min()), float(y_new.max())))
@@ -372,19 +359,10 @@ def sandwich_bounds(
     hi = np.asarray(box[1], dtype=float)
     if np.any(hi < lo):
         return profile, profile
-    corners = box_corners(lo, hi, profile.d)
-    r_c = corners @ profile.dual.W
-    y_c = corners @ profile.dual.H
-    if profile.d == 2:
-        g_y = profile.dual.gauge(y_c[:, 0])
-        g_ny = profile.dual.gauge(-y_c[:, 0])
-    else:
-        g_y = profile.dual.gauge(y_c)
-        g_ny = profile.dual.gauge(-y_c)
-    r0 = float(np.max(g_y - r_c)) + pad
-    r1 = float(np.max(g_ny + r_c)) + pad
-
     dual = profile.dual
+    r_c, y_c = dual.frame(box_corners(lo, hi, profile.d))
+    r0 = float(np.max(dual.gauge(y_c) - r_c)) + pad
+    r1 = float(np.max(dual.gauge(-y_c) + r_c)) + pad
 
     def lower_fn(y):
         y = np.asarray(y, dtype=float)
@@ -459,10 +437,8 @@ def bounded_intersection(profile: ShockProfile, x) -> FrameBox:
     if profile.rho >= 1.0:
         raise NotUNC("bounded intersection requires ratio < 1")
     dual = profile.dual
-    x = np.asarray(x, dtype=float)
-    r0 = float(x @ dual.W)
-    y0 = x @ dual.H
-    g0 = float(dual.gauge(y0[0] if profile.d == 2 else y0))
+    r0, y0 = dual.frame(x)
+    g0 = float(dual.gauge(y0))
     psi0 = profile.psi0
     rho = profile.rho
     gauge_bound = (psi0 + g0 - r0) / (1.0 - rho)
@@ -571,11 +547,10 @@ def extract_front(field, pair: ShockPair, dual: DualCone):
     level = 0.5 * (pair.u_minus + pair.u_plus)
 
     w = dual.W
-    axis = int(np.argmax(np.abs(w)))
-    aligned = abs(abs(w[axis]) - 1.0) <= 1e-12
-    if aligned:
+    aligned = dual.grid_axis
+    if aligned is not None:
+        axis, r_sign = aligned
         other = 1 - axis
-        r_sign = float(np.sign(w[axis]))
         r_centers = grid.centers(axis) * r_sign
         u_cols = field.values if axis == 0 else np.ascontiguousarray(field.values.T)
         if r_sign < 0:

@@ -8,13 +8,9 @@ are independent of how the work is scheduled.
 
 Every update goes through the module-level name `step`; `evolve` is the one
 time loop.  Near a steady shock most cells are already at their discrete
-fixed point, so `evolve` hands `step` a `Band` per field and a step updates
-only the rows along axis 0 that the last step's changes can reach.  The skip
-is exact, not an approximation: with one dt, one lambda and ghost layers at
-rest, a cell whose stencil kept its bits keeps its own.  All rows run on the
-first step, whenever dt or a lambda changes, and always over a moving
-background.  Rows are compared by their int64 bits, since float != misses a
--0.0 that became 0.0.
+fixed point, so `evolve` hands `step` a `Band` per field, and a step skips
+the rows that cannot change; the skip is exact (the band contract is stated
+once, in `step`).
 """
 
 from __future__ import annotations
@@ -158,10 +154,8 @@ class Field:
         return out
 
 
-def l1_distance(a: Field, b) -> float:
-    """L1 distance between fields (or a field and a profile sampled on its grid)."""
-    if isinstance(b, ShockProfile):
-        b = sample_profile(b, a.grid)
+def l1_distance(a: Field, b: Field) -> float:
+    """L1 distance between two fields on one grid."""
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     return float(np.abs(a.values - b.values).sum()) * a.grid.cell_volume
@@ -497,16 +491,14 @@ def stable_dt(flux: Flux, grid: Grid, scheme: SchemeConfig, lo: float, hi: float
 
 @dataclass(eq=False)
 class Band:
-    """What `evolve` keeps of one field from one `step` to the next.
+    """What `evolve` keeps of one field from one `step` to the next; how a
+    step reads and updates it is the band contract in `step`.
 
-    `values` is the array the last step made, and vmin, vmax its range, so
-    the next step needs no pass for lambda; a field that did not come from
-    that step (a replaced `step`, another caller) starts afresh.  rows [a, b)
-    along axis 0 are the rows the next step can change, and key holds the dt
-    and per-axis lambdas they were found with; a band whose rows are None
-    records none, so every step through it runs every row.  faces holds the
-    flux buffers of both outer faces of each axis, whole faces, and inflow
-    the last step's total.
+    `values` is the array the last step made, and vmin, vmax its range.  rows
+    [a, b) along axis 0 are the rows the next step can change, and key holds
+    the dt and per-axis lambdas they were found with; rows None records none.
+    faces holds the flux buffers of both outer faces of each axis, whole
+    faces, and inflow the last step's total.
     """
 
     values: np.ndarray | None = None
@@ -589,16 +581,19 @@ def step(
     A moving background is evaluated at every step; only the ghost cell
     centers are cached.
 
-    Band contract (see `Band`).  Only `evolve` passes a band; a call without
-    one steps through a fresh band that records no rows.  A step updates the
+    Band contract (the fields are described in `Band`).  Only `evolve`
+    passes a band; a call without one steps through a fresh band that
+    records no rows, so every row runs.  A step updates the
     rows [a, b) along axis 0 and copies the others; whenever the band cannot
     vouch for the field, [a, b) is every row.  With one dt, one lambda and
     ghost layers at rest, a cell whose bits and whose stencil neighbours'
-    bits the last step kept keeps its bits again, so the next band is the
-    changed rows widened by one row.  All rows run on the first
-    step, when the field is not the array the last step made, when dt or a
+    bits the last step kept keeps its bits again: skipping it is exact, the
+    outputs are bit-identical to stepping every row, and the next band is
+    the changed rows widened by one row.  All rows run on the first step,
+    when the field is not the array the last step made, when dt or a
     lambda differs from the last step, and always for a moving background,
-    whose ghosts change with t.  Rows are compared as int64: a -0.0 that
+    whose ghosts change with t.  The band's values, vmin and vmax spare the
+    next step a pass for lambda.  Rows are compared as int64: a -0.0 that
     became 0.0 has changed (float != would miss it).  An empty band returns
     the input field, which is safe because no field is ever written in
     place.  Each outer face's fluxes live in a buffer of the whole face in
@@ -718,9 +713,7 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
     it, which a monotone update never does (max principle).
 
     Every update goes through the module-level name `solver.step`, with one
-    `Band` per field: over ghost layers at rest, a step after the first
-    updates only the rows that the last step's changes can reach (see
-    `step`).  The outputs are bit-identical to stepping every row.
+    `Band` per field (the band contract is in `step`).
     """
     fields = [f for f, _ in pairs]
     backgrounds = [bg for _, bg in pairs]
@@ -843,39 +836,42 @@ def run(
 
 # -- sampling profiles and functions onto grids ---------------------------------
 
+# midpoint subsamples per cell and axis of `sample_function`
+SUBSAMPLES = 4
 # mesh coordinates (points x d) that `sample_function` builds at once, 16 MiB;
 # the 2-D grids of the experiments (up to 256x256 cells at 4x4 subsamples)
 # fit in one slab
 SAMPLE_BLOCK = 1 << 21
 
 
-def sample_function(fn, grid: Grid, subsamples: int = 4) -> Field:
+def sample_function(fn, grid: Grid) -> Field:
     """Cell averages of a pointwise function by midpoint subsampling.
 
     fn maps points of shape (..., d) to values of shape (...), each value
-    depending on its own point only.  The subsample mesh is built and
+    depending on its own point only; each cell averages SUBSAMPLES midpoints
+    per axis.  The subsample mesh is built and
     averaged in slabs of whole cells along axis 0 of at most SAMPLE_BLOCK
     coordinates (at least one cell), so memory stays bounded on 3-D grids;
     each cell average sees the same operations as with the whole mesh.
     """
-    offs = (np.arange(subsamples) + 0.5) / subsamples * grid.dx
+    offs = (np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES * grid.dx
     axes = [grid.lo[i] + np.add.outer(np.arange(grid.counts[i]) * grid.dx, offs).ravel()
             for i in range(grid.d)]
     out = np.empty(grid.counts)
-    layer = subsamples * grid.d * int(np.prod([len(a) for a in axes[1:]]))
+    layer = SUBSAMPLES * grid.d * int(np.prod([len(a) for a in axes[1:]]))
     slab = max(1, SAMPLE_BLOCK // layer)
     for a in range(0, grid.counts[0], slab):
         b = min(a + slab, grid.counts[0])
         # the stacked meshgrid, filled in place without meshgrid's copies
-        coords = [axes[0][a * subsamples:b * subsamples]] + axes[1:]
+        coords = [axes[0][a * SUBSAMPLES:b * SUBSAMPLES]] + axes[1:]
         mesh = np.empty([len(c) for c in coords] + [grid.d])
         for i, c in enumerate(coords):
             mesh[..., i] = c.reshape([-1 if j == i else 1 for j in range(grid.d)])
         vals = np.asarray(fn(mesh), dtype=float)
         for ax in range(grid.d):
             shape = list(vals.shape)
-            n = shape[ax] // subsamples
-            vals = vals.reshape(shape[:ax] + [n, subsamples] + shape[ax + 1:]).mean(axis=ax + 1)
+            n = shape[ax] // SUBSAMPLES
+            vals = vals.reshape(shape[:ax] + [n, SUBSAMPLES] + shape[ax + 1:]).mean(axis=ax + 1)
         out[a:b] = vals
     return Field(grid, out)
 
@@ -888,13 +884,11 @@ def sample_profile(profile: ShockProfile, grid: Grid) -> Field:
     mass of a front displacement accurate to O(dx^2 / 16).
     """
     dual = profile.dual
-    w = dual.W
-    axis = int(np.argmax(np.abs(w)))
-    aligned = grid.d == 2 and abs(abs(w[axis]) - 1.0) <= 1e-12
-    if not aligned:
-        return sample_function(profile.eval, grid, subsamples=4)
+    aligned = dual.grid_axis
+    if grid.d != 2 or aligned is None:
+        return sample_function(profile.eval, grid)
+    axis, sgn = aligned
     other = 1 - axis
-    sgn = float(np.sign(w[axis]))
     h_col = dual.H[other, 0]
     offs = (np.arange(16) + 0.5) / 16 * grid.dx
     y_world = grid.lo[other] + np.add.outer(np.arange(grid.counts[other]) * grid.dx, offs)

@@ -25,8 +25,8 @@ def dual11(cone11):
 
 
 @pytest.fixture(scope="session")
-def planar11(pair11, dual11, cone11):
-    return sl.make_planar(pair11, dual11, [1.0, 0.0], 0.0, cone=cone11, y_extent=(-8.0, 8.0))
+def planar11(pair11, dual11):
+    return sl.make_planar(pair11, dual11, [1.0, 0.0], 0.0, y_extent=(-8.0, 8.0))
 
 
 @pytest.fixture()

@@ -115,7 +115,7 @@ def _stability_case(lab, profile, phi, label):
 @pytest.mark.slow
 def test_criterion_3_stability_planar(lab):
     flux, pair, cone, dual = lab
-    profile = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, cone=cone, y_extent=(-8, 8))
+    profile = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, y_extent=(-8, 8))
     phi = sl.PerturbationSpec("bump", (1.5, 0.0), 1.2, 1.9)
     _stability_case(lab, profile, phi, "planar")
 
@@ -131,7 +131,7 @@ def test_criterion_3_stability_nonplanar(lab):
 def test_criterion_4_overhead_extinction(lab):
     flux, pair, cone, dual = lab
     t0 = time.time()
-    profile = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, cone=cone, y_extent=(-8, 8))
+    profile = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, y_extent=(-8, 8))
     g = sl.Grid.from_box((-3, 5, -8, 8), (128, 256))
     phi = sl.PerturbationSpec("bump", (-2.0, 0.0), 1.2, 0.5)  # peaks at u_minus + 0.5
     rep = sl.overhead_experiment(profile, phi, g, sl.SchemeConfig(), horizon=10.0)
@@ -197,7 +197,7 @@ def test_criterion_7_normalization_residual():
 def test_criterion_8_profile_algebra(lab):
     flux, pair, cone, dual = lab
     rng = np.random.default_rng(11)
-    base = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, cone=cone, y_extent=(-5, 5))
+    base = sl.make_planar(pair, dual, [1.0, 0.0], 0.0, y_extent=(-5, 5))
 
     # (a) surgery identity, exact on 1000 random piecewise-linear triples
     nodes = np.linspace(-5, 5, 101)

@@ -138,8 +138,8 @@ def curved11(pair11, dual11):
 # -- whole experiments ------------------------------------------------------------
 
 @pytest.mark.parametrize("front", ["planar", "curved"])
-def test_stability_experiment_matches_full_rows(front, pair11, dual11, cone11, curved11):
-    prof = (sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-5, 5))
+def test_stability_experiment_matches_full_rows(front, pair11, dual11, curved11):
+    prof = (sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-5, 5))
             if front == "planar" else curved11)
     g = sl.Grid.from_box((-2.5, 2.5, -5, 5), (32, 64))
     phi = sl.PerturbationSpec("bump", (1.2, 0.0), 0.9, 1.5)
@@ -158,8 +158,8 @@ def test_stability_experiment_matches_full_rows(front, pair11, dual11, cone11, c
 
 
 @pytest.mark.parametrize("frame", ["reduced", "original"])
-def test_overhead_run_matches_full_rows(frame, pair11, dual11, cone11):
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-4, 4))
+def test_overhead_run_matches_full_rows(frame, pair11, dual11):
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-4, 4))
     g = sl.Grid.from_box((-3, 2, -4, 4), (30, 48))
     phi = sl.PerturbationSpec("bump", (-1.5, -1.0), 0.8, 0.5)
     scheme = sl.SchemeConfig(frame=frame)
@@ -247,10 +247,10 @@ def test_settle_with_a_shrinking_range_runs_every_row(pair11, planar11):
     assert _partial(log[0::2], g.counts[0])  # the front's lambda stays put
 
 
-def test_planar_front_reaches_an_empty_band(pair11, dual11, cone11):
+def test_planar_front_reaches_an_empty_band(pair11, dual11):
     # the Engquist-Osher layer 1, ~0.8, ~-0.8, -1 becomes an exact fixed point
     # of the step (at step 94); from then on each step returns its input
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-4, 4))
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-4, 4))
     g = sl.Grid.from_box((-2, 2, -2, 2), (24, 24))
     scheme = sl.SchemeConfig(numerical_flux="engquist-osher")
     u0 = sample_profile(prof, g)

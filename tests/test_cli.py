@@ -214,7 +214,8 @@ def _no_evolution(*args, **kwargs):
 
 
 # one broken key per case, appended to a config of tests/test_cli_digests.py
-# (later lines win); "{csv}" is a front file holding a non-number
+# (later lines win); "{csv}" is a front file holding a non-number, "{steep}"
+# one whose ratio to the gauge is 5
 SUM = "perturbation.shape = sum\nperturbation.terms = {}\n"
 BROKEN = {
     "terms-non-number": ("simulate", SUM.format("bump:0.4,abc,0.5,0.3")),
@@ -254,6 +255,24 @@ BROKEN = {
     # a companion matrix that divides by a leading coefficient tiny next to the others
     "poly-leading-subnormal": ("cone", "flux.poly = [[0,0,1,2.2e-313],[0,0,0,1]]\n"),
     "poly-leading-tiny": ("cone", "flux.poly = [[0,0,1e10,1e-300],[0,0,0,1]]\n"),
+    # experiment numbers out of range: a raw ZeroDivisionError after 40 steps,
+    # a failed check or a settle of no step, and a raw ValueError from np.arange
+    # or no snapshot at all
+    "t0-negative": ("dispersion", "experiment.t0 = -5\n"),
+    "t0-zero": ("dispersion", "experiment.t0 = 0\n"),
+    "settle-steps-negative-stability": ("stability", "experiment.settle_steps = -5\n"),
+    "settle-steps-negative-overhead": ("overhead", "experiment.settle_steps = -5\n"),
+    "settle-steps-zero-overhead": ("overhead", "experiment.settle_steps = 0\n"),
+    "snapshot-interval-tiny": ("simulate", "experiment.snapshot_interval = 1e-300\n"),
+    "snapshot-interval-negative": ("simulate", "experiment.snapshot_interval = -0.1\n"),
+    # a state whose flux values overflow (a raw LinAlgError from the cone), and
+    # profiles that cannot exist (exit 1, as if an invariant had failed)
+    "u-minus-overflows": ("simulate", "pair.u_minus = 1e200\n"),
+    "nu-zero": ("simulate", "profile.nu = 0,0\n"),
+    "nu-inadmissible": ("simulate", "profile.nu = 0,1\n"),
+    "slope-past-1-stability": ("stability", "profile.slope = 1.5\n"),
+    "slope-past-1-profile": ("profile", "profile.slope = 1.5\n"),
+    "pwl-file-too-steep": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {steep}\n"),
 }
 
 
@@ -269,9 +288,11 @@ def test_a_broken_key_is_a_config_error(case, tmp_path, monkeypatch):
         cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
     csv = tmp_path / "front.csv"
     csv.write_text("y,psi\n-1,0\n0,abc\n1,0\n")
+    steep = tmp_path / "steep.csv"
+    steep.write_text("y,psi\n-1,0\n0,5\n1,0\n")
     out = tmp_path / "out"
     path = tmp_path / "c.cfg"
-    path.write_text(cfg + broken.format(csv=csv) + f"output.dir = {out}\n")
+    path.write_text(cfg + broken.format(csv=csv, steep=steep) + f"output.dir = {out}\n")
     code, _, err = run_cli([command, "--config", str(path)])
     assert code == 2
     first = len(cfg.splitlines()) + 1  # the broken lines follow the base config
@@ -319,8 +340,30 @@ def test_both_flux_keys_are_a_config_error(tmp_path, monkeypatch):
     assert not (out / "verdict.txt").exists()
 
 
-SCALARS = (int, config._finite, config._positive, config._fraction)
-LISTS = (config._parse_floats, config._parse_counts)
+SCALARS = (int, config._count, config._finite, config._positive, config._nonnegative,
+           config._fraction)
+LISTS = (config._parse_floats, config._parse_counts, config._parse_direction)
+
+# finite values out of range, by the keys of the digest configs whose rule
+# rejects them before any work; a list key takes the value in every entry.
+# A key whose rule accepts a value never draws it: horizon = 1e300 has no work
+# ceiling yet, and neither has a tiny grid.box or huge grid.counts
+OUT_OF_RANGE = {
+    "flux.burgers_d": ("1e300", "1e-300"),                     # not integers
+    "pair.u_minus": ("1e300",),                                # the flux overflows
+    "pair.u_plus": ("1e300",),
+    "cone.resolution": ("-5", "0"),
+    "profile.nu": ("-5", "0", "1e300"),          # inadmissible, no direction, norm overflows
+    "profile.slope": ("-5", "1e300"),                          # front ratio above 1
+    "perturbation.radius": ("-5", "0"),
+    "perturbation.amplitude": ("1e300",),        # overflows the cell averages or wave speed
+    "grid.counts": ("-5", "0", "1e300", "1e-300"),
+    "experiment.horizon": ("-5", "0"),
+    "experiment.snapshot_interval": ("-5", "1e-300"),     # 1e-300: over 10,000 snapshots
+    "experiment.threshold": ("-5", "0", "1e300"),
+    "experiment.t0": ("-5", "0", "1e300"),                     # 1e300: past the horizon
+    "experiment.settle_steps": ("-5", "0", "1e300", "1e-300"),
+}
 
 
 def _numeric_keys():
@@ -350,11 +393,15 @@ def broken_numbers(draw):
     not_finite = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999"])
     if is_list:  # one bad entry among the right number of them
         not_finite = not_finite.map(lambda v: ",".join([v] + ["4"] * (entries - 1)))
-    value = draw(st.one_of(
+    kinds = [
         not_finite,
         st.text(alphabet="abcxyz_-+", min_size=1, max_size=5),
         wrong_length.flatmap(lambda n: st.lists(numbers, min_size=n, max_size=n)).map(",".join),
-    ))
+    ]
+    if key in OUT_OF_RANGE:
+        kinds.append(st.sampled_from(OUT_OF_RANGE[key]).map(
+            lambda v: ",".join([v] * entries)))
+    value = draw(st.one_of(*kinds))
     return case, key, value
 
 

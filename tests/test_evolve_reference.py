@@ -322,8 +322,8 @@ def test_support_pair_matches_reference(log, burgers2):
     assert all(e[2] is None for e in ref)
 
 
-def test_stability_steps_all_go_through_solver_step(log, pair11, dual11, cone11):
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-2, 2))
+def test_stability_steps_all_go_through_solver_step(log, pair11, dual11):
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-2, 2))
     g = sl.Grid.from_box((-2, 2, -2, 2), (16, 16))
     phi = sl.PerturbationSpec("bump", (0.8, 0.0), 0.5, 0.5)
     rep = sl.stability_experiment(prof, phi, g, sl.SchemeConfig(), horizon=0.3,

@@ -122,8 +122,8 @@ def test_support_range_guard_catches_a_broken_update(burgers2, monkeypatch):
 
 
 @pytest.mark.slow
-def test_stability_experiment_small(pair11, dual11, cone11):
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-5, 5))
+def test_stability_experiment_small(pair11, dual11):
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-5, 5))
     g = sl.Grid.from_box((-2.5, 2.5, -5, 5), (80, 160))
     phi = sl.PerturbationSpec("bump", (1.2, 0.0), 0.9, 1.5)
     rep = sl.stability_experiment(prof, phi, g, sl.SchemeConfig(), horizon=18.0,
@@ -133,8 +133,8 @@ def test_stability_experiment_small(pair11, dual11, cone11):
     assert rep.extras["worst_lyapunov_increase"] <= 1e-10 * g.ncells
 
 
-def test_stability_rejects_out_of_range(pair11, dual11, cone11):
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-2, 2))
+def test_stability_rejects_out_of_range(pair11, dual11):
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-2, 2))
     g = sl.Grid.from_box((-2, 2, -2, 2), (32, 32))
     phi = sl.PerturbationSpec("bump", (1.0, 0.0), 0.7, 3.0)  # exceeds u_minus
     with pytest.raises(RangeViolation):
@@ -158,8 +158,8 @@ def test_default_comparisons_are_admissible(planar11):
             assert c.front.value(np.array(y)) == planar11.front.value(np.array(y))
 
 
-def test_overhead_experiment_small(pair11, dual11, cone11):
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-4, 4))
+def test_overhead_experiment_small(pair11, dual11):
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-4, 4))
     g = sl.Grid.from_box((-3, 2, -4, 4), (80, 128))
     phi = sl.PerturbationSpec("bump", (-1.5, -1.0), 0.8, 0.5)
     rep = sl.overhead_experiment(prof, phi, g, sl.SchemeConfig(), horizon=6.0,
@@ -170,8 +170,8 @@ def test_overhead_experiment_small(pair11, dual11, cone11):
     assert "t_star" in rep.extras
 
 
-def test_overhead_trivial_when_in_range(pair11, dual11, cone11):
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-2, 2))
+def test_overhead_trivial_when_in_range(pair11, dual11):
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-2, 2))
     g = sl.Grid.from_box((-2, 2, -2, 2), (48, 48))
     phi = sl.PerturbationSpec("bump", (1.0, 0.0), 0.6, 0.5)  # stays within range
     rep = sl.overhead_experiment(prof, phi, g, sl.SchemeConfig(), horizon=0.5,
@@ -325,10 +325,10 @@ def test_settle_honours_its_cap(pair11, curved_settle):
         assert settled.steps == cap
 
 
-def test_sandwich_fields_nearly_steady(pair11, dual11, cone11):
+def test_sandwich_fields_nearly_steady(pair11, dual11):
     # sandwich bounds are fixed points of the step map up to the front layer:
     # the per-step residual is small and confined to cells near the front
-    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, cone=cone11, y_extent=(-2, 2))
+    prof = sl.make_planar(pair11, dual11, [1, 0], 0.0, y_extent=(-2, 2))
     lower, upper = sl.sandwich_bounds(prof, (np.array([0.5, -0.5]), np.array([1.5, 0.5])), 0.1)
     g = sl.Grid.from_box((-2, 2, -2, 2), (64, 64))
     mesh = g.center_mesh()

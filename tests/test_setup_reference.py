@@ -166,7 +166,7 @@ def _ref_sample_function(fn, grid, subsamples=4):
 def _profile_3d():
     pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
     cone = sl.admissible_cone(pair, 0.05)
-    return sl.make_planar(pair, sl.dual_cone(cone), [0.58, 0.0, 0.81], 0.0, cone=cone)
+    return sl.make_planar(pair, sl.dual_cone(cone), [0.58, 0.0, 0.81], 0.0)
 
 
 # a negative amplitude makes -0.0 outside the support
@@ -188,7 +188,8 @@ def test_sample_function_slabs_match_whole_mesh_3d(monkeypatch):
 
         for f, sub in ((prof.eval, 4), (BUMP3, 4), (BUMP3, 3)):
             shapes.clear()
-            got = solver.sample_function(lambda p: fn(p, f), grid, subsamples=sub)
+            monkeypatch.setattr(solver, "SUBSAMPLES", sub)
+            got = solver.sample_function(lambda p: fn(p, f), grid)
             want = _ref_sample_function(f, grid, subsamples=sub)
             assert got.values.tobytes() == want.tobytes()
             assert got.values.flags.c_contiguous
