@@ -96,7 +96,8 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
     """Locate the admissibility cone of a shock pair.
 
     d = 2: circular scan of 1024 directions for an admissible seed, then
-    bisection of the two boundary angles down to `resolution` radians.
+    bisection of the two boundary angles down to `resolution` radians, or
+    to adjacent floats if that comes first.
     d >= 3: admissibility test on a quasi-uniform direction grid sized from
     `resolution` as an angular spacing, hulled into a polyhedral cone.
     """
@@ -136,6 +137,8 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     def bisect(theta_in: float, theta_out: float) -> float:
         while abs(theta_out - theta_in) > resolution:
             mid = 0.5 * (theta_in + theta_out)
+            if mid == theta_in or mid == theta_out:
+                break  # adjacent floats: no resolution closes the gap further
             if adm(mid):
                 theta_in = mid
             else:

@@ -61,6 +61,10 @@ class GridMismatch(ShockLabError):
     """Fields live on different grids."""
 
 
+class DegenerateFlux(ShockLabError):
+    """A flux polynomial's roots overflow: its leading coefficient is tiny."""
+
+
 class RangeViolation(ShockLabError):
     """Initial data leave the interval spanned by the end states."""
 

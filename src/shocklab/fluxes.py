@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import EqualStates, NotBurgers, WrongOrder
+from .errors import DegenerateFlux, EqualStates, NotBurgers, WrongOrder
 
 __all__ = [
     "Flux",
@@ -85,14 +85,24 @@ def _key(coeffs) -> bytes:
 
 
 def critical_points(coeffs) -> np.ndarray:
-    """Sorted real roots of p' for p with ascending coefficients (read-only)."""
+    """Sorted real roots of p' for p with ascending coefficients (read-only).
+
+    Raises DegenerateFlux when the roots overflow: the companion matrix of p'
+    divides by its leading coefficient, so a tiny one makes it infinite.
+    """
     return _critical_points(_key(coeffs))
 
 
 @lru_cache(maxsize=256)
 def _critical_points(key: bytes) -> np.ndarray:
     # polyroots trims trailing zero coefficients itself
-    r = P.polyroots(P.polyder(np.frombuffer(key)))
+    dc = P.polyder(np.frombuffer(key))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = P.polyroots(dc)
+    except np.linalg.LinAlgError as e:
+        raise DegenerateFlux(f"the roots of the derivative {dc.tolist()} overflow: "
+                             "its leading coefficient is too small") from e
     r = np.sort(r[np.abs(r.imag) < 1e-9].real)
     r.flags.writeable = False
     return r

@@ -707,17 +707,18 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
     (k-1)*dt to t = k*dt: one list of the fields in the order of pairs,
     updated in place, and the StepStats of each, whose vmin and vmax are
     those of the field yielded.  A range_guard is shared by every field and
-    sets each step's dissipation bound; without one each step takes the bound
-    from its own range.  Each field is held to its guard, the shared one or
-    its own start range with its ghosts at t = 0: CFLViolation if it leaves
-    it, which a monotone update never does (max principle).
+    sets each step's dissipation bound, so fields compared cellwise or in L1
+    go through one update map; without one each step takes the bound from
+    its own range.  Every field is held to its own start range with its
+    ghosts at t = 0: CFLViolation if it leaves it, which a monotone update
+    never does (max principle).
 
     Every update goes through the module-level name `solver.step`, with one
     `Band` per field (the band contract is in `step`).
     """
     fields = [f for f, _ in pairs]
     backgrounds = [bg for _, bg in pairs]
-    guards = [range_guard or field_range(f, scheme, bg) for f, bg in pairs]
+    guards = [field_range(f, scheme, bg) for f, bg in pairs]
     del pairs  # a start field lives on only if the caller keeps it
     bands = [Band() for _ in fields]
     stats = [None] * len(fields)

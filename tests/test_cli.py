@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -422,3 +425,23 @@ def test_a_broken_number_fails_before_any_evolution(broken):
         assert code == 2, (case, key, value, err)
         assert err.startswith(f"config error: line {len(cfg.splitlines()) + 1}:"), err
         assert not (out / "verdict.txt").exists()
+
+
+def test_two_dimensional_commands_load_no_scipy(tmp_path):
+    # scipy takes about a third of a second of CPU to import; the 2-D hulls, cones
+    # and profiles need none of it (only 3-D cones and profiles use it)
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "from test_cli_digests import run_case\n"
+            "for name in sys.argv[1:]:\n"
+            "    (Path.cwd() / name).mkdir()\n"
+            "    assert run_case(name, Path.cwd() / name)['exit_code'] in (0, 1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "support", "stability", "dispersion"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

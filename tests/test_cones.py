@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import shocklab as sl
+from shocklab import cones
 from shocklab.cones import sector_cone
 from shocklab.errors import TrivialCone
 
@@ -31,6 +32,24 @@ def test_trivial_cone():
     assert cone.trivial
     with pytest.raises(TrivialCone):
         sl.dual_cone(cone)
+
+
+def test_admissible_cone_below_one_ulp_returns(pair11, monkeypatch):
+    # the bisection stops at adjacent floats: from the scan's step of 2 pi /
+    # 1024 that is about 45 halvings per boundary angle
+    calls = []
+    real = cones.oleinik_admissible
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 200, "the bisection does not stop"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "oleinik_admissible", counted)
+    fine = sl.admissible_cone(pair11, 1e-300)
+    monkeypatch.undo()
+    coarse = sl.admissible_cone(pair11, 1e-8)
+    assert np.allclose(fine.sector, coarse.sector, rtol=0.0, atol=1e-8)
 
 
 def test_dual_cone_self_dual(cone11, dual11):

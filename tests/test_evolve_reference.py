@@ -142,7 +142,11 @@ def ref_run(ref, initial, scheme, flux, horizon, background=None, companions=Non
 
 
 def ref_support_loop(ref, flux, b1, b2, scheme, horizon, n_checks=6):
-    """The two-field loop of support_experiment; returns the checked pairs."""
+    """The two-field loop of support_experiment; returns the checked pairs.
+
+    Both fields step with the common interval (j_lo, j_hi) as the shared
+    guard, as `support_experiment` does.
+    """
     g = b1.grid
     j_lo = min(float(b1.values.min()), float(b2.values.min()))
     j_hi = max(float(b1.values.max()), float(b2.values.max()))
@@ -157,8 +161,8 @@ def ref_support_loop(ref, flux, b1, b2, scheme, horizon, n_checks=6):
     checked = []
     t = 0.0
     for k in range(1, n_steps + 1):
-        state2, _ = ref.step(state2, scheme, flux, bg2, t, dt)
-        state1, _ = ref.step(state1, scheme, flux, bg1, t, dt)
+        state2, _ = ref.step(state2, scheme, flux, bg2, t, dt, (j_lo, j_hi))
+        state1, _ = ref.step(state1, scheme, flux, bg1, t, dt, (j_lo, j_hi))
         t = k * dt
         if k in check_steps:
             checked.append((t, state2.values.tobytes(), state1.values.tobytes()))
@@ -316,10 +320,10 @@ def test_support_pair_matches_reference(log, burgers2):
     assert log == ref
     sha = lambda b: hashlib.sha256(b).hexdigest()  # noqa: E731
     assert checked == [sha(s2) + sha(s1) for _, s2, s1 in want]
-    # without a shared guard the Rusanov bound follows each field's shrinking range
+    # the shared guard fixes the Rusanov bound while b2's range shrinks
     lams = [np.frombuffer(e[4])[2] for e in ref[0::2]]
-    assert lams[-1] < lams[0]
-    assert all(e[2] is None for e in ref)
+    assert lams[-1] == lams[0]
+    assert all(e[2] == (1.0, float(b2.values.max())) for e in ref)
 
 
 def test_stability_steps_all_go_through_solver_step(log, pair11, dual11):

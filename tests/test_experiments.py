@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 import shocklab as sl
 from shocklab import experiments as xp
@@ -51,6 +53,72 @@ def test_support_hull_taylor_ball(burgers2):
     dist = np.linalg.norm(h.vertices - h.center, axis=1)
     assert np.all(dist <= h.radius + 1e-12)
     assert h.radius == pytest.approx(h.c_f * eta)
+
+
+def _qhull_vertices(pts):
+    """_hull_vertices as it was, on qhull: the oracle for the monotone chain."""
+    spread = np.max(pts, axis=0) - np.min(pts, axis=0)
+    if np.min(spread) <= 1e-12 * max(1.0, np.max(spread)):
+        ax = int(np.argmax(spread))
+        order = np.argsort(pts[:, ax])
+        return pts[[order[0], order[-1]]]
+    return pts[ConvexHull(pts).vertices]
+
+
+def _directed_edges(verts):
+    v = [tuple(p) for p in verts.tolist()]
+    return sorted((v[k], v[(k + 1) % len(v)]) for k in range(len(v)))
+
+
+@st.composite
+def hull_clouds(draw):
+    """Point clouds for the hull: random, with duplicates, with collinear runs
+    on an edge, or in a thin band along a line on either side of the
+    degenerate limit.  The coordinates are integers scaled by a power of two
+    from 2^-44 to 2^44 (past e^-30 and e^30), so every cross product is
+    exact: a point is on an edge or clear of it by far more than qhull's
+    roundoff, but in the thinnest bands."""
+    kind = draw(st.sampled_from(["random", "duplicates", "collinear", "line"]))
+    n = draw(st.integers(3, 60))
+    span = 6 if kind == "collinear" else 2**20  # few lattice points: many on each edge
+    ints = st.integers(-span, span)
+    ij = np.array(draw(st.lists(st.tuples(ints, ints), min_size=n, max_size=n)), dtype=float)
+    ij += draw(st.tuples(ints, ints))
+    if kind == "duplicates":
+        ij = ij[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=2 * n))]
+    exp = draw(st.integers(-44, 44))
+    pts = np.ldexp(ij, exp)
+    if kind == "line":
+        # y spread / x spread from about 2^-21 down to 2^-61
+        pts[:, 1] = np.ldexp(np.round(ij[:, 1] / 2**16), exp - draw(st.integers(5, 45)))
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(hull_clouds())
+def test_hull_vertices_match_qhull(pts):
+    got = xp._hull_vertices(pts)
+    if len(got) > 2:
+        # the hull, exactly (every cross product here is exact): a strictly
+        # convex counter-clockwise polygon from the lowest of the leftmost
+        # points, with every point on or to the left of every edge
+        assert tuple(got[0]) == min(map(tuple, pts.tolist()))
+        e = np.roll(got, -1, axis=0) - got
+        assert np.all(e[:, 0] * np.roll(e, -1, axis=0)[:, 1]
+                      - e[:, 1] * np.roll(e, -1, axis=0)[:, 0] > 0)
+        rel = pts[None, :, :] - got[:, None, :]
+        assert np.all(e[:, None, 0] * rel[..., 1] - e[:, None, 1] * rel[..., 0] >= 0)
+    spread = np.max(pts, axis=0) - np.min(pts, axis=0)
+    if (1e-12 * max(1.0, np.max(spread)) < np.min(spread)
+            <= 1e-9 * np.max(np.abs(pts))):
+        return  # thinner than qhull resolves: it merges points or gives up
+    try:
+        want = _qhull_vertices(pts)
+    except QhullError:
+        # collinear, but not along an axis: the chain gives the segment
+        # where qhull gave up
+        want = pts[np.lexsort(pts.T[::-1])[[0, -1]]]
+    assert _directed_edges(got) == _directed_edges(want)
 
 
 def test_support_experiment_identical_fields(burgers2):

@@ -3,8 +3,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
-from shocklab.errors import EqualStates, NotBurgers, WrongOrder
-from shocklab.fluxes import is_burgers
+from shocklab.errors import DegenerateFlux, EqualStates, NotBurgers, WrongOrder
+from shocklab.fluxes import critical_points, is_burgers
 
 
 def test_eval_flux_burgers_values(burgers2):
@@ -23,6 +23,16 @@ def test_flux_requires_coefficients():
 def test_derivative_of_constant_component_is_zero():
     f = sl.Flux(((5.0,), (1.0, 2.0)))
     assert np.allclose(f.value(3.0, order=2), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 1, 1e-310), (0, 0, 1e10, 1e-300)])
+def test_tiny_leading_coefficient_is_a_typed_error(coeffs):
+    # the companion matrix of p' divides by its leading coefficient
+    with pytest.raises(DegenerateFlux, match="leading coefficient"):
+        critical_points(coeffs)
+    for kind in ("rusanov", "engquist-osher"):
+        with pytest.raises(DegenerateFlux):
+            sl.numerical_flux(coeffs, 1.0, 0.5, kind)
 
 
 def test_make_shock_pair_symmetric(burgers2):
