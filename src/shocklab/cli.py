@@ -3,9 +3,15 @@
 Exit codes: 0 all checks passed, 1 at least one failed invariant,
 2 usage or configuration error.
 
-A run writes at most 10,000 snapshots: `simulate` and `stability` reject an
-experiment.horizon / experiment.snapshot_interval ratio above that before
-any work (an interval of 0 writes none).
+A config past the work ceiling is a config error at its key's line, raised
+before any work:
+- grid.counts of more than 2**24 = 16,777,216 cells (256**3, 4096**2);
+- more than 1,000,000 steps in one time loop: experiment.settle_steps, and
+  experiment.horizon over the stable dt of the data's range on the grid
+  (at grid.box when one unit of time alone takes more steps than that);
+- more than 10,000 snapshots: an experiment.horizon /
+  experiment.snapshot_interval ratio above that (an interval of 0 writes
+  none).
 """
 
 from __future__ import annotations
@@ -119,16 +125,20 @@ def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
-    snapshot_times = _snapshot_times(cfg)
-    prof = cfg.build_profile()
+    pair = cfg.build_pair()
     grid = cfg.build_grid()
     scheme = cfg.build_scheme()
-    flux = scheme.flux_of(prof.pair)
+    flux = scheme.flux_of(pair)
+    if cfg.has("perturbation.shape"):
+        phi = cfg.build_perturbation()
+        cfg.check_amplitude(pair.u_plus, pair.u_minus, flux, grid)
+    else:
+        cfg.check_steps(pair.u_plus, pair.u_minus, flux, grid)
+    snapshot_times = _snapshot_times(cfg)
+    prof = cfg.build_profile(pair)
     bg = profile_background(prof, moving=scheme.frame == "original")
     u0 = sample_profile(prof, grid)
     if cfg.has("perturbation.shape"):
-        phi = cfg.build_perturbation()
-        cfg.check_amplitude(prof.pair.u_plus, prof.pair.u_minus, flux, grid)
         u0 = Field(grid, u0.values + sample_function(phi, grid).values)
     rep = run(u0, scheme, flux, cfg.get("experiment.horizon"), bg,
               snapshot_times=snapshot_times)
@@ -146,7 +156,6 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
 def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
     if cfg.get("scheme.frame") != "reduced":
         raise cfg.error("scheme.frame", "stability runs in the reduced (steady) frame")
-    snapshot_times = _snapshot_times(cfg)
     pair = cfg.build_pair()
     phi = cfg.build_perturbation()
     if phi.shape != "sum" and abs(phi.amplitude) > pair.jump:
@@ -157,6 +166,7 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
                         f"jump {pair.jump!r}")
     grid = cfg.build_grid()
     cfg.check_amplitude(pair.u_plus, pair.u_minus, pair.reduced, grid)
+    snapshot_times = _snapshot_times(cfg)
     prof = cfg.build_profile(pair)
     report = xp.stability_experiment(
         prof, phi, grid, cfg.build_scheme(), cfg.get("experiment.horizon"),

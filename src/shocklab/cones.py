@@ -82,7 +82,15 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 
 def _extreme_rays(vectors: np.ndarray) -> np.ndarray:
-    """Extreme rays of the cone spanned by the rows (pointed cone assumed)."""
+    """The rows scaled to unit length, in input order: the vertices of the
+    hull of those unit vectors and the origin, less the origin.
+
+    Every unit vector lies on the sphere, so each is a vertex of that hull,
+    and the result holds every row, not only the extreme rays of the cone
+    the rows span (the 1,405 admissible directions of the 3-D Burgers pair at
+    resolution 0.05 all come back).  It spans the same cone, so callers that
+    read it as generators get the right cone, at the cost of every row.
+    """
     from scipy.spatial import ConvexHull
 
     pts = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)

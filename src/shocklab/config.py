@@ -8,6 +8,7 @@ back to a silent default.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .cones import admissible_cone, dual_cone
 from .errors import ConfigError, ShockLabError
 from .fluxes import Flux, burgers_flux, make_shock_pair
 from .profiles import PerturbationSpec, ShockProfile, make_graph, make_planar, make_scaled_gauge
-from .solver import Grid, SchemeConfig, wave_speed
+from .solver import Grid, SchemeConfig, stable_dt, wave_speed
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "tokenize", "validate"]
 
@@ -43,10 +44,16 @@ def _nonnegative(s: str) -> float:
     return x
 
 
+# the work ceiling of a run: cells of its grid, and steps of one time loop
+MAX_CELLS = 1 << 24
+MAX_STEPS = 1_000_000
+
+
 def _count(s: str) -> int:
+    """A number of steps."""
     n = int(s)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
+    if not 1 <= n <= MAX_STEPS:
+        raise ValueError(f"must be at least 1 and at most {MAX_STEPS}, got {n}")
     return n
 
 
@@ -80,6 +87,8 @@ def _parse_counts(s: str) -> tuple[int, ...]:
     counts = tuple(int(x) for x in s.split(","))
     if len(counts) not in (2, 3) or min(counts) < 4:
         raise ValueError(f"expected 2 or 3 counts of at least 4 cells each, got {counts}")
+    if math.prod(counts) > MAX_CELLS:
+        raise ValueError(f"{counts} is {math.prod(counts)} cells, more than {MAX_CELLS}")
     return counts
 
 
@@ -290,7 +299,8 @@ class RunConfig:
 
     def check_amplitude(self, lo: float, hi: float, flux: Flux, grid: Grid,
                         scale: float = 1.0) -> None:
-        """Reject a perturbation whose cell averages or wave speed would overflow.
+        """Reject a perturbation whose cell averages or wave speed would overflow,
+        and then a run of too many steps over the perturbed range (`check_steps`).
 
         A bump's peak and an indicator's value are its amplitude, so a base
         in [lo, hi] plus up to `scale` times the perturbation stays in [lo, hi]
@@ -310,6 +320,22 @@ class RunConfig:
         if not ok:
             raise self.error(key, f"a total |amplitude| of {a!r} overflows the cell averages "
                              f"or the wave speed of data in [{lo!r}, {hi!r}]")
+        self.check_steps(lo, hi, flux, grid)
+
+    def check_steps(self, lo: float, hi: float, flux: Flux, grid: Grid) -> None:
+        """Reject a run that needs more than MAX_STEPS steps to reach
+        experiment.horizon: the steps of the stable dt over data in [lo, hi],
+        which is no longer than the dt of a run whose data stays there.  The
+        error is at grid.box if one unit of time alone takes more steps than
+        that, and at experiment.horizon otherwise."""
+        dt = stable_dt(flux, grid, self.build_scheme(), lo, hi)
+        horizon = self.get("experiment.horizon")
+        with np.errstate(over="ignore"):
+            n, per_unit = horizon / dt, 1.0 / dt
+        if not n <= MAX_STEPS:
+            key = "experiment.horizon" if per_unit <= MAX_STEPS else "grid.box"
+            raise self.error(key, f"a horizon of {horizon!r} takes about {n:.3g} steps of "
+                             f"dt = {dt!r} (dx = {grid.dx!r}), more than {MAX_STEPS}")
 
 
 def tokenize(text: str) -> dict[str, tuple[str, int]]:

@@ -200,21 +200,25 @@ def _plan(c: np.ndarray, full: bool) -> tuple:
       c[-1] unless c[-1] is -0.0; and x*1.0 is x;
     - an inner + 0.0, which only turns -0.0 into +0.0.  Leaving it out can
       change only the sign of a zero: *x keeps a zero a zero, + c[-i] gives
-      c[-i] from either zero, and the last step, + c[0], which always runs,
-      gives +0.0 or c[0] from either.
+      c[-i] from either zero, and the last step, + c[0], gives +0.0 or c[0]
+      from either;
+    - the last + 0.0 of an even monomial c*x^(2m) with c > 0: the product of
+      c and an even number of factors x is never -0.0, so + 0.0 is an
+      identity.  Every other plan keeps its last step.
     The value of such a plan is never -0.0, so a later + 0.0 or - 0.0 is an
     identity too.  A full plan, for a constant or a -0.0 coefficient, keeps
-    every step.
+    every step.  No plan is empty: its first step makes a fresh array.
     """
     n = len(c)
     if full:
         steps = [(True, 0.0), (False, float(c[-1]))]
     else:
         steps = [] if c[-1] == 1.0 else [(True, float(c[-1]))]
+    even_monomial = not full and n % 2 == 1 and c[-1] > 0.0 and not np.any(c[:-1])
     for i in range(2, n + 1):
         if full or i > 2:
             steps.append((True, None))
-        if full or c[-i] != 0.0 or i == n:
+        if full or c[-i] != 0.0 or (i == n and not even_monomial):
             steps.append((False, float(c[-i])))
     return tuple(steps)
 
@@ -228,6 +232,15 @@ def _derivative(key: bytes) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _compiled(key: bytes) -> dict:
+    """The Horner plan of c (`_plan`) and the Engquist-Osher pieces of g'.
+
+    "pos" and "neg" list (l, r, g at the point of [l, r] nearest to 0) for
+    each sign run of g' > 0 (or < 0): the intervals between the real roots of
+    g' on which it keeps one sign, where two neighbours of one sign that meet
+    at 0 are one run (exact, see `_eo_part`), so u^3 is one piece over the
+    whole line.  "g0" is g(0); a shift that a trimmed plan makes an identity
+    is None.
+    """
     c = np.frombuffer(key)
     dc = _derivative(key)
     full = len(c) == 1 or bool(np.any(np.signbit(c) & (c == 0.0)))
@@ -256,11 +269,15 @@ def _compiled(key: bytes) -> dict:
     pos, neg = [], []
     for k in range(len(edges) - 1):
         l, r = edges[k], edges[k + 1]
-        piece = (l, r, shift(P.polyval(float(np.clip(0.0, l, r)), c)))
-        if signs[k] > 0:
-            pos.append(piece)
-        elif signs[k] < 0:
-            neg.append(piece)
+        side = pos if signs[k] > 0 else neg if signs[k] < 0 else None
+        if side is None:
+            continue
+        if side and side[-1][1] == 0.0 == l:
+            # one sign run across a double root at 0: both pieces shift by
+            # g(0), so the one piece gives the same bits (see `_eo_part`)
+            side[-1] = (side[-1][0], r, side[-1][2])
+        else:
+            side.append((l, r, shift(P.polyval(float(np.clip(0.0, l, r)), c))))
     return {"plan": _plan(c, full), "full": full,
             "g0": shift(float(P.polyval(0.0, c))), "pos": pos, "neg": neg}
 
@@ -303,10 +320,22 @@ def _rusanov(g_a, g_b, a, b, lam):
 
 def _eo_part(data: dict, side: str, x):
     """integral from 0 to x of the positive (or negative) part of g', or
-    None for a side without pieces."""
+    None for a side without pieces.
+
+    Each piece is a run of one sign of g' between sign changes, evaluated as
+    g(clip(x, l, r)) - g(clip(0, l, r)); a piece over the whole line skips
+    its clip, which returns finite x unchanged.  Two pieces of one sign that
+    meet at 0 are one piece: both shift by g(0), so for x <= 0 the right
+    one gives g(0) - g(0), a zero (for x >= 0 the left one does), and adding
+    a zero to the other part can only turn -0.0 into +0.0, which a trimmed
+    plan never gives and a full plan's sum, started from +0.0, no longer
+    holds.  Pieces that meet at any other root of g' shift by different
+    values, and the sum of their parts rounds unlike one piece's, so they
+    stay apart.
+    """
     total = None
     for l, r, g_c0 in data[side]:
-        part = _horner(data["plan"], np.clip(x, l, r))
+        part = _horner(data["plan"], x if l == -np.inf and r == np.inf else np.clip(x, l, r))
         if g_c0 is not None:
             part -= g_c0
         if total is None:
@@ -342,9 +371,11 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
     interval-exact wave speed bound by default (lam overrides it with a fixed
     per-step bound, which is what keeps the full update order-preserving);
     Engquist-Osher integrates the sign decomposition of g' exactly between its
-    real roots.  For finite states both equal the plain formulas evaluated
-    with P.polyval bit for bit (see `_plan`).  Both are consistent (H(s, s) = g(s)), nondecreasing in a, and
-    nonincreasing in b.
+    real roots, one piece per sign run (see `_compiled`).  For finite states
+    both equal the plain formulas evaluated with P.polyval, and Engquist-Osher
+    the sum over every sign interval of g', bit for bit (see `_plan` and
+    `_eo_part`).  Both are consistent (H(s, s) = g(s)), nondecreasing in a,
+    and nonincreasing in b.
     """
     key = _key(flux_component)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -541,6 +572,11 @@ def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, 
         last, k = i, 2 * k
 
 
+# cells per slab of a 3-D step, so that the arrays of one slab stay in cache
+# (4,096 was slower); 2-D steps gained nothing from slabs and run whole
+SLAB_CELLS = 16384
+
+
 def step(
     field: Field,
     scheme: SchemeConfig,
@@ -565,17 +601,26 @@ def step(
       steps of P.polyval (c[-1] + x*0, then c[-i] + c0*x) less those that
       cannot change a bit of a finite x.  Without a -0.0 coefficient,
       c[-1] + x*0 then *x is x*c[-1], *1.0 goes, and an inner + 0.0 goes,
-      since the last step, + c[0], always runs and leaves no -0.0; a -0.0
-      coefficient keeps every step (see `_plan`).  Rusanov is
+      since the last step, + c[0], leaves no -0.0; the last + 0.0 of an
+      even monomial c*x^(2m), c > 0, goes too, as that product is never
+      -0.0; a -0.0 coefficient keeps every step (see `_plan`).  Rusanov is
       0.5*(g(a) + g(b)) - (0.5*lam)*(b - a) with one range-wide lam,
-      Engquist-Osher (g(0) + Pos(a)) + Neg(b), each part summed from +0.0,
-      where adding or subtracting a zero that cannot change a bit is left
-      out by the same rule;
+      Engquist-Osher (g(0) + Pos(a)) + Neg(b), each part summed from +0.0
+      over the sign intervals of g', where adding or subtracting a zero that
+      cannot change a bit is left out by the same rule, and two intervals
+      of one sign that meet at 0 are one piece (see `_eo_part`);
     - div starts from zeros and takes ((F_hi - F_lo) / dx) axis by axis; the
       result is u - dt*div;
     - the boundary inflow sums each outer face's fluxes from a C-contiguous
-      buffer of the whole face, so the pairwise summation order does not
-      depend on the axis or on the rows updated.
+      buffer of the whole face, axis by axis after the last row is updated,
+      so the pairwise summation order does not depend on the axis or on the
+      rows updated.
+    Every operation above is elementwise, so a 3-D step runs its rows
+    [a, b) in slabs of about SLAB_CELLS cells along axis 0, starting at a
+    (at least one row each; a 2-D band is one slab): each slab is padded by
+    the rows next to it or the ghost layers, and writes its rows of each
+    outer face into the whole-face buffers.  The bits do not depend on the
+    slab size.
     Dirichlet ghost layers of a background with zero velocity do not depend
     on t: they are evaluated once per background and grid and kept read-only.
     A moving background is evaluated at every step; only the ghost cell
@@ -627,52 +672,58 @@ def step(
         a, b = band.rows
 
     if a < b:
-        rows = values[a:b]
-        div = np.zeros_like(rows)
-        inflow = 0.0
-        area = g.dx ** (g.d - 1)
-        for ax in range(g.d):
-            # the padded copy puts the interface axis first, so both states of
-            # every interface and every flux jump are contiguous blocks; the
-            # elementwise results do not depend on the layout.  Along axis 0
-            # the pads are the rows next to the band, or the ghost layers.
-            # np.moveaxis(rows, ax, 0) and its inverse, without its checks
-            front = (ax, *range(ax), *range(ax + 1, g.d))
-            back = (*range(1, ax + 1), 0, *range(ax + 1, g.d))
-            inner = rows.transpose(front)
-            ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
-            ext[1:-1] = inner
-            if ax == 0:
-                ext[0] = ghosts[(0, 0)] if a == 0 else values[a - 1]
-                ext[-1] = ghosts[(0, 1)] if b == n0 else values[b]
-            else:
-                ext[0] = ghosts[(ax, 0)][a:b]
-                ext[-1] = ghosts[(ax, 1)][a:b]
-            data = _compiled(keys[ax])
-            if scheme.numerical_flux == "rusanov":
-                g_ext = _horner(data["plan"], ext)
-                f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lams[ax])
-            else:
-                f = _engquist_osher(data, ext[:-1], ext[1:])
-            jump = f[1:] - f[:-1]
-            jump /= g.dx
-            div += jump.transpose(back)
-            # f[0] and f[-1] are C-contiguous, like np.take(f, 0, axis=ax); an
-            # axis-0 face is f[0] or f[-1] only when the band reaches its row
-            if ax not in band.faces:  # the first step runs every row
-                band.faces[ax] = (np.empty_like(f[0]), np.empty_like(f[-1]))
-            face_lo, face_hi = band.faces[ax]
-            part = slice(a, b) if ax else slice(None)
-            if ax or a == 0:
-                face_lo[part] = f[0]
-            if ax or b == n0:
-                face_hi[part] = f[-1]
-            inflow += (float(face_lo.sum()) - float(face_hi.sum())) * area
-        div *= dt
         new_values = np.empty_like(values)
         new_values[:a] = values[:a]
         new_values[b:] = values[b:]
-        np.subtract(rows, div, out=new_values[a:b])
+        if not band.faces:  # the first step runs every row
+            for ax in range(g.d):
+                face = g.counts[:ax] + g.counts[ax + 1:]
+                band.faces[ax] = (np.empty(face), np.empty(face))
+        size = b - a if g.d == 2 else max(1, SLAB_CELLS // (values.size // n0))
+        for s in range(a, b, size):
+            e = min(s + size, b)
+            rows = values[s:e]
+            div = np.zeros_like(rows)
+            for ax in range(g.d):
+                # the padded copy puts the interface axis first, so both states
+                # of every interface and every flux jump are contiguous blocks;
+                # the elementwise results do not depend on the layout.  Along
+                # axis 0 the pads are the rows next to the slab, or the ghosts.
+                # np.moveaxis(rows, ax, 0) and its inverse, without its checks
+                front = (ax, *range(ax), *range(ax + 1, g.d))
+                back = (*range(1, ax + 1), 0, *range(ax + 1, g.d))
+                inner = rows.transpose(front)
+                ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
+                ext[1:-1] = inner
+                if ax == 0:
+                    ext[0] = ghosts[(0, 0)] if s == 0 else values[s - 1]
+                    ext[-1] = ghosts[(0, 1)] if e == n0 else values[e]
+                else:
+                    ext[0] = ghosts[(ax, 0)][s:e]
+                    ext[-1] = ghosts[(ax, 1)][s:e]
+                data = _compiled(keys[ax])
+                if scheme.numerical_flux == "rusanov":
+                    g_ext = _horner(data["plan"], ext)
+                    f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lams[ax])
+                else:
+                    f = _engquist_osher(data, ext[:-1], ext[1:])
+                jump = f[1:] - f[:-1]
+                jump /= g.dx
+                div += jump.transpose(back)
+                # f[0] and f[-1] are C-contiguous, like np.take(f, 0, axis=ax);
+                # an axis-0 face is f[0] or f[-1] only in the slab at its row
+                face_lo, face_hi = band.faces[ax]
+                part = slice(s, e) if ax else slice(None)
+                if ax or s == 0:
+                    face_lo[part] = f[0]
+                if ax or e == n0:
+                    face_hi[part] = f[-1]
+            div *= dt
+            np.subtract(rows, div, out=new_values[s:e])
+        inflow = 0.0
+        area = g.dx ** (g.d - 1)
+        for face_lo, face_hi in band.faces.values():
+            inflow += (float(face_lo.sum()) - float(face_hi.sum())) * area
         vmin, vmax = new_values.min(), new_values.max()
         if range_guard is not None:
             check_range(vmin, vmax, range_guard)

@@ -276,6 +276,13 @@ BROKEN = {
     "slope-past-1-stability": ("stability", "profile.slope = 1.5\n"),
     "slope-past-1-profile": ("profile", "profile.slope = 1.5\n"),
     "pwl-file-too-steep": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {steep}\n"),
+    # past the work ceiling: a raw MemoryError (1.16 TiB), a run of about
+    # 1e302 steps, and a horizon once reported at the snapshot interval's line
+    "counts-huge": ("simulate", "grid.counts = 100000,100000\n"),
+    "box-tiny": ("simulate", "grid.box = -1e-300,1e-300,-1e-300,1e-300\n"),
+    "box-tiny-3d": ("simulate-3d", "grid.box = -1e-300,1e-300,-1e-300,1e-300,-1e-300,1e-300\n"),
+    "horizon-huge-snapshots": ("simulate", "experiment.horizon = 1e300\n"),
+    "settle-steps-huge": ("overhead", "experiment.settle_steps = 1000001\n"),
 }
 
 
@@ -343,14 +350,30 @@ def test_both_flux_keys_are_a_config_error(tmp_path, monkeypatch):
     assert not (out / "verdict.txt").exists()
 
 
+def test_a_run_past_the_step_ceiling_without_a_perturbation(tmp_path, monkeypatch):
+    from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    command, cfg = CASES["simulate"]
+    cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("perturbation."))
+    out = tmp_path / "out"
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"experiment.horizon = 1e300\noutput.dir = {out}\n")
+    code, _, err = run_cli([command, "--config", str(path)])
+    assert code == 2
+    assert err.startswith(f"config error: line {len(cfg.splitlines()) + 1}: "
+                          "experiment.horizon: a horizon of 1e+300 takes about"), err
+    assert not (out / "verdict.txt").exists()
+
+
 SCALARS = (int, config._count, config._finite, config._positive, config._nonnegative,
            config._fraction)
 LISTS = (config._parse_floats, config._parse_counts, config._parse_direction)
 
 # finite values out of range, by the keys of the digest configs whose rule
-# rejects them before any work; a list key takes the value in every entry.
-# A key whose rule accepts a value never draws it: horizon = 1e300 has no work
-# ceiling yet, and neither has a tiny grid.box or huge grid.counts
+# rejects them before any work; a list key takes the value in every entry,
+# and a callable value gives the whole list from the number of entries.
+# A key whose rule accepts a value never draws it
 OUT_OF_RANGE = {
     "flux.burgers_d": ("1e300", "1e-300"),                     # not integers
     "pair.u_minus": ("1e300",),                                # the flux overflows
@@ -360,13 +383,21 @@ OUT_OF_RANGE = {
     "profile.slope": ("-5", "1e300"),                          # front ratio above 1
     "perturbation.radius": ("-5", "0"),
     "perturbation.amplitude": ("1e300",),        # overflows the cell averages or wave speed
-    "grid.counts": ("-5", "0", "1e300", "1e-300"),
+    "grid.counts": ("-5", "0", "1e300", "1e-300", "100000"),   # 100000: past 2**24 cells
     "experiment.horizon": ("-5", "0"),
     "experiment.snapshot_interval": ("-5", "1e-300"),     # 1e-300: over 10,000 snapshots
     "experiment.threshold": ("-5", "0", "1e300"),
     "experiment.t0": ("-5", "0", "1e300"),                     # 1e300: past the horizon
-    "experiment.settle_steps": ("-5", "0", "1e300", "1e-300"),
+    "experiment.settle_steps": ("-5", "0", "1e300", "1e-300", "1000001"),
 }
+# values past the work ceiling on the number of steps, drawn for the cases
+# whose command steps a field: a tiny box makes dx, and so dt, tiny
+STEP_CEILING = {
+    "grid.box": (lambda n: ",".join(["-1e-300", "1e-300"] * (n // 2)),
+                 lambda n: ",".join(["0", "1e-200"] * (n // 2))),
+    "experiment.horizon": ("1e300", "1e12"),
+}
+STEPPING = ("simulate", "stability", "overhead", "dispersion", "support")
 
 
 def _numeric_keys():
@@ -389,6 +420,8 @@ NUMERIC_KEYS = _numeric_keys()
 @st.composite
 def broken_numbers(draw):
     """A digest case, one numeric key of it, and a value that key cannot take."""
+    from test_cli_digests import CASES
+
     case, key, is_list, entries = draw(st.sampled_from(NUMERIC_KEYS))
     numbers = st.integers(4, 9).map(str)  # valid floats and valid cell counts
     wrong_length = st.integers(1 if is_list else 2, 7).filter(
@@ -401,9 +434,12 @@ def broken_numbers(draw):
         st.text(alphabet="abcxyz_-+", min_size=1, max_size=5),
         wrong_length.flatmap(lambda n: st.lists(numbers, min_size=n, max_size=n)).map(",".join),
     ]
-    if key in OUT_OF_RANGE:
-        kinds.append(st.sampled_from(OUT_OF_RANGE[key]).map(
-            lambda v: ",".join([v] * entries)))
+    out_of_range = OUT_OF_RANGE.get(key, ())
+    if CASES[case][0] in STEPPING:
+        out_of_range += STEP_CEILING.get(key, ())
+    if out_of_range:
+        kinds.append(st.sampled_from(out_of_range).map(
+            lambda v: v(entries) if callable(v) else ",".join([v] * entries)))
     value = draw(st.one_of(*kinds))
     return case, key, value
 
