@@ -196,9 +196,10 @@ def cmd_dispersion(cfg: RunConfig, stdout, stderr) -> int:
                         "experiment.horizon")
     grid = cfg.build_grid()
     phi = cfg.build_perturbation()
-    u_ref = cfg.get("experiment.u_ref")
+    flux = burgers_flux(grid.d)
+    u_ref = cfg.state("experiment.u_ref", flux)
     # the experiment also evolves the doubled data
-    cfg.check_amplitude(u_ref, u_ref, burgers_flux(grid.d), grid, scale=2.0)
+    cfg.check_amplitude(u_ref, u_ref, flux, grid, scale=2.0)
     data = sample_function(lambda p: u_ref + phi(p), grid)
     report = xp.dispersion_experiment(
         data, cfg.build_scheme(), cfg.get("experiment.horizon"),
@@ -224,7 +225,13 @@ def cmd_support(cfg: RunConfig, stdout, stderr) -> int:
 
 def cmd_normalize_check(cfg: RunConfig, stdout, stderr) -> int:
     d = cfg.get("flux.burgers_d") if cfg.has("flux.burgers_d") else 2
-    residuals = xp.normalization_residual_study(cfg.get("experiment.u_ref"), d)
+    u_ref = cfg.state("experiment.u_ref", burgers_flux(d))
+    residuals = xp.normalization_residual_study(u_ref, d)
+    if not all(0.0 < r < np.inf for r in residuals):
+        # the frame map has carried the sample points off the data, where the
+        # normalized field is constant or overflows: no order can be measured
+        raise cfg.error("experiment.u_ref", f"the residual study measures nothing at "
+                        f"{u_ref!r}: residuals {residuals}")
     ratios = [residuals[k] / residuals[k + 1] for k in range(len(residuals) - 1)]
     checks = [
         Check(f"refinement_{k}", r >= 1.7, r, 1.7, "residual shrink factor per grid halving")

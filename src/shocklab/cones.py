@@ -108,6 +108,12 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
     to adjacent floats if that comes first.
     d >= 3: admissibility test on a quasi-uniform direction grid sized from
     `resolution` as an angular spacing, hulled into a polyhedral cone.
+
+    A resolution below about 1e-7 rad buys no accuracy: the exact test,
+    `oleinik_admissible(exact=True)`, admits directions up to about 8.4e-8
+    rad outside the cone (for the 2-D Burgers pair (1, -1)), since its
+    violation grows quadratically in the angle past the boundary and only
+    exceeds its rounding tolerance beyond that.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")

@@ -157,6 +157,7 @@ KEYS = {
     "flux.poly": (_parse_poly, None),
     "pair.u_minus": (_finite, None),
     "pair.u_plus": (_finite, None),
+    # radians; a value below about 1e-7 gives no finer cone (see cones.admissible_cone)
     "cone.resolution": (_positive, 1e-4),
     "profile.front": (_enum("planar", "abs_scaled", "pwl_file"), "planar"),
     "profile.nu": (_parse_direction, None),
@@ -226,16 +227,22 @@ class RunConfig:
             raise ConfigError([(0, "flux.poly or flux.burgers_d is required")])
         return Flux(self.get(key)) if key == "flux.poly" else burgers_flux(self.get(key))
 
+    def state(self, key: str, flux: Flux) -> float:
+        """The state given by key; one at which a flux value overflows is an
+        error at key's line."""
+        u = self.get(key)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(flux.value(u))):
+                raise self.error(key, f"the flux values at {u!r} overflow")
+        return u
+
     def build_pair(self):
         """The shock pair; a state at which a flux value overflows is an error
         at that state's line."""
         flux = self.build_flux()
-        states = self.require("pair.u_minus", "pair.u_plus")
-        for key, u in zip(("pair.u_minus", "pair.u_plus"), states):
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.all(np.isfinite(flux.value(u))):
-                    raise self.error(key, f"the flux values at {u!r} overflow")
-        return make_shock_pair(flux, *states)
+        self.require("pair.u_minus", "pair.u_plus")
+        return make_shock_pair(flux, self.state("pair.u_minus", flux),
+                               self.state("pair.u_plus", flux))
 
     def build_cone_and_dual(self, pair=None):
         pair = pair or self.build_pair()

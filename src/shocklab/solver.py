@@ -8,9 +8,13 @@ are independent of how the work is scheduled.
 
 Every update goes through the module-level name `step`; `evolve` is the one
 time loop.  Near a steady shock most cells are already at their discrete
-fixed point, so `evolve` hands `step` a `Band` per field, and a step skips
-the rows that cannot change; the skip is exact (the band contract is stated
-once, in `step`).
+fixed point, so `evolve` hands `step` a `Band` per field, and a step runs
+only the cells that the last step's changes or a changed ghost cell can
+reach: the rows along axis 0 in 2-D, and in 3-D a box along the other axes
+in each slab of rows.  A moving background's ghost layers are compared with
+the last step's, so a background that moves along a direction in which it
+is invariant keeps the band.  The skip is exact (the band contract is
+stated once, in `step`).
 """
 
 from __future__ import annotations
@@ -446,6 +450,7 @@ class StepStats:
     lambda_max: float
     vmin: float = np.nan    # min and max of the new field
     vmax: float = np.nan
+    cells: int = 0          # cells the step updated; the others kept their bits
 
 
 def _ghost_kind(scheme: SchemeConfig, background: Background | None) -> str:
@@ -467,7 +472,9 @@ def _ghost_values(field: Field, scheme: SchemeConfig, background: Background | N
                 for ax in range(g.d) for side in (0, 1)}, (np.inf, -np.inf)
     cached = background._steady.get(g)
     if cached is None:
-        ghosts = {(ax, side): np.asarray(background.eval(_ghost_points(g, ax, side), t)).view()
+        # float, so that a step can compare a moving background's layers as int64
+        ghosts = {(ax, side): np.asarray(background.eval(_ghost_points(g, ax, side), t),
+                                         dtype=float).view()
                   for ax in range(g.d) for side in (0, 1)}
         cached = ghosts, _ghost_range(ghosts)
         if kind == "steady":
@@ -528,8 +535,11 @@ class Band:
     `values` is the array the last step made, and vmin, vmax its range.  rows
     [a, b) along axis 0 are the rows the next step can change, and key holds
     the dt and per-axis lambdas they were found with; rows None records none.
-    faces holds the flux buffers of both outer faces of each axis, whole
-    faces, and inflow the last step's total.
+    In 3-D, box (lo, hi) narrows each row to the box along axes 1..d-1 of
+    its cells that the next step can change, as float arrays of shape
+    (d - 1, rows) (see `_extents`).  ghosts holds a moving background's
+    ghost layers of the last step.  faces holds the flux buffers of both
+    outer faces of each axis, whole faces, and inflow the last step's total.
     """
 
     values: np.ndarray | None = None
@@ -539,6 +549,8 @@ class Band:
     vmax: float = np.nan
     faces: dict = field(default_factory=dict)
     inflow: float = 0.0
+    box: tuple | None = None
+    ghosts: dict | None = None
 
 
 def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, int] | None:
@@ -570,6 +582,66 @@ def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, 
         if hit.size:
             return first, i + int(hit[-1])
         last, k = i, 2 * k
+
+
+def _mark(proj: list, marked: np.ndarray, at: tuple) -> None:
+    """Record a boolean block of cells, which sits at the slices `at` of the
+    grid (rows first), in per-row projections: proj[t - 1][i, j] is True when
+    a marked cell of row i has index j along axis t."""
+    trailing = range(1, marked.ndim)
+    for t in trailing:
+        hit = np.logical_or.reduce(marked, axis=tuple(i for i in trailing if i != t))
+        proj[t - 1][at[0], at[t]] |= hit
+
+
+def _extents(proj: list) -> tuple[np.ndarray, np.ndarray]:
+    """The half-open extent per row along each of axes 1..d-1 of the cells
+    recorded in per-row projections (see `_mark`): float arrays lo, hi of
+    shape (d - 1, rows).  A row without any is (inf, -inf), the identities
+    of min and max, so that extents join by np.minimum and np.maximum and
+    stay empty (lo >= hi) when widened."""
+    lo, hi = [], []
+    for hit in proj:
+        first = hit.argmax(axis=1)
+        some = hit[np.arange(len(hit)), first]
+        lo.append(np.where(some, first, np.inf))
+        hi.append(np.where(some, hit.shape[1] - hit[:, ::-1].argmax(axis=1), -np.inf))
+    return np.array(lo), np.array(hi)
+
+
+def _row_hull(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int]:
+    """The rows [a, b) from the first to the last row with a non-empty extent."""
+    rows = np.flatnonzero((lo < hi).all(axis=0))
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+
+
+def _widen(lo: np.ndarray, hi: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The cells a step can change, given the extents of the cells that
+    changed in the last one: each row's extents widened by one along axes
+    1..d-1 and joined with those of the rows next to it, within the grid."""
+    wlo, whi = lo - 1, hi + 1
+    wlo[:, 1:] = np.minimum(wlo[:, 1:], lo[:, :-1])
+    wlo[:, :-1] = np.minimum(wlo[:, :-1], lo[:, 1:])
+    whi[:, 1:] = np.maximum(whi[:, 1:], hi[:, :-1])
+    whi[:, :-1] = np.maximum(whi[:, :-1], hi[:, 1:])
+    return np.maximum(wlo, 0), np.minimum(whi, np.array(counts[1:])[:, None])
+
+
+def _ghost_marks(old: dict, new: dict, counts) -> tuple[np.ndarray, np.ndarray] | None:
+    """The extents per row (see `_extents`) of the cells next to a ghost whose
+    bits differ between two sets of ghost layers, compared as int64; None if
+    no ghost changed."""
+    proj = None
+    for (ax, side), v in new.items():
+        changed = old[(ax, side)].view(np.int64) != v.view(np.int64)
+        if not changed.any():
+            continue
+        if proj is None:
+            proj = [np.zeros((counts[0], n), dtype=bool) for n in counts[1:]]
+        at = [slice(None)] * len(counts)
+        at[ax] = slice(0, 1) if side == 0 else slice(counts[ax] - 1, counts[ax])
+        _mark(proj, np.expand_dims(changed, ax), tuple(at))
+    return None if proj is None else _extents(proj)
 
 
 # cells per slab of a 3-D step, so that the arrays of one slab stay in cache
@@ -614,13 +686,13 @@ def step(
     - the boundary inflow sums each outer face's fluxes from a C-contiguous
       buffer of the whole face, axis by axis after the last row is updated,
       so the pairwise summation order does not depend on the axis or on the
-      rows updated.
+      cells updated.
     Every operation above is elementwise, so a 3-D step runs its rows
     [a, b) in slabs of about SLAB_CELLS cells along axis 0, starting at a
-    (at least one row each; a 2-D band is one slab): each slab is padded by
-    the rows next to it or the ghost layers, and writes its rows of each
-    outer face into the whole-face buffers.  The bits do not depend on the
-    slab size.
+    (at least one row each; a 2-D band is one slab), and each slab runs a
+    box of its rows: each box is padded by the cells next to it or the ghost
+    layers, and writes its part of each outer face into the whole-face
+    buffers.  The bits do not depend on the slab size or the boxes.
     Dirichlet ghost layers of a background with zero velocity do not depend
     on t: they are evaluated once per background and grid and kept read-only.
     A moving background is evaluated at every step; only the ghost cell
@@ -628,24 +700,36 @@ def step(
 
     Band contract (the fields are described in `Band`).  Only `evolve`
     passes a band; a call without one steps through a fresh band that
-    records no rows, so every row runs.  A step updates the
-    rows [a, b) along axis 0 and copies the others; whenever the band cannot
-    vouch for the field, [a, b) is every row.  With one dt, one lambda and
-    ghost layers at rest, a cell whose bits and whose stencil neighbours'
-    bits the last step kept keeps its bits again: skipping it is exact, the
-    outputs are bit-identical to stepping every row, and the next band is
-    the changed rows widened by one row.  All rows run on the first step,
-    when the field is not the array the last step made, when dt or a
-    lambda differs from the last step, and always for a moving background,
-    whose ghosts change with t.  The band's values, vmin and vmax spare the
-    next step a pass for lambda.  Rows are compared as int64: a -0.0 that
-    became 0.0 has changed (float != would miss it).  An empty band returns
-    the input field, which is safe because no field is ever written in
-    place.  Each outer face's fluxes live in a buffer of the whole face in
-    the band: an axis-0 face is refilled when the band reaches its row, and
-    the band's rows of every other face are written into it.  The range
-    check and the finiteness test still see the whole new array, and its
-    min and max come back in the StepStats.
+    records no rows, so every cell runs.  With one dt and one lambda, a
+    cell whose bits, whose stencil neighbours' bits and whose neighbouring
+    ghost cells' bits did not change since the last step keeps its bits
+    again: skipping it is exact, and the outputs are bit-identical to
+    stepping every cell.  So a cell runs when it, a stencil neighbour or a
+    neighbouring ghost cell changed:
+    - the band holds the cells that changed in the last step, widened by
+      one cell along every axis: in 2-D the rows [a, b) along axis 0, in
+      3-D also a box along axes 1..d-1 per row;
+    - a moving background's ghost layers are compared with the last step's,
+      and a ghost that changed adds the cell next to it (in 2-D its row);
+    - a 2-D step runs the rows [a, b) whole; a 3-D step runs in each slab
+      the bounding box, along axes 1..d-1, of its rows' boxes, and no slab
+      whose rows hold none.
+    Every other cell is copied.  Whenever the band cannot vouch for the
+    field, every cell runs: on the first step, when the field is not the
+    array the last step made, and when dt or a lambda differs from the last
+    step.  Cells and ghosts are compared as int64: a -0.0 that became 0.0
+    has changed (float != would miss it).  2-D rows are found by scanning
+    [a, b) from both ends; a 3-D step finds the changed cells of each box
+    it ran and keeps, per row, their extent along each of axes 1..d-1,
+    widened in integer arithmetic.  The band's values, vmin and vmax spare
+    the next step a pass for lambda.  A step that runs no cell returns the
+    input field, which is safe because no field is ever written in place.
+    Each outer face's fluxes live in a buffer of the whole face in the band,
+    and a box writes only the part of a face it touches: a face outside
+    every box keeps the fluxes of its unchanged cells and ghosts.  The
+    range check and the finiteness test still see the whole new array, and
+    its min and max come back in the StepStats, with the number of cells
+    that ran.
     """
     g = field.grid
     n0 = g.counts[0]
@@ -667,10 +751,25 @@ def step(
     keys = [_key(flux.coeffs[ax]) for ax in range(g.d)]
     lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
     lam_used = max(0.0, *lams)
-    a, b = 0, n0
+    boxed = g.d > 2  # 3-D steps run in slabs, each the box of its cells that can change
+    track = band.rows is not None
+    a, b, box = 0, n0, None
     if not fresh and band.key == (dt, *lams):
         a, b = band.rows
+        box = band.box
+        marks = None if band.ghosts is None else _ghost_marks(band.ghosts, ghosts, g.counts)
+        if marks is not None:
+            if boxed:
+                box = np.minimum(box[0], marks[0]), np.maximum(box[1], marks[1])
+                a, b = _row_hull(*box)
+            else:
+                ma, mb = _row_hull(*marks)
+                a, b = (ma, mb) if a >= b else (min(a, ma), max(b, mb))
+    if boxed and track:
+        # the cells that changed, recorded over the cells that ran
+        changed = [np.zeros((n0, n), dtype=bool) for n in g.counts[1:]]
 
+    cells = 0
     if a < b:
         new_values = np.empty_like(values)
         new_values[:a] = values[:a]
@@ -679,28 +778,40 @@ def step(
             for ax in range(g.d):
                 face = g.counts[:ax] + g.counts[ax + 1:]
                 band.faces[ax] = (np.empty(face), np.empty(face))
-        size = b - a if g.d == 2 else max(1, SLAB_CELLS // (values.size // n0))
+        size = max(1, SLAB_CELLS // (values.size // n0)) if boxed else b - a
+        whole = tuple(slice(0, n) for n in g.counts[1:])
         for s in range(a, b, size):
             e = min(s + size, b)
-            rows = values[s:e]
+            span = whole
+            if box is not None:
+                blo, bhi = box[0][:, s:e].min(axis=1), box[1][:, s:e].max(axis=1)
+                if not np.all(blo < bhi):  # no cell of these rows can change
+                    new_values[s:e] = values[s:e]
+                    continue
+                span = tuple(slice(int(l), int(h)) for l, h in zip(blo, bhi))
+                if span != whole:
+                    new_values[s:e] = values[s:e]  # the cells outside the box
+            sub = (slice(s, e), *span)
+            rows = values[sub]
+            cells += rows.size
             div = np.zeros_like(rows)
             for ax in range(g.d):
                 # the padded copy puts the interface axis first, so both states
                 # of every interface and every flux jump are contiguous blocks;
-                # the elementwise results do not depend on the layout.  Along
-                # axis 0 the pads are the rows next to the slab, or the ghosts.
+                # the elementwise results do not depend on the layout.  The
+                # pads are the cells next to the box, or the ghosts.
                 # np.moveaxis(rows, ax, 0) and its inverse, without its checks
                 front = (ax, *range(ax), *range(ax + 1, g.d))
                 back = (*range(1, ax + 1), 0, *range(ax + 1, g.d))
                 inner = rows.transpose(front)
                 ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
                 ext[1:-1] = inner
-                if ax == 0:
-                    ext[0] = ghosts[(0, 0)] if s == 0 else values[s - 1]
-                    ext[-1] = ghosts[(0, 1)] if e == n0 else values[e]
-                else:
-                    ext[0] = ghosts[(ax, 0)][s:e]
-                    ext[-1] = ghosts[(ax, 1)][s:e]
+                lo_end, hi_end = sub[ax].start == 0, sub[ax].stop == g.counts[ax]
+                part = sub[:ax] + sub[ax + 1:]  # the box's cells of the faces along ax
+                ext[0] = ghosts[(ax, 0)][part] if lo_end else \
+                    values[sub[:ax] + (sub[ax].start - 1,) + sub[ax + 1:]]
+                ext[-1] = ghosts[(ax, 1)][part] if hi_end else \
+                    values[sub[:ax] + (sub[ax].stop,) + sub[ax + 1:]]
                 data = _compiled(keys[ax])
                 if scheme.numerical_flux == "rusanov":
                     g_ext = _horner(data["plan"], ext)
@@ -711,15 +822,17 @@ def step(
                 jump /= g.dx
                 div += jump.transpose(back)
                 # f[0] and f[-1] are C-contiguous, like np.take(f, 0, axis=ax);
-                # an axis-0 face is f[0] or f[-1] only in the slab at its row
+                # they are outer faces only where the box reaches the grid's end
                 face_lo, face_hi = band.faces[ax]
-                part = slice(s, e) if ax else slice(None)
-                if ax or s == 0:
+                if lo_end:
                     face_lo[part] = f[0]
-                if ax or e == n0:
+                if hi_end:
                     face_hi[part] = f[-1]
             div *= dt
-            np.subtract(rows, div, out=new_values[s:e])
+            out = new_values[sub]
+            np.subtract(rows, div, out=out)
+            if boxed and track:
+                _mark(changed, rows.view(np.int64) != out.view(np.int64), sub)
         inflow = 0.0
         area = g.dx ** (g.d - 1)
         for face_lo, face_hi in band.faces.values():
@@ -731,14 +844,19 @@ def step(
             raise ValueError("field values must be finite")
         result = Field._trusted(g, new_values)
     else:
-        # no row can change: the same bits, the same faces, the same checks
+        # no cell can change: the same bits, the same faces, the same checks
         new_values, inflow, result = values, band.inflow, field
-    if band.rows is not None and _ghost_kind(scheme, background) != "moving":
-        moved = _moved_rows(values, new_values, a, b) if a < b else None
-        band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
+    if track:
+        if boxed:
+            band.box = _widen(*_extents(changed), g.counts)
+            band.rows = _row_hull(*band.box)
+        else:
+            moved = _moved_rows(values, new_values, a, b) if a < b else None
+            band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
         band.key = (dt, *lams)
+        band.ghosts = ghosts if _ghost_kind(scheme, background) == "moving" else None
     band.values, band.vmin, band.vmax, band.inflow = new_values, vmin, vmax, inflow
-    return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax))
+    return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax), cells)
 
 
 # -- trajectories ---------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The banded engine against an in-test copy of the loop that steps every row.
 
 `solver.evolve` hands each field a `Band`, and `step` then updates only the
-rows along axis 0 that the last step's changes can reach.  `ref_evolve` below
-is the loop as it was before bands: it calls `solver.step` without one, so
-every step runs every row.  Each case runs once through each loop, and every
-step made through `solver.step` is logged as exact bytes (t, dt, the new
-values and every StepStats field); the logs and the results must be equal.
-The log also notes which rows each banded step ran, so each case can show
-that it reached the path it is named for.
+cells that the last step's changes and the changed ghost cells can reach.
+`ref_evolve` below is the loop as it was before bands: it calls `solver.step`
+without one, so every step runs every cell.  Each case runs once through each
+loop, and every step made through `solver.step` is logged as exact bytes (t,
+dt, the new values and every StepStats field but the cell count); the logs and
+the results must be equal.  The log also notes how many cells each banded step
+updated (`StepStats.cells`), so each case can show that it reached the path it
+is named for.
 """
 
 import hashlib
@@ -34,7 +35,6 @@ from shocklab.solver import (
 )
 
 REAL_STEP = solver.step
-REAL_MOVED = solver._moved_rows
 STEP_SIG = inspect.signature(REAL_STEP)
 
 
@@ -57,37 +57,34 @@ def ref_evolve(pairs, scheme, flux, dt, n_steps, range_guard=None):
 class Step(NamedTuple):
     bits: tuple     # t, dt, new values and StepStats, as exact bytes
     before: tuple | None  # the rows the band held for this field, if it vouched for it
-    rows: object    # rows run: (a, b), "empty" (input returned) or None (no band)
+    cells: int | None     # cells updated (0: input returned), or None without a band
+    moving: bool    # whether the ghosts came from a moving background
 
 
 @contextmanager
 def engine(banded: bool):
     """Log every step; banded=False swaps in the copy of the old loop."""
     log = []
-    ran = []
-
-    def moved(old, new, a, b):
-        ran.append((a, b))
-        return REAL_MOVED(old, new, a, b)
 
     def logged(*args, **kwargs):
         bound = STEP_SIG.bind(*args, **kwargs)
         bound.apply_defaults()
         a = bound.arguments
-        band, field = a["band"], a["field"]
+        band, field, bg = a["band"], a["field"], a["background"]
         before = band.rows if band is not None and band.values is field.values else None
-        ran.clear()
         nxt, st = REAL_STEP(*args, **kwargs)
-        rows = ran[0] if ran else ("empty" if nxt is field else None)
+        if band is None:
+            assert st.cells == field.grid.ncells
+        assert (st.cells == 0) == (nxt is field)  # a step that updates no cell returns its input
         bits = (float(a["t"]).hex(), float(a["dt"]).hex(),
                 hashlib.sha256(nxt.values.tobytes()).hexdigest(),
                 np.array([st.dt, st.boundary_inflow, st.lambda_max, st.vmin, st.vmax]).tobytes())
-        log.append(Step(bits, before, rows))
+        moving = bg is not None and bg.moving and a["scheme"].boundary != "outflow"
+        log.append(Step(bits, before, None if band is None else st.cells, moving))
         return nxt, st
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "step", logged)
-        mp.setattr(solver, "_moved_rows", moved)
         if not banded:
             mp.setattr(solver, "evolve", ref_evolve)
             mp.setattr(xp, "evolve", ref_evolve)
@@ -102,12 +99,13 @@ def both(fn):
         want = fn()
     assert len(log) == len(ref_log) > 0
     assert [s.bits for s in log] == [s.bits for s in ref_log]
-    assert all(s.rows is None for s in ref_log)
+    assert all(s.cells is None for s in ref_log)
     return got, want, log
 
 
-def _partial(log, n0):
-    return [s for s in log if isinstance(s.rows, tuple) and s.rows != (0, n0)]
+def _partial(log, ncells):
+    """The steps that updated some cells but not all."""
+    return [s for s in log if s.cells is not None and 0 < s.cells < ncells]
 
 
 def _report_bits(rep):
@@ -153,8 +151,8 @@ def test_stability_experiment_matches_full_rows(front, pair11, dual11, curved11)
     assert _report_bits(got) == _report_bits(want)
     assert got.extras["settle"] == want.extras["settle"]
     # every field has a band, and most steps skip rows
-    assert all(s.rows is not None for s in log)
-    assert len(_partial(log, g.counts[0])) > len(log) // 2
+    assert all(s.cells is not None for s in log)
+    assert len(_partial(log, g.ncells)) > len(log) // 2
 
 
 @pytest.mark.parametrize("frame", ["reduced", "original"])
@@ -169,10 +167,12 @@ def test_overhead_run_matches_full_rows(frame, pair11, dual11):
 
     got, want, log = both(experiment)
     assert _report_bits(got) == _report_bits(want)
-    assert _partial(log, g.counts[0])  # the settles, at rest in either frame
-    moving = [s for s in log if s.rows is None]
-    # the original frame's run has moving ghosts: every row, every step
+    assert _partial(log, g.ncells)  # the settles, at rest in either frame
+    moving = [s for s in log if s.moving]
     assert bool(moving) == (frame == "original")
+    # the original frame's run has moving ghosts; the band follows the ghost
+    # cells that changed, so its steps no longer run every row
+    assert not moving or _partial(moving, g.ncells)
 
 
 def test_support_pair_matches_full_rows(burgers2):
@@ -186,8 +186,8 @@ def test_support_pair_matches_full_rows(burgers2):
     # both fields take lambda from the shared guard, so b2's quiet rows are
     # skipped once its band settles; b1 is at its fixed point from the first
     # step on
-    assert log[0].rows == (0, 48) and _partial(log[0::2], 48)
-    assert log[1].rows == (0, 48) and all(s.rows == "empty" for s in log[3::2])
+    assert log[0].cells == g.ncells and _partial(log[0::2], g.ncells)
+    assert log[1].cells == g.ncells and all(s.cells == 0 for s in log[3::2])
 
 
 # -- the paths of the band ----------------------------------------------------------
@@ -206,7 +206,7 @@ def test_outflow_run_with_companions_matches_full_rows(kind, pair11, curved11):
 
     got, want, log = both(experiment)
     assert _run_bits(got) == _run_bits(want)
-    assert _partial(log, g.counts[0])
+    assert _partial(log, g.ncells)
 
 
 @pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
@@ -225,7 +225,7 @@ def test_3d_steady_background_matches_full_rows(kind):
 
     got, want, log = both(experiment)
     assert _run_bits(got) == _run_bits(want)
-    assert _partial(log, g.counts[0])
+    assert _partial(log, g.ncells)
 
 
 def test_settle_with_a_shrinking_range_runs_every_row(pair11, planar11):
@@ -242,10 +242,10 @@ def test_settle_with_a_shrinking_range_runs_every_row(pair11, planar11):
     assert got.steps == want.steps and got.changes == want.changes
     full = (0, g.counts[0])
     bump_steps = log[1::2]
-    assert all(s.rows == full for s in bump_steps)
+    assert all(s.cells == g.ncells for s in bump_steps)
     # until the bump's band has spread over the grid, it is the rule that ran them
     assert all(s.before not in (None, full) for s in bump_steps[1:8])
-    assert _partial(log[0::2], g.counts[0])  # the front's lambda stays put
+    assert _partial(log[0::2], g.ncells)  # the front's lambda stays put
 
 
 def test_planar_front_reaches_an_empty_band(pair11, dual11):
@@ -260,7 +260,7 @@ def test_planar_front_reaches_an_empty_band(pair11, dual11):
     got, want, log = both(lambda: solver.run(u0, scheme, pair11.reduced, horizon,
                                              profile_background(prof)))
     assert _run_bits(got) == _run_bits(want)
-    empty = [k for k, s in enumerate(log) if s.rows == "empty"]
+    empty = [k for k, s in enumerate(log) if s.cells == 0]
     assert empty and empty == list(range(empty[0], len(log)))
     assert all(s.before == (0, 0) for s in log[empty[0]:])
 
@@ -294,7 +294,7 @@ def test_signed_zero_data_matches_full_rows(kind, signed, pair11, rng):
         # and the band is empty from the second step on.  The int64 row test
         # that would see such a change is pinned by the next test.
         assert got.final.values.tobytes() == u0.values.tobytes()
-        assert all(s.rows == "empty" for s in log[2:])
+        assert all(s.cells == 0 for s in log[2:])
 
 
 def test_moved_rows_sees_a_signed_zero_change():
@@ -360,7 +360,7 @@ def test_banded_engine_keeps_the_four_guarantees(d, seed, kind, ghost):
                 got[i].append(bits(fields[i], stats[i]))
                 inflow[i] += stats[i].boundary_inflow
     assert got[0] + got[1] + got[2] == want
-    assert _partial(log, g.counts[0])
+    assert _partial(log, g.ncells)
     a1, b1, c1 = fields
     assert a1.values.max() <= 0.8 + 1e-14 and a1.values.min() >= -0.8 - 1e-14  # max principle
     assert np.all(a1.values <= b1.values + 1e-14)                                # comparison

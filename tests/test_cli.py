@@ -283,6 +283,14 @@ BROKEN = {
     "box-tiny-3d": ("simulate-3d", "grid.box = -1e-300,1e-300,-1e-300,1e-300,-1e-300,1e-300\n"),
     "horizon-huge-snapshots": ("simulate", "experiment.horizon = 1e300\n"),
     "settle-steps-huge": ("overhead", "experiment.settle_steps = 1000001\n"),
+    # a reference state whose flux values overflow: a raw OverflowError, a
+    # failed check with measured=nan, and an error at the amplitude's line;
+    # and one that carries the residual study's points off its data (a raw
+    # ZeroDivisionError)
+    "u-ref-huge-normalize": ("normalize-check", "experiment.u_ref = 1e300\n"),
+    "u-ref-cube-overflows-normalize": ("normalize-check", "experiment.u_ref = 1e150\n"),
+    "u-ref-huge-dispersion": ("dispersion", "experiment.u_ref = 1e300\n"),
+    "u-ref-off-the-data-normalize": ("normalize-check", "experiment.u_ref = 100\n"),
 }
 
 
@@ -388,6 +396,7 @@ OUT_OF_RANGE = {
     "experiment.snapshot_interval": ("-5", "1e-300"),     # 1e-300: over 10,000 snapshots
     "experiment.threshold": ("-5", "0", "1e300"),
     "experiment.t0": ("-5", "0", "1e300"),                     # 1e300: past the horizon
+    "experiment.u_ref": ("1e300", "1e150", "100"),   # the flux overflows; 100: no residual
     "experiment.settle_steps": ("-5", "0", "1e300", "1e-300", "1000001"),
 }
 # values past the work ceiling on the number of steps, drawn for the cases

@@ -17,8 +17,6 @@ from shocklab.errors import CFLViolation, ShockLabError
 from shocklab.fluxes import critical_points
 from shocklab.solver import Background, StepStats, stable_dt
 
-REAL_MOVED = solver._moved_rows
-
 CUBIC = sl.Flux(((0.0, -1.0, 0.0, 1.0), (0.0, 0.5, -0.25, 0.0, 0.1)))  # g' changes sign twice
 # equal to SIGNED under ==; run first, it must not answer for SIGNED from a cache
 UNSIGNED = sl.Flux(((0.0, -1.0), (0.0, 0.5, 0.0)))
@@ -499,13 +497,6 @@ def _tilt3(p):
 def test_slabbed_3d_steps_match_reference(slab_cells, kind, background, rng, monkeypatch):
     g = SLAB_GRID
     monkeypatch.setattr(solver, "SLAB_CELLS", slab_cells)
-    ran = []
-
-    def moved(old, new, a, b):
-        ran.append((a, b))
-        return REAL_MOVED(old, new, a, b)
-
-    monkeypatch.setattr(solver, "_moved_rows", moved)
     if background == "at-rest":
         # a constant state is a fixed point: the band holds the bump's rows
         bg = sl.constant_background(0.5, 3)
@@ -517,7 +508,8 @@ def test_slabbed_3d_steps_match_reference(slab_cells, kind, background, rng, mon
         v = _data(rng, g.counts)
     scheme = sl.SchemeConfig(numerical_flux=kind)
     pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
-    guard = (-1.0, 1.0)  # one lambda for every step, so the band's rows are skipped
+    guard = (-1.0, 1.0)  # one lambda for every step, so the band's cells are skipped
+    cells = []
     for flux in (pair.flux, pair.reduced):
         u0 = sl.Field(g, v)
         dt = stable_dt(flux, g, scheme, *guard)
@@ -526,10 +518,132 @@ def test_slabbed_3d_steps_match_reference(slab_cells, kind, background, rng, mon
             want, want_stats = _ref_step(want, scheme, flux, bg, (k - 1) * dt, dt, guard)
             assert fields[0].values.tobytes() == want.values.tobytes(), (k, flux.coeffs)
             assert _bits(stats[0]) == _bits(want_stats), (k, flux.coeffs)
+            cells.append(stats[0].cells)
+    assert cells[0] == cells[7] == g.ncells  # the first step runs every cell
     if background == "at-rest":
+        # every changed row changes across its whole width, so the boxes are
+        # whole rows: bands inside the grid, in several slabs, the last one short
         rows = max(1, slab_cells // 24)
-        # bands inside the grid, in several slabs, the last one short
-        assert any(0 < a and b < 12 and b - a > rows for a, b in ran), ran
-        assert rows == 1 or any((b - a) % rows for a, b in ran), ran
-    elif background == "steady":
-        assert (0, 12) in ran
+        assert all(c % 24 == 0 for c in cells), cells
+        assert any(rows < c // 24 < 12 for c in cells), cells
+        assert rows == 1 or any(c // 24 % rows for c in cells), cells
+
+
+# -- the band of moving backgrounds and the box of each 3-D slab ----------------------
+
+MOVING_GRIDS = {2: sl.Grid.from_box((-1.2, 1.2, -0.8, 0.8), (12, 8)), 3: SLAB_GRID}
+
+
+def _cone(center, radius):
+    """0.5 plus a cone of height 0.3: exactly 0.5 outside the given radius."""
+    center = np.asarray(center, dtype=float)
+
+    def fn(p):
+        r = np.sqrt(np.sum((p - center) ** 2, axis=-1))
+        return 0.5 + 0.3 * np.maximum(0.0, 1.0 - r / radius)
+
+    return fn
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
+@pytest.mark.parametrize("background", ["tilt", "cone-on-axis-0", "cone-on-last-axis"])
+def test_moving_ghosts_run_the_cells_next_to_them(d, kind, background):
+    g = MOVING_GRIDS[d]
+    scheme = sl.SchemeConfig(numerical_flux=kind)
+    flux = sl.make_shock_pair(sl.burgers_flux(d), 1.0, -1.0).flux
+    guard = (-1.0, 1.0)  # one lambda for every step, so the band's cells are skipped
+    dt = stable_dt(flux, g, scheme, *guard)
+    if background == "tilt":
+        # every ghost changes at every step
+        tilt = _tilt3 if d == 3 else (lambda p: np.tanh(3.0 * p[..., 0] - p[..., 1]))
+        bg = Background(tilt, np.array([0.4, -0.3, 0.2][:d]))
+    else:
+        # the peak sits on a ghost of an upper face at t = 0, so the start range
+        # holds the cone's values; the cone then slides along the face by 1.25
+        # cells a step, faster than a change spreads, so ghosts change next to
+        # cells at rest
+        face = 0 if background == "cone-on-axis-0" else d - 1
+        slide = d - 1 if face == 0 else 0
+        center = [g.hi[ax] + (0.5 if ax == face else -0.5) * g.dx for ax in range(d)]
+        velocity = np.zeros(d)
+        velocity[slide] = -1.25 * g.dx / dt
+        bg = Background(_cone(center, 1.5 * g.dx), velocity)
+    u0 = sl.Field(g, np.full(g.counts, 0.5))
+    want = u0
+    cells = []
+    for k, t, fields, stats in solver.evolve([(u0, bg)], scheme, flux, dt, 8, guard):
+        want, want_stats = _ref_step(want, scheme, flux, bg, (k - 1) * dt, dt, guard)
+        assert fields[0].values.tobytes() == want.values.tobytes(), k
+        assert _bits(stats[0]) == _bits(want_stats), k
+        cells.append(stats[0].cells)
+    assert cells[0] == g.ncells
+    if background != "tilt":
+        assert all(0 < c < g.ncells for c in cells[1:]), cells
+
+
+@pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
+def test_a_front_moving_along_itself_skips_cells(kind, monkeypatch):
+    # as in simulate-3d: the 3-D Burgers front with normal (0.58, 0, 0.81)
+    # stands still along its normal and moves along y, in which it is
+    # invariant, so its ghost layers keep their bits from step to step
+    monkeypatch.setattr(solver, "SLAB_CELLS", 2 * 96)  # two-row slabs
+    pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
+    prof = sl.make_planar(pair, sl.dual_cone(sl.admissible_cone(pair, 0.05)), [0.58, 0.0, 0.81])
+    bg = sl.profile_background(prof, moving=True)
+    assert bg.moving
+    g = sl.Grid.from_box((-1.6, 1.6, -0.6, 0.6, -1.6, 1.6), (16, 6, 16))
+    scheme = sl.SchemeConfig(numerical_flux=kind, frame="original")
+    u0 = sl.Field(g, solver.sample_profile(prof, g).values + solver.sample_function(
+        sl.PerturbationSpec("bump", (0.0, 0.0, 0.0), 0.4, 0.3), g).values)
+    guard = solver.field_range(u0, scheme, bg)
+    dt = stable_dt(pair.flux, g, scheme, *guard)
+    want = u0
+    cells = []
+    for k, t, fields, stats in solver.evolve([(u0, bg)], scheme, pair.flux, dt, 8, guard):
+        want, want_stats = _ref_step(want, scheme, pair.flux, bg, (k - 1) * dt, dt, guard)
+        assert fields[0].values.tobytes() == want.values.tobytes(), k
+        assert _bits(stats[0]) == _bits(want_stats), k
+        cells.append(stats[0].cells)
+    assert cells[0] == g.ncells and all(0 < c < g.ncells for c in cells[1:]), cells
+
+
+def test_a_signed_zero_change_widens_the_box():
+    # a slab's box and the ghost diff compare as int64, so a -0.0 that became
+    # 0.0 has changed (float != would miss it), as in _moved_rows
+    counts = (10, 6, 5)
+    old = np.zeros(counts)
+    box = (slice(2, 5), slice(1, 5), slice(0, 4))  # the cells a slab of rows 2..4 ran
+
+    def reach(i, j, k):
+        """The box each row must run after cell (i, j, k) changed: the cell
+        widened by one in its row, the cell itself in the rows next to it."""
+        want = {}
+        for row, w in ((i - 1, 0), (i, 1), (i + 1, 0)):
+            if 0 <= row < counts[0]:
+                want[row] = ([max(j - w, 0), max(k - w, 0)],
+                             [min(j + w + 1, counts[1]), min(k + w + 1, counts[2])])
+        return want
+
+    def boxes(lo, hi):
+        return {row: (lo[:, row].tolist(), hi[:, row].tolist())
+                for row in range(counts[0]) if np.all(lo[:, row] < hi[:, row])}
+
+    for corner in [(i, j, k) for i in (2, 4) for j in (1, 4) for k in (0, 3)]:
+        new = old.copy()
+        new[corner] = -0.0  # equal to 0.0 under float !=
+        for a, b in ((old, new), (new, old)):
+            changed = [np.zeros((counts[0], n), dtype=bool) for n in counts[1:]]
+            solver._mark(changed, a[box].view(np.int64) != b[box].view(np.int64), box)
+            assert boxes(*solver._widen(*solver._extents(changed), counts)) == reach(*corner)
+    changed = [np.zeros((counts[0], n), dtype=bool) for n in counts[1:]]
+    solver._mark(changed, old[box].view(np.int64) != old[box].copy().view(np.int64), box)
+    assert boxes(*solver._widen(*solver._extents(changed), counts)) == {}
+    # a ghost whose zero changed sign marks the cell next to it, and only it
+    ghosts = {(ax, side): np.zeros(counts[:ax] + counts[ax + 1:]) for ax in range(3) for side in (0, 1)}
+    assert solver._ghost_marks(ghosts, {key: v.copy() for key, v in ghosts.items()}, counts) is None
+    for (ax, side), cell in [((0, 1), (9, 5, 4)), ((1, 0), (3, 0, 2)), ((2, 1), (0, 5, 4))]:
+        moved = {key: v.copy() for key, v in ghosts.items()}
+        moved[(ax, side)][cell[:ax] + cell[ax + 1:]] = -0.0
+        lo, hi = solver._ghost_marks(ghosts, moved, counts)
+        assert boxes(lo, hi) == {cell[0]: ([cell[1], cell[2]], [cell[1] + 1, cell[2] + 1])}
