@@ -86,10 +86,15 @@ def _extreme_rays(vectors: np.ndarray) -> np.ndarray:
     hull of those unit vectors and the origin, less the origin.
 
     Every unit vector lies on the sphere, so each is a vertex of that hull,
-    and the result holds every row, not only the extreme rays of the cone
-    the rows span (the 1,405 admissible directions of the 3-D Burgers pair at
-    resolution 0.05 all come back).  It spans the same cone, so callers that
-    read it as generators get the right cone, at the cost of every row.
+    and the result is not the extreme rays of the cone the rows span: the
+    1,405 admissible directions of the 3-D Burgers pair at resolution 0.05
+    all come back.  Nor is it a no-op: the joggled hull (QJ) drops rows that
+    nearly coincide with another.  The chord directions of
+    `dual_cone_from_flux` crowd near the end states, and 512 became 511 for
+    some pairs; the vertices of `_dual_generators_nd`'s halfspace
+    intersection can repeat (7 became 6, 18 became 12).  The result spans
+    the same cone, up to the joggle, so callers that read it as generators
+    get the right cone.
     """
     from scipy.spatial import ConvexHull
 

@@ -56,10 +56,10 @@ FRONT_NODES = 1025
 class Front:
     """Front function over H with enough structure to enumerate slopes.
 
-    kind is one of planar | scaled_gauge | pwl | combine; fn evaluates psi(y)
-    vectorized; slopes is the finite set of local slope vectors (k, d-1) used
-    for normal enumeration (exhaustive for the closed forms, per-segment for
-    piecewise-linear fronts).
+    kind is one of planar | scaled_gauge | pwl | cone | combine; fn evaluates
+    psi(y) vectorized; slopes is the finite set of local slope vectors
+    (k, d-1) used for normal enumeration (exhaustive for the closed forms,
+    per-segment for piecewise-linear fronts).
     """
 
     kind: str
@@ -173,23 +173,25 @@ def front_normals(profile: ShockProfile) -> np.ndarray:
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
+def _gauge_ball(dual: DualCone) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices H^T g / (g . W) of the gauge's unit ball {y : gauge(y) <= 1},
+    one row per dual generator g (the dual cone's slice at r = 1), and whether
+    each is finite: g . W > 1e-12, the threshold of the facet slopes' own
+    denominators.  A generator that is not finite gives H^T g, a direction in
+    which the ball is unbounded."""
+    gw = dual.generators @ dual.W
+    finite = gw > 1e-12
+    return (dual.generators @ dual.H) / np.where(finite, gw, 1.0)[:, None], finite
+
+
 def _slope_ratio(dual: DualCone, slopes: np.ndarray) -> float:
-    """sup over directions of |g . delta| / gauge(delta) for each slope row g."""
-    if dual.d == 2:
-        deltas = np.array([[1.0], [-1.0]])
-    else:
-        ang = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-        deltas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    worst = 0.0
-    for delta in deltas:
-        g0 = float(dual.gauge(delta if dual.d > 2 else delta[0]))
-        num = np.abs(slopes @ delta)
-        if g0 <= 0:
-            if np.max(num) > 1e-13:
-                raise GaugeZero("gauge vanishes in a direction where the front varies")
-            continue
-        worst = max(worst, float(np.max(num)) / g0)
-    return worst
+    """sup over directions of |s . delta| / gauge(delta) for each slope row s:
+    the max of |s . v| over the gauge ball's vertices v, since |s . delta| is
+    convex and so reaches its sup over the ball at a vertex."""
+    verts, finite = _gauge_ball(dual)
+    if np.max(np.abs(slopes @ verts[~finite].T), initial=0.0) > 1e-13:
+        raise GaugeZero("gauge vanishes in a direction where the front varies")
+    return float(np.max(np.abs(slopes @ verts[finite].T), initial=0.0))
 
 
 def estimate_rho(profile: ShockProfile) -> float:
@@ -363,25 +365,13 @@ def sandwich_bounds(
     r_c, y_c = dual.frame(box_corners(lo, hi, profile.d))
     r0 = float(np.max(dual.gauge(y_c) - r_c)) + pad
     r1 = float(np.max(dual.gauge(-y_c) + r_c)) + pad
-
-    def lower_fn(y):
-        y = np.asarray(y, dtype=float)
-        return np.minimum(profile.front.value(y), dual.gauge(y) - r0)
-
-    def upper_fn(y):
-        y = np.asarray(y, dtype=float)
-        return np.maximum(profile.front.value(y), r1 - dual.gauge(-y))
-
     cone_slopes = np.vstack([dual.facet_slopes, -dual.facet_slopes])
-    lower_front = Front("combine", lower_fn,
-                        np.vstack([profile.front.slopes, cone_slopes]),
-                        {"op": "sandwich_lower", "r0": r0})
-    upper_front = Front("combine", upper_fn,
-                        np.vstack([profile.front.slopes, cone_slopes]),
-                        {"op": "sandwich_upper", "r1": r1})
-    lower = _finish_profile(profile.pair, dual, lower_front, profile.y_extent, 1e-6)
-    upper = _finish_profile(profile.pair, dual, upper_front, profile.y_extent, 1e-6)
-    return lower, upper
+    lower_cone = Front("cone", lambda y: dual.gauge(y) - r0, cone_slopes, {"r0": r0})
+    upper_cone = Front("cone", lambda y: r1 - dual.gauge(-y), cone_slopes, {"r1": r1})
+    return tuple(
+        _finish_profile(profile.pair, dual, _combine_front(op, (profile.front, cone)),
+                        profile.y_extent, 1e-6)
+        for op, cone in (("min", lower_cone), ("max", upper_cone)))
 
 
 def front_surgery(
@@ -432,7 +422,8 @@ def bounded_intersection(profile: ShockProfile, x) -> FrameBox:
 
     Every intersection point obeys gauge(y) <= (psi(0) + gauge(y0) - r0)/(1 - rho)
     and r0 - gauge(y0) <= r <= (psi(0) + rho (gauge(y0) - r0))/(1 - rho); the box
-    is empty when the gauge bound is negative.
+    is empty when the gauge bound is negative.  Along y it is the gauge bound
+    times the box of the gauge's unit ball, read off the ball's vertices.
     """
     if profile.rho >= 1.0:
         raise NotUNC("bounded intersection requires ratio < 1")
@@ -448,29 +439,11 @@ def bounded_intersection(profile: ShockProfile, x) -> FrameBox:
     r_hi = (psi0 + rho * (g0 - r0)) / (1.0 - rho)
     if r_hi < r_lo:
         return FrameBox(empty=True)
-    slopes = dual.facet_slopes
-    if profile.d == 2:
-        a = slopes[:, 0]
-        pos = a[a > 0]
-        neg = a[a < 0]
-        if len(pos) == 0 or len(neg) == 0:
-            raise EmptyInterior("gauge sublevel sets are unbounded in this frame")
-        y_hi = np.array([gauge_bound / pos.max()])
-        y_lo = np.array([gauge_bound / neg.min()])
-    else:
-        from scipy.optimize import linprog
-
-        m = profile.d - 1
-        y_lo = np.empty(m)
-        y_hi = np.empty(m)
-        for j in range(m):
-            for sign, target in ((1.0, y_hi), (-1.0, y_lo)):
-                res = linprog(-sign * np.eye(m)[j], A_ub=slopes,
-                              b_ub=np.full(len(slopes), gauge_bound),
-                              bounds=[(None, None)] * m, method="highs")
-                if not res.success:
-                    raise EmptyInterior("gauge sublevel sets are unbounded in this frame")
-                target[j] = sign * (-res.fun if sign > 0 else res.fun)
+    verts, finite = _gauge_ball(dual)
+    if not finite.all():
+        raise EmptyInterior("gauge sublevel sets are unbounded in this frame")
+    y_lo = gauge_bound * verts.min(axis=0)
+    y_hi = gauge_bound * verts.max(axis=0)
     return FrameBox(False, y_lo, y_hi, float(r_lo), float(r_hi), float(gauge_bound))
 
 

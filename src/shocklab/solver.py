@@ -534,7 +534,7 @@ class Band:
 
     `values` is the array the last step made, and vmin, vmax its range.  rows
     [a, b) along axis 0 are the rows the next step can change, and key holds
-    the dt and per-axis lambdas they were found with; rows None records none.
+    the dt and per-axis lambdas they were found with.
     In 3-D, box (lo, hi) narrows each row to the box along axes 1..d-1 of
     its cells that the next step can change, as float arrays of shape
     (d - 1, rows) (see `_extents`).  ghosts holds a moving background's
@@ -543,7 +543,7 @@ class Band:
     """
 
     values: np.ndarray | None = None
-    rows: tuple[int, int] | None = (0, 0)
+    rows: tuple[int, int] = (0, 0)
     key: tuple = ()
     vmin: float = np.nan
     vmax: float = np.nan
@@ -699,12 +699,12 @@ def step(
     centers are cached.
 
     Band contract (the fields are described in `Band`).  Only `evolve`
-    passes a band; a call without one steps through a fresh band that
-    records no rows, so every cell runs.  With one dt and one lambda, a
-    cell whose bits, whose stencil neighbours' bits and whose neighbouring
-    ghost cells' bits did not change since the last step keeps its bits
-    again: skipping it is exact, and the outputs are bit-identical to
-    stepping every cell.  So a cell runs when it, a stencil neighbour or a
+    passes a band; a call without one steps through a fresh `Band()`, so
+    every cell runs, as on a band's first step.  With one dt and one
+    lambda, a cell whose bits, whose stencil neighbours' bits and whose
+    neighbouring ghost cells' bits did not change since the last step keeps
+    its bits again: skipping it is exact, and the outputs are bit-identical
+    to stepping every cell.  So a cell runs when it, a stencil neighbour or a
     neighbouring ghost cell changed:
     - the band holds the cells that changed in the last step, widened by
       one cell along every axis: in 2-D the rows [a, b) along axis 0, in
@@ -735,7 +735,7 @@ def step(
     n0 = g.counts[0]
     values = field.values
     if band is None:
-        band = Band(rows=None)
+        band = Band()
     ghosts, ghost_range = _ghost_values(field, scheme, background, t)
     fresh = band.values is not values
     vmin, vmax = (values.min(), values.max()) if fresh else (band.vmin, band.vmax)
@@ -752,7 +752,6 @@ def step(
     lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
     lam_used = max(0.0, *lams)
     boxed = g.d > 2  # 3-D steps run in slabs, each the box of its cells that can change
-    track = band.rows is not None
     a, b, box = 0, n0, None
     if not fresh and band.key == (dt, *lams):
         a, b = band.rows
@@ -765,7 +764,7 @@ def step(
             else:
                 ma, mb = _row_hull(*marks)
                 a, b = (ma, mb) if a >= b else (min(a, ma), max(b, mb))
-    if boxed and track:
+    if boxed:
         # the cells that changed, recorded over the cells that ran
         changed = [np.zeros((n0, n), dtype=bool) for n in g.counts[1:]]
 
@@ -831,7 +830,7 @@ def step(
             div *= dt
             out = new_values[sub]
             np.subtract(rows, div, out=out)
-            if boxed and track:
+            if boxed:
                 _mark(changed, rows.view(np.int64) != out.view(np.int64), sub)
         inflow = 0.0
         area = g.dx ** (g.d - 1)
@@ -846,15 +845,14 @@ def step(
     else:
         # no cell can change: the same bits, the same faces, the same checks
         new_values, inflow, result = values, band.inflow, field
-    if track:
-        if boxed:
-            band.box = _widen(*_extents(changed), g.counts)
-            band.rows = _row_hull(*band.box)
-        else:
-            moved = _moved_rows(values, new_values, a, b) if a < b else None
-            band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
-        band.key = (dt, *lams)
-        band.ghosts = ghosts if _ghost_kind(scheme, background) == "moving" else None
+    if boxed:
+        band.box = _widen(*_extents(changed), g.counts)
+        band.rows = _row_hull(*band.box)
+    else:
+        moved = _moved_rows(values, new_values, a, b) if a < b else None
+        band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
+    band.key = (dt, *lams)
+    band.ghosts = ghosts if _ghost_kind(scheme, background) == "moving" else None
     band.values, band.vmin, band.vmax, band.inflow = new_values, vmin, vmax, inflow
     return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax), cells)
 

@@ -291,6 +291,12 @@ BROKEN = {
     "u-ref-cube-overflows-normalize": ("normalize-check", "experiment.u_ref = 1e150\n"),
     "u-ref-huge-dispersion": ("dispersion", "experiment.u_ref = 1e300\n"),
     "u-ref-off-the-data-normalize": ("normalize-check", "experiment.u_ref = 100\n"),
+    # a dimension without grids or cones: a raw ValueError, an error at
+    # pair.u_plus's line, and a residual study in 1-D
+    "burgers-d-zero-normalize": ("normalize-check", "flux.burgers_d = 0\n"),
+    "burgers-d-negative-normalize": ("normalize-check", "flux.burgers_d = -1\n"),
+    "burgers-d-zero-cone": ("cone", "flux.burgers_d = 0\n"),
+    "burgers-d-one-normalize": ("normalize-check", "flux.burgers_d = 1\n"),
 }
 
 
@@ -374,8 +380,8 @@ def test_a_run_past_the_step_ceiling_without_a_perturbation(tmp_path, monkeypatc
     assert not (out / "verdict.txt").exists()
 
 
-SCALARS = (int, config._count, config._finite, config._positive, config._nonnegative,
-           config._fraction)
+SCALARS = (config._dimension, config._count, config._finite, config._positive,
+           config._nonnegative, config._fraction)
 LISTS = (config._parse_floats, config._parse_counts, config._parse_direction)
 
 # finite values out of range, by the keys of the digest configs whose rule
@@ -383,7 +389,7 @@ LISTS = (config._parse_floats, config._parse_counts, config._parse_direction)
 # and a callable value gives the whole list from the number of entries.
 # A key whose rule accepts a value never draws it
 OUT_OF_RANGE = {
-    "flux.burgers_d": ("1e300", "1e-300"),                     # not integers
+    "flux.burgers_d": ("-5", "0", "4", "1e300", "1e-300"),   # not 2 or 3; not integers
     "pair.u_minus": ("1e300",),                                # the flux overflows
     "pair.u_plus": ("1e300",),
     "cone.resolution": ("-5", "0"),
@@ -472,21 +478,36 @@ def test_a_broken_number_fails_before_any_evolution(broken):
         assert not (out / "verdict.txt").exists()
 
 
-def test_two_dimensional_commands_load_no_scipy(tmp_path):
-    # scipy takes about a third of a second of CPU to import; the 2-D hulls, cones
-    # and profiles need none of it (only 3-D cones and profiles use it)
+def _scipy_loaded_by(cases, tmp_path):
+    """The scipy subpackages one fresh process has loaded after running cases."""
     code = ("import sys\n"
             "from pathlib import Path\n"
             "from test_cli_digests import run_case\n"
             "for name in sys.argv[1:]:\n"
             "    (Path.cwd() / name).mkdir()\n"
             "    assert run_case(name, Path.cwd() / name)['exit_code'] in (0, 1)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(' '.join(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+            "                       if m.split('.')[0] == 'scipy'})))\n")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "support", "stability", "dispersion"],
-        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", code, *cases], capture_output=True,
+                          text=True, timeout=300, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_two_dimensional_commands_load_no_scipy(tmp_path):
+    # scipy takes about a third of a second of CPU to import; the 2-D hulls,
+    # cones and profiles need none of it.  Only the 3-D cone uses it, and only
+    # scipy.spatial: the gauge ball is read off the dual generators, with no
+    # linear program
+    from test_cli_digests import CASES
+
+    three_d = [name for name, (_, cfg) in CASES.items() if "flux.burgers_d = 3" in cfg]
+    assert sorted(three_d) == ["cone-3d", "simulate-3d"]
+    (tmp_path / "2d").mkdir()
+    assert _scipy_loaded_by([n for n in CASES if n not in three_d], tmp_path / "2d") == set()
+    for name in three_d:
+        (tmp_path / name).mkdir()
+        loaded = _scipy_loaded_by([name], tmp_path / name)
+        assert "scipy.spatial" in loaded and "scipy.optimize" not in loaded, (name, loaded)

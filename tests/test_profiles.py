@@ -13,7 +13,7 @@ from shocklab.errors import (
     NotUNC,
     NotUNCAfterPerturbation,
 )
-from shocklab.profiles import front_normals
+from shocklab.profiles import _gauge_ball, _slope_ratio, front_normals
 from shocklab.solver import sample_function, sample_profile
 
 
@@ -229,6 +229,108 @@ def test_bounded_intersection_membership_sweep(pair11, dual11):
         if len(pts):
             assert not box.empty
             assert np.all(box.contains(dual11, pts, slack=1e-9))
+
+
+@pytest.fixture(scope="module")
+def pair3():
+    return sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def dual3(pair3):
+    # the cone of the 3-D digest cases
+    return sl.dual_cone(sl.admissible_cone(pair3, 0.05))
+
+
+X0_3D = [np.array(x) for x in ((-2.0, 0.0, 0.0), (-1.0, 1.5, 0.5), (-3.0, -2.0, 1.0),
+                              (0.0, -2.0, -2.0))]
+
+
+def test_bounded_intersection_membership_sweep_3d(pair3, dual3):
+    wedge = sl.make_scaled_gauge(pair3, dual3, 0.5)
+    assert 0.97 < wedge.rho < 0.98  # so the boxes reach far along the gauge
+    xs = np.linspace(-5, 5, 21)  # the gauge holds a row per point and facet (1,405)
+    mesh = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    in_dminus = wedge.eval(mesh) == pair3.u_minus
+    for x0 in X0_3D:
+        box = sl.bounded_intersection(wedge, x0)
+        rel = mesh - x0
+        in_cone = rel @ dual3.W >= dual3.gauge(rel @ dual3.H)
+        pts = mesh[in_dminus & in_cone]
+        assert len(pts) > 20 and not box.empty
+        assert np.all(box.contains(dual3, pts, slack=1e-9)), x0
+
+
+def test_bounded_intersection_box_solves_its_linear_programs(pair3, dual3):
+    # the box of {y : gauge(y) <= bound} along each axis, from a linear
+    # program over the facets as an independent oracle
+    from scipy.optimize import linprog
+
+    wedge = sl.make_scaled_gauge(pair3, dual3, 0.5)
+    a = dual3.facet_slopes
+    for x0 in X0_3D:
+        box = sl.bounded_intersection(wedge, x0)
+        b = np.full(len(a), box.gauge_bound)
+        for j, c in enumerate(np.eye(2)):
+            lo = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * 2, method="highs")
+            hi = linprog(-c, A_ub=a, b_ub=b, bounds=[(None, None)] * 2, method="highs")
+            assert lo.success and hi.success
+            assert abs(box.y_lo[j] - lo.fun) <= 1e-9 * abs(lo.fun)
+            assert abs(box.y_hi[j] + hi.fun) <= 1e-9 * abs(hi.fun)
+
+
+def test_slope_ratio_is_its_max_over_the_gauge_ball(pair3, dual3, dual11, rng):
+    for dual in (dual11, dual3):
+        verts, finite = _gauge_ball(dual)
+        assert finite.all()
+        y = verts[:, 0] if dual.d == 2 else verts
+        assert np.max(np.abs(dual.gauge(y) - 1.0)) <= 1e-12
+    # every direction of a dense sample reads at most the exact ratio
+    ang = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+    deltas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    tilted = sl.make_planar(pair3, dual3, dual3.W + 0.3 * dual3.H[:, 0])
+    for slopes in (0.5 * dual3.facet_slopes, tilted.front.slopes, rng.normal(0, 0.2, (5, 2))):
+        exact = _slope_ratio(dual3, slopes)
+        sampled = np.max(np.max(np.abs(deltas @ slopes.T), axis=1) / dual3.gauge(deltas))
+        assert sampled <= exact * (1 + 1e-12)
+        assert exact <= sampled * (1 + 1e-3)
+
+
+def test_an_unbounded_gauge_ball_is_reported(pair11):
+    # the dual of one ray is a halfplane: its generators are orthogonal to W
+    # up to rounding (g . W = 6e-17), so the gauge is 0 and its ball unbounded
+    dual = sl.dual_cone(sector_cone(0.0, 0.0))
+    assert not _gauge_ball(dual)[1].any()
+    assert _slope_ratio(dual, np.zeros((1, 1))) == 0.0
+    with pytest.raises(GaugeZero):
+        _slope_ratio(dual, np.array([[0.1]]))
+    prof = sl.make_planar(pair11, dual, [1.0, 0.0])
+    with pytest.raises(EmptyInterior):
+        sl.bounded_intersection(prof, -dual.W)
+
+
+def test_sandwich_orders_in_3d(rng):
+    # the chords of (s^2, s^3, s^5) between 1 and -1 are symmetric under
+    # s -> -s, so the gauge ball is centrally symmetric and the cone fronts'
+    # ratio is 1
+    flux = sl.Flux(((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
+    pair = sl.make_shock_pair(flux, 1.0, -1.0)
+    dual = sl.dual_cone_from_flux(pair)
+    base = sl.make_planar(pair, dual, dual.W)
+    # a box across the front, and data that takes any value in range on all of it
+    lo_box, hi_box = np.array([-0.5, -0.4, -0.3]), np.array([0.5, 0.4, 0.3])
+    lower, upper = sl.sandwich_bounds(base, (lo_box, hi_box), pad=0.1)
+    assert max(lower.rho, upper.rho) <= 1.0 + 1e-6
+    xs = np.linspace(-1.5, 1.5, 25)
+    mesh = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
+    u = base.eval(mesh)
+    lo = lower.eval(mesh)
+    hi = upper.eval(mesh)
+    in_box = np.all((mesh >= lo_box - 1e-12) & (mesh <= hi_box + 1e-12), axis=-1)
+    for _ in range(5):
+        a = np.where(in_box, rng.uniform(pair.u_plus, pair.u_minus, u.shape), u)
+        assert np.all(lo <= a) and np.all(a <= hi)
+    assert np.any(lo < u) and np.any(hi > u)
 
 
 def test_extract_front_planar(planar11, pair11, dual11):
