@@ -1,12 +1,14 @@
 """Admissibility cones, dual cones, frames, and the gauge function.
 
 For d = 2 a cone of admissible directions is an exact angular sector located
-by bisection on the chord admissibility predicate.  For d >= 3 the cone is a
-polyhedral approximation hulled from a quasi-uniform direction sample.  The
-dual cone carries the working frame: an interior axis W, a supporting
-functional lam in the primal cone, an orthonormal basis H of the complement
-of W, and the piecewise-linear gauge whose epigraph is the dual cone in the
-(y, r) coordinates of the splitting R^d = H + R*W.
+by bisection on the chord admissibility predicate.  For d = 3 it is the cone
+of a quasi-uniform sample of admissible directions: its extreme rays are the
+vertices of the sample's hull on a slice plane, and the cross products of
+consecutive rays span its dual.  The dual cone carries the working frame: an
+interior axis W, a supporting functional lam in the primal cone, an
+orthonormal basis H of the complement of W, and the piecewise-linear gauge
+whose epigraph is the dual cone in the (y, r) coordinates of the splitting
+R^d = H + R*W.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import TrivialCone
 from .fluxes import ShockPair, oleinik_admissible, oleinik_admissible_many
+from .hulls import hull_indices
 
 __all__ = [
     "AdmissibleCone",
@@ -45,7 +48,8 @@ class AdmissibleCone:
     """Closed convex cone of chord-admissible directions.
 
     d = 2: the sector [theta1, theta2] in radians (width < pi).
-    d >= 3: sampled admissible unit directions plus the hull's extreme rays.
+    d = 3: the admitted unit directions, the extreme rays of their cone in
+    cyclic order, and the inward unit normal of the facet after each ray.
     """
 
     d: int
@@ -81,28 +85,41 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1)
 
 
-def _extreme_rays(vectors: np.ndarray) -> np.ndarray:
-    """The rows scaled to unit length, in input order: the vertices of the
-    hull of those unit vectors and the origin, less the origin.
+def _cone_rays(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The extreme rays of the cone that 3-D vectors span, unit rows in
+    cyclic order, and the extreme rays of its dual {n : n.v >= 0}.
 
-    Every unit vector lies on the sphere, so each is a vertex of that hull,
-    and the result is not the extreme rays of the cone the rows span: the
-    1,405 admissible directions of the 3-D Burgers pair at resolution 0.05
-    all come back.  Nor is it a no-op: the joggled hull (QJ) drops rows that
-    nearly coincide with another.  The chord directions of
-    `dual_cone_from_flux` crowd near the end states, and 512 became 511 for
-    some pairs; the vertices of `_dual_generators_nd`'s halfspace
-    intersection can repeat (7 became 6, 18 became 12).  The result spans
-    the same cone, up to the joggle, so callers that read it as generators
-    get the right cone.
+    The unit vectors v go centrally onto the plane {x : x.m = 1},
+    v -> v / (v.m), m their unit mean; the vertices of the images' hull span
+    the extreme rays.  The dual is spanned by the cross products of
+    consecutive rays (the polar of a polygon; Ziegler, Lectures on Polytopes,
+    2.3).  TrivialCone if some v.m <= 0, or if the cone is flat: m lies on a
+    facet, as on both facets of a hull of two vertices.
     """
-    from scipy.spatial import ConvexHull
-
-    pts = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    pts = np.vstack([pts, np.zeros(pts.shape[1])])
-    hull = ConvexHull(pts, qhull_options="QJ")
-    idx = [i for i in hull.vertices if i != len(pts) - 1]
-    return pts[idx]
+    units = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    m = units.mean(axis=0)
+    norm = np.linalg.norm(m)
+    if norm <= 1e-12:
+        raise TrivialCone("direction set is not pointed; its rays are undefined")
+    m = m / norm
+    heights = units @ m
+    if np.any(heights <= 0):
+        raise TrivialCone("direction spread exceeds a halfspace; no slice plane")
+    basis = _complement_basis(m)
+    pts = (units @ basis) / heights[:, None]
+    order = hull_indices(pts)
+    # the cross products on the slice, where the chain turned: a ray is (p, 1)
+    # in the frame (basis, m), and (p, 1) x (p' - p, 0) points into the cone,
+    # accurate in direction even for two rays a rounding apart
+    p = pts[order]
+    e = np.roll(p, -1, axis=0) - p
+    normals = (np.stack([-e[:, 1], e[:, 0]], axis=1) @ basis.T
+               + np.outer(p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0], m))
+    size = np.linalg.norm(normals, axis=1)
+    # a hull of two vertices has m on both of its facets
+    if np.any(normals @ m <= 1e-12 * size):
+        raise TrivialCone("directions span a flat cone; its dual contains a line")
+    return units[order], normals / size[:, None]
 
 
 def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone:
@@ -111,8 +128,9 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
     d = 2: circular scan of 1024 directions for an admissible seed, then
     bisection of the two boundary angles down to `resolution` radians, or
     to adjacent floats if that comes first.
-    d >= 3: admissibility test on a quasi-uniform direction grid sized from
-    `resolution` as an angular spacing, hulled into a polyhedral cone.
+    d = 3: admissibility test on a quasi-uniform direction grid sized from
+    `resolution` as an angular spacing; the admitted directions span a
+    polyhedral cone (`_cone_rays`).
 
     A resolution below about 1e-7 rad buys no accuracy: the exact test,
     `oleinik_admissible(exact=True)`, admits directions up to about 8.4e-8
@@ -184,51 +202,16 @@ def _admissible_cone_nd(pair: ShockPair, resolution: float) -> AdmissibleCone:
     if not mask.any():
         return AdmissibleCone(3, pair, trivial=True)
     adm = dirs[mask]
-    gens = _extreme_rays(adm) if len(adm) >= 3 else adm
-    dual_gens = _dual_generators_nd(gens)
+    gens, dual_gens = _cone_rays(adm)
     return AdmissibleCone(3, pair, directions=adm, generators=gens, dual_generators=dual_gens)
 
 
 def _interior_direction(generators: np.ndarray) -> np.ndarray:
-    """Direction maximizing the worst inner product with the given rays."""
-    d = generators.shape[1]
-    if d == 3:
-        probes = np.vstack([_fibonacci_sphere(4096), generators])
-    else:
-        probes = generators
+    """Among 4,096 probes of S^2 and the rays, the direction maximizing the worst inner product."""
+    probes = np.vstack([_fibonacci_sphere(4096), generators])
     probes = probes / np.linalg.norm(probes, axis=1, keepdims=True)
     score = (probes @ generators.T).min(axis=1)
     return probes[int(np.argmax(score))]
-
-
-def _dual_generators_nd(primal_gens: np.ndarray) -> np.ndarray:
-    """Extreme rays of {n : n.g >= 0 for all g} via a bounded slice.
-
-    The dual cone is sliced by {x : w.x = 1} with w the mean of the (unit)
-    generators: the slice is bounded exactly when w is interior to the cone
-    the generators span, which the mean of a pointed generator set is.
-    """
-    from scipy.spatial import HalfspaceIntersection
-
-    d = primal_gens.shape[1]
-    units = primal_gens / np.linalg.norm(primal_gens, axis=1, keepdims=True)
-    w = units.mean(axis=0)
-    norm = np.linalg.norm(w)
-    if norm <= 1e-12:
-        raise TrivialCone("generator set is not pointed; dual rays are undefined")
-    w = w / norm
-    q, _ = np.linalg.qr(np.column_stack([w, np.eye(d)[:, :-1]]))
-    basis = q[:, 1:]  # orthonormal complement of w
-    x0 = w / np.dot(w, w)
-    # halfspaces g.(x0 + basis z) >= 0  ->  (-g.basis) z <= g.x0
-    a = -(primal_gens @ basis)
-    b = primal_gens @ x0
-    if np.any(b <= 0):
-        raise TrivialCone("generator spread exceeds a halfspace; slice axis infeasible")
-    hs = HalfspaceIntersection(np.column_stack([a, -b]), np.zeros(d - 1))
-    rays = hs.intersections @ basis.T + x0
-    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-    return _extreme_rays(rays) if len(rays) >= d else rays
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,10 +357,8 @@ def dual_cone_from_flux(pair: ShockPair, n_samples: int = 512) -> DualCone:
         primal = np.stack([_unit(p1), _unit(p2)])
         lam = _unit(0.5 * (p1 + p2))
         return _frame(dual_gens, primal, lam)
-    gens = _extreme_rays(vecs)
-    primal = _dual_generators_nd(gens)
-    lam = _interior_direction(gens)
-    return _frame(gens, primal, lam)
+    gens, primal = _cone_rays(vecs)
+    return _frame(gens, primal, _interior_direction(gens))
 
 
 def cone_contains(cone: AdmissibleCone, nu, margin: float = 0.0) -> bool:

@@ -229,6 +229,15 @@ class RunConfig:
             raise self.error("flux.poly", "give either flux.poly or flux.burgers_d, not both")
         return given[0] if given else None
 
+    def require_2d(self, command: str) -> None:
+        """A config error at the flux's line unless it has 2 components."""
+        key = self.flux_key()
+        if key is None:
+            return  # build_flux reports a missing flux
+        d = len(self.get(key)) if key == "flux.poly" else self.get(key)
+        if d != 2:
+            raise self.error(key, f"{command} is built for d = 2, and the flux has {d} components")
+
     # -- builders -----------------------------------------------------------
 
     def build_flux(self) -> Flux:

@@ -23,6 +23,7 @@ from .errors import (
     RangeViolation,
 )
 from .fluxes import Flux, burgers_flux, burgers_normalization, component_abs_max, is_burgers
+from .hulls import hull_indices
 from .profiles import (
     PerturbationSpec,
     ShockProfile,
@@ -211,44 +212,7 @@ def support_hull(flux: Flux, j, n_samples: int = 64) -> SupportHull:
               - f_s[np.repeat(np.arange(n_samples), n_samples)[mask]])
     chords = chords / (s2[mask] - s1[mask])[:, None]
     pts = np.vstack([chords, df])
-    verts = _hull_vertices(pts)
-    return SupportHull((lo, hi), verts, center, amp, c_f, c_f * amp)
-
-
-def _hull_vertices(pts: np.ndarray) -> np.ndarray:
-    """Vertices of the convex hull of a 2-D point cloud, counter-clockwise.
-
-    Andrew's monotone chain (Andrew, Inf. Proc. Letters 9, 1979): the points
-    sorted by x, then y, and a lower and an upper chain that keep only strict
-    left turns, so duplicate points and points on an edge are dropped.  The
-    directed edges are those of qhull's hull; the first vertex is the lowest
-    of the leftmost points.  A (near-)degenerate cloud gives the two extreme
-    points along its long axis, and so does a collinear one, on which qhull
-    gives up.
-    """
-    spread = np.max(pts, axis=0) - np.min(pts, axis=0)
-    if np.min(spread) <= 1e-12 * max(1.0, np.max(spread)):
-        # (near-)degenerate cloud: keep the extreme points along the long axis
-        ax = int(np.argmax(spread))
-        order = np.argsort(pts[:, ax])
-        return pts[[order[0], order[-1]]]
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    xy = pts[order].tolist()
-
-    def chain(idx):
-        kept = []
-        for i in idx:
-            px, py = xy[i]
-            while len(kept) >= 2:
-                (ox, oy), (qx, qy) = xy[kept[-2]], xy[kept[-1]]
-                if (qx - ox) * (py - oy) - (qy - oy) * (px - ox) > 0.0:
-                    break
-                kept.pop()
-            kept.append(i)
-        return kept[:-1]  # the last point starts the other chain
-
-    n = len(xy)
-    return pts[order[chain(range(n)) + chain(range(n - 1, -1, -1))]]
+    return SupportHull((lo, hi), pts[hull_indices(pts)], center, amp, c_f, c_f * amp)
 
 
 def _edge_mask(grid: Grid) -> np.ndarray:
@@ -344,7 +308,8 @@ def support_experiment(
             raise BoundaryContact(f"difference support reached the domain edge at t={t:.3g}")
         if not np.any(mask):
             continue
-        poly = _hull_vertices(np.array([c + t * v for c in k_corners for v in hull.vertices]))
+        corners = np.array([c + t * v for c in k_corners for v in hull.vertices])
+        poly = corners[hull_indices(corners)]
         pts = mesh[mask]
         margin = 8.0 * np.sqrt(lam * g.dx * t) + 4.0 * g.dx
         excess = float(np.max(_polygon_distance(poly, pts)) - margin)

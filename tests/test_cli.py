@@ -297,6 +297,16 @@ BROKEN = {
     "burgers-d-negative-normalize": ("normalize-check", "flux.burgers_d = -1\n"),
     "burgers-d-zero-cone": ("cone", "flux.burgers_d = 0\n"),
     "burgers-d-one-normalize": ("normalize-check", "flux.burgers_d = 1\n"),
+    # commands built for d = 2, on a whole 3-D config: a raw NotImplementedError
+    # and two raw ValueErrors from matmul on fronts sampled along a 1-D y line
+    "support-3d": ("support", "flux.burgers_d = 3\ngrid.counts = 12,12,12\n"
+                   "grid.box = -3,9,-3,9,-3,9\nperturbation.center = 0,0,0\n"),
+    "stability-3d": ("stability", "flux.burgers_d = 3\nprofile.front = planar\n"
+                     "profile.nu = 0.58,0.0,0.81\ngrid.counts = 8,16,16\n"
+                     "grid.box = -3,5,-8,8,-8,8\nperturbation.center = 2.7,0,0\n"),
+    "profile-3d": ("profile", "flux.burgers_d = 3\nprofile.front = planar\n"
+                   "profile.nu = 0.58,0.0,0.81\ngrid.counts = 8,8,8\n"
+                   "grid.box = -2,2,-2,2,-2,2\n"),
 }
 
 
@@ -323,6 +333,21 @@ def test_a_broken_key_is_a_config_error(case, tmp_path, monkeypatch):
     assert err.startswith(tuple(f"config error: line {n}:"
                                 for n in range(first, first + broken.count("\n")))), err
     assert not (out / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize("case", ["support-3d", "stability-3d", "profile-3d"])
+def test_a_two_dimensional_command_rejects_a_3d_flux_at_its_line(case, tmp_path, monkeypatch):
+    from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    base, broken = BROKEN[case]
+    command, cfg = CASES[base]
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + broken + f"output.dir = {tmp_path / 'out'}\n")
+    code, _, err = run_cli([command, "--config", str(path)])
+    assert code == 2
+    assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.burgers_d: "
+                   f"{command} is built for d = 2, and the flux has 3 components\n")
 
 
 # (digest case, the required key deleted from it)
@@ -496,18 +521,12 @@ def _scipy_loaded_by(cases, tmp_path):
     return set(proc.stdout.split())
 
 
-def test_two_dimensional_commands_load_no_scipy(tmp_path):
-    # scipy takes about a third of a second of CPU to import; the 2-D hulls,
-    # cones and profiles need none of it.  Only the 3-D cone uses it, and only
-    # scipy.spatial: the gauge ball is read off the dual generators, with no
-    # linear program
+def test_no_command_loads_scipy(tmp_path):
+    # scipy takes about a third of a second of CPU to import, and no command
+    # needs it: the 2-D and 3-D hulls are monotone chains, the 3-D dual cone
+    # is spanned by cross products, and the gauge ball is read off the dual
+    # generators, with no linear program
     from test_cli_digests import CASES
 
-    three_d = [name for name, (_, cfg) in CASES.items() if "flux.burgers_d = 3" in cfg]
-    assert sorted(three_d) == ["cone-3d", "simulate-3d"]
-    (tmp_path / "2d").mkdir()
-    assert _scipy_loaded_by([n for n in CASES if n not in three_d], tmp_path / "2d") == set()
-    for name in three_d:
-        (tmp_path / name).mkdir()
-        loaded = _scipy_loaded_by([name], tmp_path / name)
-        assert "scipy.spatial" in loaded and "scipy.optimize" not in loaded, (name, loaded)
+    assert {"cone-3d", "simulate-3d"} <= set(CASES)
+    assert _scipy_loaded_by(list(CASES), tmp_path) == set()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 import shocklab as sl
 from shocklab import cones
 from shocklab.cones import sector_cone
 from shocklab.errors import TrivialCone
+from shocklab.hulls import hull_indices
 
 
 def test_admissible_sector_symmetric_pair(pair11):
@@ -189,3 +192,129 @@ def test_three_dimensional_dual_routes_agree():
     # every flux chord lies in the sampled dual cone (support check, loose)
     for v in d2.generators:
         assert np.all(d1.primal_generators @ v >= -0.05)
+
+
+def _slice(units, rows=None):
+    """The central projection of `cones._cone_rays`: v -> v / (v.m) in the
+    coordinates of the complement of m, the mean of the unit rows; of `rows`
+    if given, else of the units themselves."""
+    rows = units if rows is None else rows
+    m = units.mean(axis=0)
+    m = m / np.linalg.norm(m)
+    return (rows @ cones._complement_basis(m)) / (rows @ m)[:, None]
+
+
+def _boundary_distance(poly, pts):
+    """The distance of each point to the boundary of a polygon (qhull's may
+    repeat a point given twice)."""
+    e = np.roll(poly, -1, axis=0) - poly
+    rel = pts[:, None, :] - poly[None, :, :]
+    t = np.clip(np.sum(rel * e, axis=2) / np.maximum(np.sum(e * e, axis=1), 1e-300), 0.0, 1.0)
+    return np.min(np.linalg.norm(rel - t[..., None] * e, axis=2), axis=1)
+
+
+def _assert_cone_of(vectors):
+    """_cone_rays against qhull on the same slice, and its dual against every
+    direction; returns the number of extreme rays."""
+    units = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    rays, normals = cones._cone_rays(vectors)
+    # the extreme rays are input rows, and every input lies in their dual's dual
+    assert all(np.any(np.all(units == r, axis=1)) for r in rays)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert float(np.min(units @ normals.T)) >= -1e-12
+    # each normal is the facet of two consecutive rays
+    assert np.max(np.abs(np.sum(normals * rays, axis=1))) <= 1e-12
+    assert np.max(np.abs(np.sum(normals * np.roll(rays, -1, axis=0), axis=1))) <= 1e-12
+    # the same hull as qhull's on the slice: each vertex of either lies on the
+    # other's boundary, to 1e-12 of the slice's size (either may merge a
+    # vertex that is a rounding off the line of its neighbours)
+    pts = _slice(units)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
+    got, want = _slice(units, rays), pts[ConvexHull(pts).vertices]
+    assert np.max(_boundary_distance(want, got)) <= tol
+    assert np.max(_boundary_distance(got, want)) <= tol
+    return len(rays)
+
+
+@st.composite
+def pointed_clouds(draw):
+    """Unit directions within a half-angle below pi/2 of a drawn axis: spread
+    over the cap, bunched at its rim, or with repeated rows."""
+    axis = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+    if np.linalg.norm(axis) < 1e-3:
+        axis = np.array([0.0, 0.0, 1.0])
+    axis = axis / np.linalg.norm(axis)
+    frame = np.linalg.qr(np.column_stack([axis, np.eye(3)[:, :2]]))[0]
+    frame[:, 0] = axis
+    half = draw(st.floats(0.05, 1.45))
+    n = draw(st.integers(3, 60))
+    kind = draw(st.sampled_from(["cap", "rim", "repeats"]))
+    polar = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+    if kind == "rim":
+        polar = 1.0 - 1e-3 * polar
+    theta = half * polar
+    phi = np.array(draw(st.lists(st.floats(0, 2 * np.pi), min_size=n, max_size=n)))
+    local = np.stack([np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)])
+    dirs = (frame @ local).T
+    if kind == "repeats":
+        dirs = dirs[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=2 * n))]
+    return dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointed_clouds())
+def test_cone_rays_match_qhull(dirs):
+    try:
+        _assert_cone_of(dirs)
+    except TrivialCone:
+        # the mean is no slice axis (repeated rows can pull it within pi/2 of
+        # the rim), or the cloud is too thin to have an interior
+        units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        m = units.mean(axis=0)
+        if np.all(units @ m > 0):
+            pts = _slice(units)
+            span = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            assert span[1] <= 1e-9 * max(1.0, span[0])
+
+
+def test_cone_rays_of_the_admissible_directions():
+    # the 1,405 admitted directions of the 3-D Burgers pair (1, -1) at
+    # resolution 0.05 span a cone of 17 extreme rays
+    pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
+    cone = sl.admissible_cone(pair, 0.05)
+    assert len(cone.directions) == 1405
+    assert _assert_cone_of(cone.directions) == 17
+    assert cone.generators.shape == cone.dual_generators.shape == (17, 3)
+
+
+@st.composite
+def flat_clouds(draw):
+    """Directions in a wedge of a plane through the origin, each lifted off
+    the plane by at most 10^-k, k in 12..18, or not at all; and that bound."""
+    a, b = (np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3))) for _ in range(2))
+    if np.linalg.norm(np.cross(a, b)) < 1e-3:
+        a, b = np.eye(3)[0], np.eye(3)[1]
+    n = draw(st.integers(2, 40))
+    s, t = (np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))) for _ in range(2))
+    dirs = np.outer(s + 1e-3, a) + np.outer(t + 1e-3, b)
+    lift = draw(st.sampled_from([0.0] + [10.0**-k for k in range(12, 19)]))
+    up = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    return dirs + lift * np.outer(up, np.cross(a, b) / np.linalg.norm(np.cross(a, b))), lift
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_clouds())
+def test_cone_rays_of_a_flat_cloud(cloud):
+    # a planar cloud, whose slice is a segment to within rounding, is a
+    # TrivialCone, in the chain's two-point branch or past it; a lifted one
+    # may span a thin cone, which then holds every direction in its dual's
+    # dual, and no other exception escapes
+    dirs, lift = cloud
+    units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    try:
+        rays, normals = cones._cone_rays(dirs)
+    except TrivialCone:
+        return
+    assert lift > 0.0
+    assert len(hull_indices(_slice(units))) >= 3
+    assert float(np.min(units @ normals.T)) >= -1e-12
