@@ -47,7 +47,6 @@ from .profiles import (
     PerturbationSpec,
     ShockProfile,
     bounded_intersection,
-    estimate_rho,
     extract_front,
     front_surgery,
     make_graph,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import experiments as xp
 from .config import RunConfig, tokenize, validate
-from .cones import dual_cone_from_flux
+from .cones import cone_contains, dual_cone_from_flux
 from .errors import ConfigError, ShockLabError
 from .experiments import Check, ExperimentReport
 from .fluxes import burgers_flux, is_burgers
@@ -115,8 +115,6 @@ def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
     ys = np.linspace(prof.y_extent[0], prof.y_extent[1], 257)
     psis = prof.front.value(ys)
     write_probes_csv(["y", "psi"], np.stack([ys, psis], axis=1), out / "front.csv")
-    from .cones import cone_contains
-
     normals_ok = all(cone_contains(cone, nu, 0.0) for nu in front_normals(prof))
     report = ExperimentReport("profile", [
         Check("gauge_lipschitz", prof.rho <= 1.0 + 1e-9, prof.rho, 1.0, "front ratio"),

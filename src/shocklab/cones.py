@@ -327,16 +327,15 @@ def dual_cone(cone: AdmissibleCone) -> DualCone:
     return _frame(cone.dual_generators, cone.generators, lam)
 
 
-def dual_cone_from_flux(pair: ShockPair, n_samples: int = 512) -> DualCone:
-    """Dual cone spanned directly by the chords f_bar - F(s), s in [u_plus, u_minus]."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+def dual_cone_from_flux(pair: ShockPair) -> DualCone:
+    """Dual cone spanned directly by the chords f_bar - F(s), s in [u_plus, u_minus],
+    at 512 Chebyshev nodes."""
     # Chebyshev nodes: the chord vectors vanish at the end states, so the
     # extreme directions are only reached in the limit; quadratic clustering
     # keeps the angular truncation error at O(1/n^2).  F(s) is stacked into
     # C-contiguous (n, d) rows: the summation order of the mean chord
     # direction below depends on the layout.
-    s = pair.chebyshev_nodes(n_samples)
+    s = pair.chebyshev_nodes(512)
     vecs = pair.f_bar[None, :] - np.stack(pair.reduced.value(s), axis=1)
     norms = np.linalg.norm(vecs, axis=1)
     scale = float(norms.max())

@@ -229,14 +229,18 @@ class RunConfig:
             raise self.error("flux.poly", "give either flux.poly or flux.burgers_d, not both")
         return given[0] if given else None
 
+    def flux_dimension(self) -> int | None:
+        """The flux's number of components as its key gives it; None if no key does."""
+        key = self.flux_key()
+        value = self.get(key) if key else None
+        return len(value) if key == "flux.poly" else value
+
     def require_2d(self, command: str) -> None:
         """A config error at the flux's line unless it has 2 components."""
-        key = self.flux_key()
-        if key is None:
-            return  # build_flux reports a missing flux
-        d = len(self.get(key)) if key == "flux.poly" else self.get(key)
-        if d != 2:
-            raise self.error(key, f"{command} is built for d = 2, and the flux has {d} components")
+        d = self.flux_dimension()
+        if d not in (None, 2):  # build_flux reports a missing flux
+            raise self.error(self.flux_key(),
+                             f"{command} is built for d = 2, and the flux has {d} components")
 
     # -- builders -----------------------------------------------------------
 
@@ -389,10 +393,10 @@ def tokenize(text: str) -> dict[str, tuple[str, int]]:
 
 def _check_dimensions(cfg: RunConfig, entries: dict[str, tuple[str, int]]) -> None:
     """One flux component per grid axis, front normal entry and bump center entry."""
-    flux_key = cfg.flux_key()
-    if flux_key is None:
+    d = cfg.flux_dimension()
+    if d is None:
         return  # build_flux reports a missing flux
-    d = len(cfg.get(flux_key)) if flux_key == "flux.poly" else cfg.get(flux_key)
+    flux_key = cfg.flux_key()
     errors = []
     for key in ("grid.counts", "profile.nu", "perturbation.center"):
         if cfg.has(key) and len(cfg.get(key)) != d:

@@ -34,7 +34,6 @@ __all__ = [
     "make_planar",
     "make_graph",
     "make_scaled_gauge",
-    "estimate_rho",
     "perturb_end_states",
     "sandwich_bounds",
     "front_surgery",
@@ -48,7 +47,7 @@ __all__ = [
 # a front is uniformly non-characteristic (UNC) when its ratio rho is at most this
 UNC_RHO = 0.9
 DEFAULT_NORMAL_MARGIN = 0.05
-# samples of a front across its y extent: graph nodes, the grid of the ratio, resampling
+# samples of a front across its y extent: graph nodes and resampling
 FRONT_NODES = 1025
 
 
@@ -58,8 +57,9 @@ class Front:
 
     kind is one of planar | scaled_gauge | pwl | cone | combine; fn evaluates
     psi(y) vectorized; slopes is the finite set of local slope vectors
-    (k, d-1) used for normal enumeration (exhaustive for the closed forms,
-    per-segment for piecewise-linear fronts).
+    (k, d-1) from which the front ratio (_slope_ratio) is read and the
+    normals are enumerated (exhaustive for the closed forms, per-segment for
+    piecewise-linear fronts, every part's for a combination).
     """
 
     kind: str
@@ -185,49 +185,25 @@ def _gauge_ball(dual: DualCone) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slope_ratio(dual: DualCone, slopes: np.ndarray) -> float:
-    """sup over directions of |s . delta| / gauge(delta) for each slope row s:
-    the max of |s . v| over the gauge ball's vertices v, since |s . delta| is
-    convex and so reaches its sup over the ball at a vertex."""
-    verts, finite = _gauge_ball(dual)
-    if np.max(np.abs(slopes @ verts[~finite].T), initial=0.0) > 1e-13:
-        raise GaugeZero("gauge vanishes in a direction where the front varies")
-    return float(np.max(np.abs(slopes @ verts[finite].T), initial=0.0))
-
-
-def estimate_rho(profile: ShockProfile) -> float:
-    """Supremum of |psi(y') - psi(y)| / gauge(y' - y) over sampled pairs.
-
-    Adjacent pairs of the sampling grid are always included (exact for
-    piecewise-linear fronts on their own grid); 256 long-range pairs are
-    drawn from a fixed-seed generator on top.
+    """The front ratio rho = max of s . v over the slope rows s and the gauge
+    ball's vertices v: the sup of s . delta / gauge(delta), which a linear
+    function reaches at a vertex.  It is one-sided, psi(y + delta) - psi(y)
+    <= rho gauge(delta), as the gauge is not symmetric; that is all that
+    bounded_intersection (psi(y) - psi(0) <= rho gauge(y), and subadditivity),
+    predicted_absorption_time, ShockProfile.unc, perturb_end_states and the
+    slope_room of default_comparison_profiles use.  A combination's ratio is
+    the max over its parts, an upper bound.  2-D balls are centrally symmetric
+    (the frame axis bisects two unit dual generators), so there it is also
+    two-sided.  GaugeZero where s . u > 1e-13 along an unbounded direction u.
     """
-    if profile.d != 2:
-        return _slope_ratio(profile.dual, profile.front.slopes)
-    front = profile.front
-    if front.kind == "pwl":
-        nodes = front.params["nodes"]
-    else:
-        nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], FRONT_NODES)
-    rng = np.random.default_rng(0)
-    lo, hi = float(nodes[0]), float(nodes[-1])
-    ya = np.concatenate([nodes[:-1], nodes[1:], rng.uniform(lo, hi, 256)])
-    yb = np.concatenate([nodes[1:], nodes[:-1], rng.uniform(lo, hi, 256)])
-    keep = ya != yb
-    ya, yb = ya[keep], yb[keep]
-    num = np.abs(front.value(yb) - front.value(ya))
-    den = profile.dual.gauge(yb - ya)
-    bad = den <= 0
-    if np.any(bad & (num > 1e-13 * max(1.0, float(np.max(num))))):
-        raise GaugeZero("gauge vanishes between sample points with different front values")
-    good = ~bad
-    if not np.any(good):
-        return 0.0
-    return float(np.max(num[good] / den[good]))
+    verts, finite = _gauge_ball(dual)
+    if np.max(slopes @ verts[~finite].T, initial=0.0) > 1e-13:
+        raise GaugeZero("gauge vanishes in a direction where the front rises")
+    return float(np.max(slopes @ verts[finite].T, initial=0.0))
 
 
 def _finish_profile(pair, dual, front, y_extent, rho_tol) -> ShockProfile:
-    probe = ShockProfile(pair, dual, front, rho=0.0, y_extent=y_extent)
-    rho = estimate_rho(probe)
+    rho = _slope_ratio(dual, front.slopes)
     if rho > 1.0 + rho_tol:
         raise NotLipschitzInGauge(f"front ratio {rho:.6g} exceeds 1; normals leave the cone")
     return ShockProfile(pair, dual, front, rho=rho, y_extent=y_extent)
@@ -365,9 +341,10 @@ def sandwich_bounds(
     r_c, y_c = dual.frame(box_corners(lo, hi, profile.d))
     r0 = float(np.max(dual.gauge(y_c) - r_c)) + pad
     r1 = float(np.max(dual.gauge(-y_c) + r_c)) + pad
-    cone_slopes = np.vstack([dual.facet_slopes, -dual.facet_slopes])
-    lower_cone = Front("cone", lambda y: dual.gauge(y) - r0, cone_slopes, {"r0": r0})
-    upper_cone = Front("cone", lambda y: r1 - dual.gauge(-y), cone_slopes, {"r1": r1})
+    # gauge(y) - r0 and r1 - gauge(-y) = min_i (r1 + c_i . y) both have the
+    # facet slopes c_i as their local slopes
+    lower_cone = Front("cone", lambda y: dual.gauge(y) - r0, dual.facet_slopes, {"r0": r0})
+    upper_cone = Front("cone", lambda y: r1 - dual.gauge(-y), dual.facet_slopes, {"r1": r1})
     return tuple(
         _finish_profile(profile.pair, dual, _combine_front(op, (profile.front, cone)),
                         profile.y_extent, 1e-6)

@@ -39,7 +39,7 @@ def test_criterion_1_cone_oracle(lab):
     t0 = time.time()
     cone = sl.admissible_cone(pair, 1e-8)
     dual = sl.dual_cone(cone)
-    flux_dual = sl.dual_cone_from_flux(pair, 1024)
+    flux_dual = sl.dual_cone_from_flux(pair)
     angle_err = max(abs(cone.sector[0] + np.pi / 4), abs(cone.sector[1] - np.pi / 4))
     a = np.sort(np.arctan2(dual.generators[:, 1], dual.generators[:, 0]))
     b = np.sort(np.arctan2(flux_dual.generators[:, 1], flux_dual.generators[:, 0]))
@@ -172,8 +172,7 @@ def test_criterion_6_dispersion(lab):
     g = sl.Grid.from_box((-12, 20, -13, 13), (256, 208))
     phi = sl.PerturbationSpec("bump", (0.0, 0.0), 1.5, 0.25)
     data = sample_function(phi, g)
-    rep = sl.dispersion_experiment(data, sl.SchemeConfig(), horizon=100.0, t0=10.0,
-                                   growth_factor=2.0)
+    rep = sl.dispersion_experiment(data, sl.SchemeConfig(), horizon=100.0, t0=10.0)
     elapsed = time.time() - t0
     by_name = {c.name: c for c in rep.checks}
     ratio = by_name["bounded_decay"].measured

@@ -218,20 +218,24 @@ def _no_evolution(*args, **kwargs):
 
 # one broken key per case, appended to a config of tests/test_cli_digests.py
 # (later lines win); "{csv}" is a front file holding a non-number, "{steep}"
-# one whose ratio to the gauge is 5
+# one whose ratio to the gauge is 5.  A case of several lines gives, as its
+# third entry, the key on whose line the error must be.
 SUM = "perturbation.shape = sum\nperturbation.terms = {}\n"
+TERMS = "perturbation.terms"
 BROKEN = {
-    "terms-non-number": ("simulate", SUM.format("bump:0.4,abc,0.5,0.3")),
-    "terms-unknown-shape": ("simulate", SUM.format("blob:0.4,0.2,0.5,0.3")),
-    "terms-one-number-too-many": ("simulate", SUM.format("bump:0.4,0.2,0.1,0.5,0.3")),
+    "terms-non-number": ("simulate", SUM.format("bump:0.4,abc,0.5,0.3"), TERMS),
+    "terms-unknown-shape": ("simulate", SUM.format("blob:0.4,0.2,0.5,0.3"), TERMS),
+    "terms-one-number-too-many": ("simulate", SUM.format("bump:0.4,0.2,0.1,0.5,0.3"), TERMS),
     "horizon-zero": ("simulate", "experiment.horizon = 0\n"),
     "radius-negative": ("simulate", "perturbation.radius = -0.5\n"),
     "amplitude-nan": ("simulate", "perturbation.amplitude = nan\n"),
     "horizon-infinite": ("simulate", "experiment.horizon = inf\n"),
     "center-nan": ("simulate", "perturbation.center = nan,0\n"),  # silently drops the bump
     "resolution-zero": ("cone", "cone.resolution = 0\n"),
-    "pwl-file-non-number": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {csv}\n"),
-    "pwl-path-empty": ("profile", "profile.front = pwl_file\nprofile.pwl_path = \n"),
+    "pwl-file-non-number": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {csv}\n",
+                            "profile.pwl_path"),
+    "pwl-path-empty": ("profile", "profile.front = pwl_file\nprofile.pwl_path = \n",
+                       "profile.pwl_path"),
     # checks of keys that one command reads, made before it does any work
     "t0-past-horizon": ("dispersion", "experiment.t0 = 100\n"),
     "threshold-negative": ("support", "experiment.threshold = -1\n"),
@@ -254,7 +258,7 @@ BROKEN = {
     "amplitude-1e200-overhead": ("overhead", "perturbation.amplitude = 1e200\n"),
     "amplitude-1e200-dispersion": ("dispersion", "perturbation.amplitude = 1e200\n"),
     "amplitude-1e200-support": ("support", "perturbation.amplitude = 1e200\n"),
-    "stability-terms-amplitude-huge": ("stability", SUM.format("bump:2.7,0.0,1.6,1e308")),
+    "stability-terms-amplitude-huge": ("stability", SUM.format("bump:2.7,0.0,1.6,1e308"), TERMS),
     # a companion matrix that divides by a leading coefficient tiny next to the others
     "poly-leading-subnormal": ("cone", "flux.poly = [[0,0,1,2.2e-313],[0,0,0,1]]\n"),
     "poly-leading-tiny": ("cone", "flux.poly = [[0,0,1e10,1e-300],[0,0,0,1]]\n"),
@@ -275,7 +279,8 @@ BROKEN = {
     "nu-inadmissible": ("simulate", "profile.nu = 0,1\n"),
     "slope-past-1-stability": ("stability", "profile.slope = 1.5\n"),
     "slope-past-1-profile": ("profile", "profile.slope = 1.5\n"),
-    "pwl-file-too-steep": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {steep}\n"),
+    "pwl-file-too-steep": ("profile", "profile.front = pwl_file\nprofile.pwl_path = {steep}\n",
+                           "profile.pwl_path"),
     # past the work ceiling: a raw MemoryError (1.16 TiB), a run of about
     # 1e302 steps, and a horizon once reported at the snapshot interval's line
     "counts-huge": ("simulate", "grid.counts = 100000,100000\n"),
@@ -300,13 +305,14 @@ BROKEN = {
     # commands built for d = 2, on a whole 3-D config: a raw NotImplementedError
     # and two raw ValueErrors from matmul on fronts sampled along a 1-D y line
     "support-3d": ("support", "flux.burgers_d = 3\ngrid.counts = 12,12,12\n"
-                   "grid.box = -3,9,-3,9,-3,9\nperturbation.center = 0,0,0\n"),
+                   "grid.box = -3,9,-3,9,-3,9\nperturbation.center = 0,0,0\n", "flux.burgers_d"),
     "stability-3d": ("stability", "flux.burgers_d = 3\nprofile.front = planar\n"
                      "profile.nu = 0.58,0.0,0.81\ngrid.counts = 8,16,16\n"
-                     "grid.box = -3,5,-8,8,-8,8\nperturbation.center = 2.7,0,0\n"),
+                     "grid.box = -3,5,-8,8,-8,8\nperturbation.center = 2.7,0,0\n",
+                     "flux.burgers_d"),
     "profile-3d": ("profile", "flux.burgers_d = 3\nprofile.front = planar\n"
                    "profile.nu = 0.58,0.0,0.81\ngrid.counts = 8,8,8\n"
-                   "grid.box = -2,2,-2,2,-2,2\n"),
+                   "grid.box = -2,2,-2,2,-2,2\n", "flux.burgers_d"),
 }
 
 
@@ -316,7 +322,7 @@ def test_a_broken_key_is_a_config_error(case, tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "step", _no_evolution)
 
-    base, broken = BROKEN[case]
+    base, broken, *key = BROKEN[case]
     command, cfg = CASES[base]
     if "flux.poly" in broken:  # it takes the place of the base's flux
         cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
@@ -329,9 +335,11 @@ def test_a_broken_key_is_a_config_error(case, tmp_path, monkeypatch):
     path.write_text(cfg + broken.format(csv=csv, steep=steep) + f"output.dir = {out}\n")
     code, _, err = run_cli([command, "--config", str(path)])
     assert code == 2
-    first = len(cfg.splitlines()) + 1  # the broken lines follow the base config
-    assert err.startswith(tuple(f"config error: line {n}:"
-                                for n in range(first, first + broken.count("\n")))), err
+    lines = broken.splitlines()
+    assert len(lines) == 1 or key, "a case of several lines names the key of its error"
+    at = [ln.split(" =")[0] for ln in lines].index(key[0]) if key else 0
+    # the broken lines follow the base config
+    assert err.startswith(f"config error: line {len(cfg.splitlines()) + 1 + at}:"), err
     assert not (out / "verdict.txt").exists()
 
 
@@ -340,7 +348,7 @@ def test_a_two_dimensional_command_rejects_a_3d_flux_at_its_line(case, tmp_path,
     from test_cli_digests import CASES
 
     monkeypatch.setattr(solver, "step", _no_evolution)
-    base, broken = BROKEN[case]
+    base, broken, _ = BROKEN[case]
     command, cfg = CASES[base]
     path = tmp_path / "c.cfg"
     path.write_text(cfg + broken + f"output.dir = {tmp_path / 'out'}\n")

@@ -32,7 +32,7 @@ def test_support_hull_single_point(burgers2):
 
 
 def test_support_hull_burgers_interval(burgers2):
-    h = sl.support_hull(burgers2, (-1.0, 1.0), n_samples=96)
+    h = sl.support_hull(burgers2, (-1.0, 1.0))
     # extreme chord velocities (+-2, 3) are attained at coincident end states
     for target in ([2.0, 3.0], [-2.0, 3.0]):
         assert np.min(np.linalg.norm(h.vertices - np.array(target), axis=1)) <= 1e-9
@@ -50,7 +50,7 @@ def test_support_hull_burgers_interval(burgers2):
 
 def test_support_hull_taylor_ball(burgers2):
     eta = 0.1
-    h = sl.support_hull(burgers2, (1.0, 1.0 + eta), n_samples=64)
+    h = sl.support_hull(burgers2, (1.0, 1.0 + eta))
     dist = np.linalg.norm(h.vertices - h.center, axis=1)
     assert np.all(dist <= h.radius + 1e-12)
     assert h.radius == pytest.approx(h.c_f * eta)

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
 from shocklab.cones import sector_cone
@@ -55,14 +58,14 @@ def test_scaled_gauge_profile(pair11, dual11):
         sl.make_scaled_gauge(pair11, dual11, 2.0)
 
 
-def test_estimate_rho_closed_forms(pair11, dual11):
+def test_front_ratio_closed_forms(pair11, dual11):
     flat = sl.make_graph(pair11, dual11, lambda y: np.full_like(y, 0.3))
-    assert sl.estimate_rho(flat) == 0.0
+    assert flat.rho == 0.0
     sine = sl.make_graph(pair11, dual11, lambda y: 0.9 * np.sin(y))
     assert abs(sine.rho - 0.9) <= 1e-3
 
 
-def test_estimate_rho_gauge_zero():
+def test_front_ratio_gauge_zero():
     ray = sector_cone(0.0, 0.0)
     dual = sl.dual_cone(ray)
     f = sl.burgers_flux(2)
@@ -247,9 +250,9 @@ X0_3D = [np.array(x) for x in ((-2.0, 0.0, 0.0), (-1.0, 1.5, 0.5), (-3.0, -2.0, 
 
 
 def test_bounded_intersection_membership_sweep_3d(pair3, dual3):
-    wedge = sl.make_scaled_gauge(pair3, dual3, 0.5)
-    assert 0.97 < wedge.rho < 0.98  # so the boxes reach far along the gauge
-    xs = np.linspace(-5, 5, 21)  # the gauge holds a row per point and facet (1,405)
+    wedge = sl.make_scaled_gauge(pair3, dual3, 0.975)  # so the boxes reach far along the gauge
+    assert all(sl.bounded_intersection(wedge, x0).gauge_bound > 200 for x0 in X0_3D)
+    xs = np.linspace(-5, 5, 21)
     mesh = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
     in_dminus = wedge.eval(mesh) == pair3.u_minus
     for x0 in X0_3D:
@@ -279,6 +282,22 @@ def test_bounded_intersection_box_solves_its_linear_programs(pair3, dual3):
             assert abs(box.y_hi[j] + hi.fun) <= 1e-9 * abs(hi.fun)
 
 
+def _gauge_rows(dual, deltas):
+    """The gauge of each row of deltas, shape (n, d - 1)."""
+    return dual.gauge(deltas[:, 0] if dual.d == 2 else deltas)
+
+
+def _sampled_ratio(dual, slopes, deltas):
+    """max over the rows s and the directions delta of s . delta / gauge(delta)."""
+    return float(np.max(np.max(deltas @ slopes.T, axis=1) / _gauge_rows(dual, deltas)))
+
+
+def _directions(n):
+    """n evenly spaced unit directions of the plane, shape (n, 2)."""
+    ang = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
 def test_slope_ratio_is_its_max_over_the_gauge_ball(pair3, dual3, dual11, rng):
     for dual in (dual11, dual3):
         verts, finite = _gauge_ball(dual)
@@ -286,14 +305,81 @@ def test_slope_ratio_is_its_max_over_the_gauge_ball(pair3, dual3, dual11, rng):
         y = verts[:, 0] if dual.d == 2 else verts
         assert np.max(np.abs(dual.gauge(y) - 1.0)) <= 1e-12
     # every direction of a dense sample reads at most the exact ratio
-    ang = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    deltas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     tilted = sl.make_planar(pair3, dual3, dual3.W + 0.3 * dual3.H[:, 0])
     for slopes in (0.5 * dual3.facet_slopes, tilted.front.slopes, rng.normal(0, 0.2, (5, 2))):
         exact = _slope_ratio(dual3, slopes)
-        sampled = np.max(np.max(np.abs(deltas @ slopes.T), axis=1) / dual3.gauge(deltas))
+        sampled = _sampled_ratio(dual3, slopes, _directions(4096))
         assert sampled <= exact * (1 + 1e-12)
         assert exact <= sampled * (1 + 1e-3)
+
+
+@lru_cache(maxsize=None)
+def _ratio_case(name):
+    """(pair, dual) of the pair (1, -1) on the Burgers cones of the CLI's digest
+    cases, d = 2 and d = 3, and on the chord cone of (s^2, s^3, s^5)."""
+    if name == "chord-3d":
+        flux = sl.Flux(((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
+        pair = sl.make_shock_pair(flux, 1.0, -1.0)
+        return pair, sl.dual_cone_from_flux(pair)
+    d = 2 if name == "burgers-2d" else 3
+    pair = sl.make_shock_pair(sl.burgers_flux(d), 1.0, -1.0)
+    return pair, sl.dual_cone(sl.admissible_cone(pair, 1e-6 if d == 2 else 0.05))
+
+
+@lru_cache(maxsize=None)
+def _dense_directions(name):
+    """Unit directions on H, dense enough to come within 1e-3 of the sharpest
+    vertex of these balls (the chord cone's has facet slopes up to 8), and
+    their gauges, taken in chunks (the chord cone has 342 facets)."""
+    dual = _ratio_case(name)[1]
+    deltas = np.array([[-1.0], [1.0]]) if dual.d == 2 else _directions(2**16)
+    return deltas, np.concatenate([_gauge_rows(dual, c) for c in np.array_split(deltas, 16)])
+
+
+@st.composite
+def slopes_and_pairs(draw):
+    name = draw(st.sampled_from(["burgers-2d", "burgers-3d", "chord-3d"]))
+    k, m = _ratio_case(name)[1].d - 1, draw(st.integers(1, 6))
+    slopes = np.array(draw(st.lists(st.floats(-2, 2), min_size=m * k, max_size=m * k)))
+    n = draw(st.integers(1, 40))
+    y, delta = (np.array(draw(st.lists(st.floats(-5, 5), min_size=n * k, max_size=n * k)))
+                .reshape(n, k) for _ in range(2))
+    return name, slopes.reshape(m, k), y, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(slopes_and_pairs())
+def test_slope_ratio_bounds_every_pair_and_is_reached(case):
+    # sampled pairs as the oracle: no pair (y, delta) reads more than the
+    # exact ratio, for the slope rows and for the front psi(y) = max_i s_i . y + b_i
+    # that they make, and a dense sample of directions comes within 1e-3 of it
+    name, slopes, y, delta = case
+    dual = _ratio_case(name)[1]
+    exact = _slope_ratio(dual, slopes)
+    delta = delta[np.linalg.norm(delta, axis=1) > 1e-100]  # no subnormal gauges
+    if len(delta):
+        assert _sampled_ratio(dual, slopes, delta) <= exact * (1 + 1e-12)
+    psi = lambda z: np.max(z @ slopes.T + np.arange(len(slopes)), axis=1)
+    rise = psi(y[: len(delta)] + delta) - psi(y[: len(delta)])
+    bound = exact * _gauge_rows(dual, delta)
+    assert np.all(rise <= bound * (1 + 1e-12) + 1e-12 * (1 + np.abs(rise))), (rise, bound)
+    dense, gauges = _dense_directions(name)
+    assert exact <= np.max(np.max(dense @ slopes.T, axis=1) / gauges) * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("states", [(1.0, -1.0), (1.0, 0.0), (0.5, -1.5), (2.0, 1.0)])
+def test_every_2d_gauge_ball_is_centrally_symmetric(burgers2, states):
+    # the frame axis bisects the two unit dual generators, so the one-sided
+    # ratio is the two-sided one in 2-D
+    pair = sl.make_shock_pair(burgers2, *states)
+    for dual in (sl.dual_cone(sl.admissible_cone(pair, 1e-6)), sl.dual_cone_from_flux(pair)):
+        verts, finite = _gauge_ball(dual)
+        assert finite.all() and abs(verts[0, 0] + verts[1, 0]) <= 1e-12 * abs(verts[0, 0])
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.5, 0.975, 1.0])
+def test_a_3d_scaled_gauge_front_has_its_slope_as_ratio(pair3, dual3, slope):
+    assert abs(sl.make_scaled_gauge(pair3, dual3, slope).rho - slope) <= 1e-12
 
 
 def test_an_unbounded_gauge_ball_is_reported(pair11):
@@ -311,26 +397,26 @@ def test_an_unbounded_gauge_ball_is_reported(pair11):
 
 def test_sandwich_orders_in_3d(rng):
     # the chords of (s^2, s^3, s^5) between 1 and -1 are symmetric under
-    # s -> -s, so the gauge ball is centrally symmetric and the cone fronts'
-    # ratio is 1
-    flux = sl.Flux(((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
-    pair = sl.make_shock_pair(flux, 1.0, -1.0)
-    dual = sl.dual_cone_from_flux(pair)
-    base = sl.make_planar(pair, dual, dual.W)
-    # a box across the front, and data that takes any value in range on all of it
-    lo_box, hi_box = np.array([-0.5, -0.4, -0.3]), np.array([0.5, 0.4, 0.3])
-    lower, upper = sl.sandwich_bounds(base, (lo_box, hi_box), pad=0.1)
-    assert max(lower.rho, upper.rho) <= 1.0 + 1e-6
+    # s -> -s, so that gauge ball is centrally symmetric; the Burgers ball of
+    # the simulate-3d cone is not, and the cone fronts' one-sided ratio is 1 on
+    # both
     xs = np.linspace(-1.5, 1.5, 25)
     mesh = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
-    u = base.eval(mesh)
-    lo = lower.eval(mesh)
-    hi = upper.eval(mesh)
+    # a box across the front, and data that takes any value in range on all of it
+    lo_box, hi_box = np.array([-0.5, -0.4, -0.3]), np.array([0.5, 0.4, 0.3])
     in_box = np.all((mesh >= lo_box - 1e-12) & (mesh <= hi_box + 1e-12), axis=-1)
-    for _ in range(5):
-        a = np.where(in_box, rng.uniform(pair.u_plus, pair.u_minus, u.shape), u)
-        assert np.all(lo <= a) and np.all(a <= hi)
-    assert np.any(lo < u) and np.any(hi > u)
+    for cone in ("chord-3d", "burgers-3d"):
+        pair, dual = _ratio_case(cone)
+        base = sl.make_planar(pair, dual, dual.W)
+        lower, upper = sl.sandwich_bounds(base, (lo_box, hi_box), pad=0.1)
+        assert max(lower.rho, upper.rho) <= 1.0 + 1e-6, cone
+        u = base.eval(mesh)
+        lo = lower.eval(mesh)
+        hi = upper.eval(mesh)
+        for _ in range(5):
+            a = np.where(in_box, rng.uniform(pair.u_plus, pair.u_minus, u.shape), u)
+            assert np.all(lo <= a) and np.all(a <= hi), cone
+        assert np.any(lo < u) and np.any(hi > u), cone
 
 
 def test_extract_front_planar(planar11, pair11, dual11):
