@@ -27,7 +27,7 @@ import numpy as np
 
 from . import experiments as xp
 from .config import RunConfig, tokenize, validate
-from .cones import cone_contains, dual_cone_from_flux
+from .cones import cone_contains, dual_cone, dual_cone_from_flux
 from .errors import ConfigError, ShockLabError
 from .experiments import Check, ExperimentReport
 from .fluxes import burgers_flux, is_burgers
@@ -82,10 +82,11 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
 
 def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
-    cone, dual = cfg.build_cone_and_dual(pair)
+    cone = cfg.build_cone(pair)
     if cone.trivial:
         stdout.write("trivial," + ",".join(["0.0"] * pair.d) + "\n")
         return 0
+    dual = dual_cone(cone)
     rows = [("primal_ray", g) for g in cone.generators]
     rows.extend(("dual_ray", g) for g in dual.generators)
     rows.append(("axis_W", dual.W))
@@ -93,15 +94,13 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
     for kind, vec in rows:
         stdout.write(kind + "," + ",".join(repr(float(v)) for v in vec) + "\n")
 
+    # a dual cone is {n : n . xi >= 0} over its unit primal rays xi, so the
+    # gap is 0 exactly when the two constructions' cones coincide
     flux_dual = dual_cone_from_flux(pair)
-    if cone.d == 2:
-        a1 = np.sort(np.arctan2(dual.generators[:, 1], dual.generators[:, 0]))
-        a2 = np.sort(np.arctan2(flux_dual.generators[:, 1], flux_dual.generators[:, 0]))
-        gap = float(np.max(np.abs(a1 - a2)))
-        note = "angular Hausdorff distance between the two dual constructions"
-    else:
-        gap = float(np.max(np.abs(dual.W - flux_dual.W)))
-        note = "largest component of |W - W_flux| between the two dual constructions' axes"
+    reach = max(float(-np.min(a.generators @ b.primal_generators.T))
+                for a, b in ((dual, flux_dual), (flux_dual, dual)))
+    gap = float(np.arcsin(np.clip(reach, 0.0, 1.0)))
+    note = "largest angle of a dual ray of one construction outside the other's dual cone"
     tol = 2 * cfg.get("cone.resolution") + 1e-3
     report = ExperimentReport("cone", [Check("dual_routes_agree", gap <= tol, gap, tol, note)])
     return _emit_report(cfg, report, stderr)
@@ -109,8 +108,8 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
 
 def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
-    cone, dual = cfg.build_cone_and_dual(pair)
-    prof = cfg.build_profile(pair, dual)
+    cone = cfg.build_cone(pair)
+    prof = cfg.build_profile(pair, dual_cone(cone))
     out = _outdir(cfg)
     ys = np.linspace(prof.y_extent[0], prof.y_extent[1], 257)
     psis = prof.front.value(ys)

@@ -1,14 +1,15 @@
 """Admissibility cones, dual cones, frames, and the gauge function.
 
-For d = 2 a cone of admissible directions is an exact angular sector located
-by bisection on the chord admissibility predicate.  For d = 3 it is the cone
-of a quasi-uniform sample of admissible directions: its extreme rays are the
+A cone of admissible directions keeps its unit extreme rays and the unit
+inward normals of its facets, which generate its dual; membership reads the
+normals alone.  For d = 2 the cone is an exact angular sector located by
+bisection on the chord admissibility predicate.  For d = 3 it is the cone of
+a quasi-uniform sample of admissible directions: its extreme rays are the
 vertices of the sample's hull on a slice plane, and the cross products of
-consecutive rays span its dual.  The dual cone carries the working frame: an
-interior axis W, a supporting functional lam in the primal cone, an
+consecutive rays are the normals.  The dual cone carries the working frame:
+an interior axis W, a supporting functional lam in the primal cone, an
 orthonormal basis H of the complement of W, and the piecewise-linear gauge
-whose epigraph is the dual cone in the (y, r) coordinates of the splitting
-R^d = H + R*W.
+whose epigraph is the dual cone in the (y, r) coordinates of R^d = H + R*W.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ def _wrap(a):
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleCone:
-    """Closed convex cone of chord-admissible directions.
+    """Closed convex cone of chord-admissible directions: its unit extreme
+    rays (generators) and unit inward facet normals (dual_generators).
 
-    d = 2: the sector [theta1, theta2] in radians (width < pi).
-    d = 3: the admitted unit directions, the extreme rays of their cone in
-    cyclic order, and the inward unit normal of the facet after each ray.
+    d = 2 also keeps the sector [theta1, theta2] in radians (width < pi);
+    d = 3 the admitted unit directions, with the rays in cyclic order and
+    the normal of the facet after each ray.
     """
 
     d: int
@@ -363,8 +365,8 @@ def dual_cone_from_flux(pair: ShockPair) -> DualCone:
 def cone_contains(cone: AdmissibleCone, nu, margin: float = 0.0) -> bool:
     """Membership of a unit direction with a safety distance to the boundary.
 
-    The distance is angular for d = 2 and the arcsine of the worst dual-facet
-    functional for d >= 3, so both are radians-like near the boundary.
+    The distance is the arcsine of the worst dual-generator functional, the
+    angle to the nearest facet plane: for d = 2 (width < pi), the nearer edge.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -372,14 +374,6 @@ def cone_contains(cone: AdmissibleCone, nu, margin: float = 0.0) -> bool:
         return False
     nu = np.asarray(nu, dtype=float)
     nu = nu / np.linalg.norm(nu)
-    if cone.d == 2:
-        t1, t2 = cone.sector
-        theta = np.arctan2(nu[1], nu[0])
-        rel = float(_wrap(theta - t1))
-        if rel < 0 or rel > t2 - t1:
-            return False
-        dist = min(rel, (t2 - t1) - rel)
-        return dist >= margin
     worst = float((cone.dual_generators @ nu).min())
     if worst < 0:
         return False

@@ -267,13 +267,11 @@ class RunConfig:
         return make_shock_pair(flux, self.state("pair.u_minus", flux),
                                self.state("pair.u_plus", flux))
 
-    def build_cone_and_dual(self, pair=None):
-        pair = pair or self.build_pair()
+    def build_cone(self, pair):
         if pair.d not in (2, 3):
             raise self.error(self.flux_key(),
                              f"the admissible cone is built for d = 2 or 3, not {pair.d}")
-        cone = admissible_cone(pair, self.get("cone.resolution"))
-        return cone, dual_cone(cone)
+        return admissible_cone(pair, self.get("cone.resolution"))
 
     def build_grid(self) -> Grid:
         counts, box = self.require("grid.counts", "grid.box")
@@ -293,7 +291,7 @@ class RunConfig:
         error at the key that gives its front."""
         pair = pair or self.build_pair()
         if dual is None:
-            dual = self.build_cone_and_dual(pair)[1]
+            dual = dual_cone(self.build_cone(pair))
         y_extent = (-8.0, 8.0)
         if self.has("grid.box"):
             box = self.get("grid.box")

@@ -91,6 +91,54 @@ def test_set_override(tmp_path):
     assert abs(angles[0] + angles[1]) > 1e-3
 
 
+def test_cone_of_a_trivial_pair(tmp_path):
+    # (s^3, s^5) admits no direction for the pair (1, -1): `cone` says so,
+    # and `profile`, which needs the dual, fails on it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("flux.poly = [[0,0,0,1],[0,0,0,0,0,1]]\npair.u_minus = 1\n"
+                   "pair.u_plus = -1\nprofile.front = planar\nprofile.nu = 1,0\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert run_cli(["cone", "--config", str(cfg)]) == (0, "trivial,0.0,0.0\n", "")
+    code, _, err = run_cli(["profile", "--config", str(cfg)])
+    assert code == 1
+    assert err == "error: TrivialCone: admissible cone is {0}\n"
+
+
+def _route_gap(cfg_text, tmp_path):
+    """Run `cone`; return its exit code and the measured dual_routes_agree gap."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(cfg_text + f"output.dir = {tmp_path / 'out'}\n")
+    code, _, _ = run_cli(["cone", "--config", str(cfg)])
+    line = (tmp_path / "out" / "verdict.txt").read_text().splitlines()[1]
+    assert line.startswith("dual_routes_agree: ")
+    return code, float(line.split("measured=")[1].split()[0])
+
+
+@pytest.mark.parametrize("states", [(1.5, -1.0), (0.5, -0.8)])
+@pytest.mark.parametrize("resolution", [0.1, 0.05])
+def test_cone_routes_agree_for_a_3d_flux_of_odd_powers(states, resolution, tmp_path):
+    # the two constructions' axes weight their rays differently and differ
+    # by up to 0.63 here; their cones agree to within the tolerance
+    code, gap = _route_gap("flux.poly = [[0,0,1],[0,0,0,1],[0,0,0,0,0,1]]\n"
+                           f"pair.u_minus = {states[0]}\npair.u_plus = {states[1]}\n"
+                           f"cone.resolution = {resolution}\n", tmp_path)
+    assert code == 0
+    assert gap <= 2 * resolution + 1e-3
+
+
+@pytest.mark.parametrize("states", [(1.0, -1.0), (1.0, 0.0), (0.5, -1.5), (2.0, 1.0)])
+def test_cone_route_gap_in_2d_is_the_angular_hausdorff_distance(states, tmp_path):
+    # no dual ray of these pairs lies near the angle +-pi, so sorting the
+    # angles pairs each ray with its counterpart
+    code, gap = _route_gap(f"flux.burgers_d = 2\npair.u_minus = {states[0]}\n"
+                           f"pair.u_plus = {states[1]}\ncone.resolution = 1e-6\n", tmp_path)
+    pair = sl.make_shock_pair(sl.burgers_flux(2), *states)
+    angles = [np.sort(np.arctan2(dual.generators[:, 1], dual.generators[:, 0])) for dual in
+              (sl.dual_cone(sl.admissible_cone(pair, 1e-6)), sl.dual_cone_from_flux(pair))]
+    assert code == 0
+    assert gap == pytest.approx(np.max(np.abs(angles[0] - angles[1])), abs=1e-12)
+
+
 def test_simulate_writes_outputs_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     cfg = tmp_path / "s.cfg"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 import shocklab as sl
@@ -139,6 +139,27 @@ def test_cone_contains_margins(cone11):
     assert not sl.cone_contains(cone11, [0.0, 1.0], 0.0)
     # boundary direction is inside the closed cone at zero margin
     assert sl.cone_contains(cone11, [np.cos(np.pi / 4 - 1e-6), np.sin(np.pi / 4 - 1e-6)], 0.0)
+
+
+def _angle_to_nearer_edge(sector, nu):
+    """cone_contains' former d = 2 rule: the wrapped angle rel of nu past the
+    sector's first edge, and the angle to the nearer edge (None outside)."""
+    t1, t2 = sector
+    rel = float(cones._wrap(np.arctan2(nu[1], nu[0]) - t1))
+    return (None if rel < 0 or rel > t2 - t1 else min(rel, t2 - t1 - rel)), rel
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-np.pi, np.pi), st.floats(0.0, np.pi * (1 - 1e-12)),
+       st.floats(-1.0, 4.0), st.floats(0.0, np.pi / 2))
+def test_cone_contains_reads_the_angle_to_the_nearer_edge(theta1, width, turn, margin):
+    cone = sector_cone(theta1, theta1 + width)
+    nu = np.array([np.cos(theta1 + turn), np.sin(theta1 + turn)])
+    dist, rel = _angle_to_nearer_edge(cone.sector, nu)
+    # within rounding of an edge, or of the margin, either answer is right
+    assume(min(abs(rel), abs(rel - width)) > 1e-9)
+    assume(dist is None or abs(dist - margin) > 1e-9)
+    assert sl.cone_contains(cone, nu, margin) == (dist is not None and dist >= margin)
 
 
 def test_frame_soundness(pair11, dual11):

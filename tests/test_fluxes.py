@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
@@ -162,6 +163,20 @@ def test_normalization_d2():
     assert np.allclose(n.shift, [2.0, 3.0])
     assert np.allclose(np.diag(n.matrix), 1.0)
     assert n.matrix[0, 1] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.sampled_from([1, 2, 3]), st.floats(-3.0, 3.0))
+def test_normalization_rows_are_the_shifted_burgers_flux(u_ref, d, s):
+    # (0, Z_j, M_j0, ..., M_jj) are the coefficients of (s + u_ref)^(j+2) - u_ref^(j+2),
+    # the flux around u_ref that the dispersion experiment evolves
+    n = sl.burgers_normalization(u_ref, d)
+    for j in range(d):
+        row = np.concatenate([[0.0, n.shift[j]], n.matrix[j, : j + 1]])
+        want = (s + u_ref) ** (j + 2) - u_ref ** (j + 2)
+        # relative to the largest term; the floor covers powers that underflow
+        scale = (abs(s) + abs(u_ref)) ** (j + 2)
+        assert abs(P.polyval(s, row) - want) <= 1e-12 * scale + 1e-300
 
 
 def test_normalization_d1_galilean():

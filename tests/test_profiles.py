@@ -313,6 +313,23 @@ def test_slope_ratio_is_its_max_over_the_gauge_ball(pair3, dual3, dual11, rng):
         assert exact <= sampled * (1 + 1e-3)
 
 
+def test_a_front_normal_is_admitted_when_its_ratio_is_at_most_one(cone11, dual11, pair3, rng):
+    # the normal W - H s meets every dual generator g with g . W - s . H^T g,
+    # which is >= 0 exactly when s . H^T g / (g . W) <= 1 (g . W > 0 here)
+    cone3 = sl.admissible_cone(pair3, 0.05)
+    for cone, dual in ((cone11, dual11), (cone3, sl.dual_cone(cone3))):
+        dirs = rng.normal(size=(1000, dual.d - 1))
+        scale = rng.uniform(0.0, 2.0, 1000) / [_slope_ratio(dual, s[None, :]) for s in dirs]
+        seen = set()
+        for s in dirs * scale[:, None]:
+            rho = _slope_ratio(dual, s[None, :])
+            if abs(rho - 1.0) > 1e-9:
+                admitted = sl.cone_contains(cone, dual.W - dual.H @ s)
+                assert admitted == (rho <= 1.0), (s, rho)
+                seen.add(admitted)
+        assert seen == {True, False}
+
+
 @lru_cache(maxsize=None)
 def _ratio_case(name):
     """(pair, dual) of the pair (1, -1) on the Burgers cones of the CLI's digest
