@@ -13,8 +13,10 @@ before any work:
   experiment.snapshot_interval ratio above that (an interval of 0 writes
   none).
 
-`profile`, `stability` and `support` are built for d = 2: another flux is a
-config error at its key's line.
+`profile`, `stability` and `support` are built for d = 2, and `overhead`,
+`dispersion` and `normalize-check` for the multi-D Burgers flux: another
+flux is a config error at its key's line.  `normalize-check` takes d from
+the flux key, 2 without one.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 from . import experiments as xp
 from .config import RunConfig, tokenize, validate
 from .cones import cone_contains, dual_cone, dual_cone_from_flux
-from .errors import ConfigError, ShockLabError
+from .errors import ConfigError, ShockLabError, TrivialCone
 from .experiments import Check, ExperimentReport
-from .fluxes import burgers_flux, is_burgers
+from .fluxes import burgers_flux
 from .profiles import front_normals
 from .snapshots import format_verdict, write_probes_csv, write_snapshot, write_verdict
 from .solver import Field, profile_background, run, sample_function, sample_profile
@@ -83,25 +85,32 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
 def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
     cone = cfg.build_cone(pair)
+    tol = 2 * cfg.get("cone.resolution") + 1e-3
     if cone.trivial:
         stdout.write("trivial," + ",".join(["0.0"] * pair.d) + "\n")
-        return 0
-    dual = dual_cone(cone)
-    rows = [("primal_ray", g) for g in cone.generators]
-    rows.extend(("dual_ray", g) for g in dual.generators)
-    rows.append(("axis_W", dual.W))
-    rows.append(("lambda", dual.lam))
-    for kind, vec in rows:
-        stdout.write(kind + "," + ",".join(repr(float(v)) for v in vec) + "\n")
-
-    # a dual cone is {n : n . xi >= 0} over its unit primal rays xi, so the
-    # gap is 0 exactly when the two constructions' cones coincide
-    flux_dual = dual_cone_from_flux(pair)
-    reach = max(float(-np.min(a.generators @ b.primal_generators.T))
-                for a, b in ((dual, flux_dual), (flux_dual, dual)))
-    gap = float(np.arcsin(np.clip(reach, 0.0, 1.0)))
-    note = "largest angle of a dual ray of one construction outside the other's dual cone"
-    tol = 2 * cfg.get("cone.resolution") + 1e-3
+        # the dual of {0} is the whole space: the routes agree only when the
+        # chord route finds no proper dual cone either
+        try:
+            dual_cone_from_flux(pair)
+            gap = np.pi / 2
+        except TrivialCone:
+            gap = 0.0
+        note = "the admissible cone is {0}: 0 when the chord route finds it trivial too"
+    else:
+        dual = dual_cone(cone)
+        rows = [("primal_ray", g) for g in cone.generators]
+        rows.extend(("dual_ray", g) for g in dual.generators)
+        rows.append(("axis_W", dual.W))
+        rows.append(("lambda", dual.lam))
+        for kind, vec in rows:
+            stdout.write(kind + "," + ",".join(repr(float(v)) for v in vec) + "\n")
+        # a dual cone is {n : n . xi >= 0} over its unit primal rays xi, so the
+        # gap is 0 exactly when the two constructions' cones coincide
+        flux_dual = dual_cone_from_flux(pair)
+        reach = max(float(-np.min(a.generators @ b.primal_generators.T))
+                    for a, b in ((dual, flux_dual), (flux_dual, dual)))
+        gap = float(np.arcsin(np.clip(reach, 0.0, 1.0)))
+        note = "largest angle of a dual ray of one construction outside the other's dual cone"
     report = ExperimentReport("cone", [Check("dual_routes_agree", gap <= tol, gap, tol, note)])
     return _emit_report(cfg, report, stderr)
 
@@ -176,8 +185,7 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
-    if not is_burgers(cfg.build_flux()):
-        raise cfg.error("flux.poly", "overhead extinction is asserted for the multi-D Burgers flux")
+    cfg.require_burgers("overhead")
     phi = cfg.build_perturbation()
     pair, grid, scheme = cfg.build_pair(), cfg.build_grid(), cfg.build_scheme()
     cfg.check_amplitude(pair.u_plus, pair.u_minus, scheme.flux_of(pair), grid)
@@ -186,10 +194,14 @@ def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
         prof, phi, grid, scheme, cfg.get("experiment.horizon"),
         eta=cfg.get("experiment.eta"), settle_steps=cfg.get("experiment.settle_steps"),
     )
+    for name in ("t_ext", "t_eta", "t_star", "predicted_total", "absorption_note"):
+        if name in report.extras:
+            stdout.write(f"{name},{report.extras[name]!r}\n")
     return _emit_report(cfg, report, stderr)
 
 
 def cmd_dispersion(cfg: RunConfig, stdout, stderr) -> int:
+    cfg.require_burgers("dispersion")
     if cfg.get("experiment.t0") >= cfg.get("experiment.horizon"):
         raise cfg.error("experiment.t0", "the measurement window must start before "
                         "experiment.horizon")
@@ -223,7 +235,8 @@ def cmd_support(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_normalize_check(cfg: RunConfig, stdout, stderr) -> int:
-    d = cfg.get("flux.burgers_d") if cfg.has("flux.burgers_d") else 2
+    cfg.require_burgers("normalize-check")
+    d = cfg.flux_dimension() or 2
     u_ref = cfg.state("experiment.u_ref", burgers_flux(d))
     residuals = xp.normalization_residual_study(u_ref, d)
     if not all(0.0 < r < np.inf for r in residuals):

@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as P
 
 from .cones import admissible_cone, dual_cone
 from .errors import ConfigError, ShockLabError
-from .fluxes import Flux, burgers_flux, make_shock_pair
+from .fluxes import Flux, burgers_flux, is_burgers, make_shock_pair
 from .profiles import PerturbationSpec, ShockProfile, make_graph, make_planar, make_scaled_gauge
 from .solver import Grid, SchemeConfig, stable_dt, wave_speed
 
@@ -241,6 +241,12 @@ class RunConfig:
         if d not in (None, 2):  # build_flux reports a missing flux
             raise self.error(self.flux_key(),
                              f"{command} is built for d = 2, and the flux has {d} components")
+
+    def require_burgers(self, command: str) -> None:
+        """A config error at the flux's line unless it is the multi-D Burgers flux."""
+        key = self.flux_key()  # None: build_flux reports a missing flux
+        if key is not None and not is_burgers(self.build_flux()):
+            raise self.error(key, f"{command} is built for the multi-D Burgers flux")
 
     # -- builders -----------------------------------------------------------
 

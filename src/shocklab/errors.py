@@ -13,10 +13,6 @@ class WrongOrder(ShockLabError):
     """Shock end states violate the u_plus < u_minus convention."""
 
 
-class NotBurgers(ShockLabError):
-    """Operation requires the multi-D Burgers flux (s^2, ..., s^(d+1))."""
-
-
 class TrivialCone(ShockLabError):
     """Admissibility cone reduces to {0}; no shock direction exists."""
 

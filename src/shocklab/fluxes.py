@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DegenerateFlux, EqualStates, NotBurgers, WrongOrder
+from .errors import DegenerateFlux, EqualStates, WrongOrder
 
 __all__ = [
     "Flux",
@@ -206,21 +206,20 @@ class OleinikBatch:
 # of its Horner recurrence stay at about 8 MiB each
 EXCESS_BLOCK = 1 << 20
 
+# Chebyshev sample points of the chord test when it does not run exactly
+CHORD_SAMPLES = 1024
 
-def oleinik_admissible_many(
-    pair: ShockPair,
-    xis,
-    n_samples: int = 1024,
-    tol: float | None = None,
-    exact: bool = False,
-) -> OleinikBatch:
+
+def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> OleinikBatch:
     """Chord admissibility of every row of xis, shape (n, d).
 
     Checks xi.f(s) - sigma*s <= xi.f(u_pm) - sigma*u_pm on (u_plus, u_minus) at
-    Chebyshev-distributed sample points, or exactly via the critical points of
-    the excess polynomial when exact=True.  Also returns the endpoint
-    characteristic margins (sigma - xi.f'(u_plus), xi.f'(u_minus) - sigma),
-    which are nonnegative whenever the chord condition holds.
+    CHORD_SAMPLES Chebyshev points, or exactly via the critical points of the
+    excess polynomial when exact=True, up to a slack of 1e-12 (1e-14 when
+    exact) times max(1, |xi.f(u_pm) - sigma*u_pm|, the largest |excess
+    polynomial| at the points).  Also returns the endpoint characteristic
+    margins (sigma - xi.f'(u_plus), xi.f'(u_minus) - sigma), which are
+    nonnegative whenever the chord condition holds.
 
     Every row gets the same floating-point operations as a test of that row
     alone: `np.vecdot` is `np.dot` per row, the Horner recurrence of
@@ -229,8 +228,6 @@ def oleinik_admissible_many(
     critical-point sets are padded with u_minus, which is a candidate point
     already.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != pair.d:
         raise ValueError(f"directions must have shape (n, {pair.d}), got {xis.shape}")
@@ -248,7 +245,7 @@ def oleinik_admissible_many(
             row[: len(crit)] = crit
         pts[:, -2] = pair.u_plus
     else:
-        pts = np.broadcast_to(pair.chebyshev_nodes(n_samples), (len(e), n_samples))
+        pts = np.broadcast_to(pair.chebyshev_nodes(CHORD_SAMPLES), (len(e), CHORD_SAMPLES))
     worst = np.empty(len(e))
     peak = np.empty(len(e))
     rows = max(1, EXCESS_BLOCK // pts.shape[1])
@@ -258,26 +255,18 @@ def oleinik_admissible_many(
         top = np.max(vals - ref[a:b, None], axis=1)
         worst[a:b] = np.maximum(top, 0.0)
         peak[a:b] = np.max(np.abs(vals), axis=1)
-    if tol is None:
-        # max(1, |ref|, peak), ignoring NaN like the builtin max does here;
-        # exact critical-point evaluation carries only rounding noise, so the
-        # slack can sit just above machine precision
-        tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
+    # max(1, |ref|, peak), ignoring NaN like the builtin max does here; exact
+    # critical-point evaluation carries only rounding noise, so the slack can
+    # sit just above machine precision
+    tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
     lax = np.stack([sigma - np.vecdot(xis, pair.flux.value(pair.u_plus, 1)),
                     np.vecdot(xis, pair.flux.value(pair.u_minus, 1)) - sigma], axis=1)
     return OleinikBatch(worst <= tol, worst, lax)
 
 
-def oleinik_admissible(
-    pair: ShockPair,
-    xi,
-    n_samples: int = 1024,
-    tol: float | None = None,
-    exact: bool = False,
-) -> OleinikResult:
+def oleinik_admissible(pair: ShockPair, xi, exact: bool = False) -> OleinikResult:
     """Chord admissibility of one direction xi; see `oleinik_admissible_many`."""
-    res = oleinik_admissible_many(pair, np.asarray(xi, dtype=float).reshape(1, -1),
-                                  n_samples, tol, exact)
+    res = oleinik_admissible_many(pair, np.asarray(xi, dtype=float).reshape(1, -1), exact)
     return OleinikResult(bool(res.admissible[0]), float(res.worst[0]),
                          (float(res.lax[0, 0]), float(res.lax[0, 1])))
 
@@ -349,18 +338,12 @@ class Normalization:
         return v
 
 
-def burgers_normalization(u_ref: float, d: int | None = None, flux: Flux | None = None) -> Normalization:
+def burgers_normalization(u_ref: float, d: int) -> Normalization:
     """Frame normalization (M, Z) for the multi-D Burgers flux at state u_ref.
 
     M[j, i] = binom(j+2, i+2) * u_ref^(j-i) for i <= j (0-based; unit diagonal),
     Z[j] = (j+2) * u_ref^(j+1).
     """
-    if flux is not None:
-        if not is_burgers(flux):
-            raise NotBurgers(f"normalization requires the Burgers flux, got {flux.coeffs}")
-        d = flux.d
-    if d is None:
-        raise ValueError("pass either d or flux")
     u_ref = float(u_ref)
     m = np.zeros((d, d))
     for j in range(d):

@@ -9,12 +9,9 @@ are independent of how the work is scheduled.
 Every update goes through the module-level name `step`; `evolve` is the one
 time loop.  Near a steady shock most cells are already at their discrete
 fixed point, so `evolve` hands `step` a `Band` per field, and a step runs
-only the cells that the last step's changes or a changed ghost cell can
-reach: the rows along axis 0 in 2-D, and in 3-D a box along the other axes
-in each slab of rows.  A moving background's ghost layers are compared with
-the last step's, so a background that moves along a direction in which it
-is invariant keeps the band.  The skip is exact (the band contract is
-stated once, in `step`).
+only the cells that the last step's changes can reach: the rows along axis
+0 in 2-D, and in 3-D a box along the other axes in each slab of rows.  The
+skip is exact (the band contract is stated once, in `step`).
 """
 
 from __future__ import annotations
@@ -538,7 +535,7 @@ class Band:
     In 3-D, box (lo, hi) narrows each row to the box along axes 1..d-1 of
     its cells that the next step can change, as float arrays of shape
     (d - 1, rows) (see `_extents`).  ghosts holds a moving background's
-    ghost layers of the last step.  faces holds the flux buffers of both
+    ghost layers of the last step, None for any other.  faces holds the flux buffers of both
     outer faces of each axis, whole faces, and inflow the last step's total.
     """
 
@@ -627,23 +624,6 @@ def _widen(lo: np.ndarray, hi: np.ndarray, counts) -> tuple[np.ndarray, np.ndarr
     return np.maximum(wlo, 0), np.minimum(whi, np.array(counts[1:])[:, None])
 
 
-def _ghost_marks(old: dict, new: dict, counts) -> tuple[np.ndarray, np.ndarray] | None:
-    """The extents per row (see `_extents`) of the cells next to a ghost whose
-    bits differ between two sets of ghost layers, compared as int64; None if
-    no ghost changed."""
-    proj = None
-    for (ax, side), v in new.items():
-        changed = old[(ax, side)].view(np.int64) != v.view(np.int64)
-        if not changed.any():
-            continue
-        if proj is None:
-            proj = [np.zeros((counts[0], n), dtype=bool) for n in counts[1:]]
-        at = [slice(None)] * len(counts)
-        at[ax] = slice(0, 1) if side == 0 else slice(counts[ax] - 1, counts[ax])
-        _mark(proj, np.expand_dims(changed, ax), tuple(at))
-    return None if proj is None else _extents(proj)
-
-
 # cells per slab of a 3-D step, so that the arrays of one slab stay in cache
 # (4,096 was slower); 2-D steps gained nothing from slabs and run whole
 SLAB_CELLS = 16384
@@ -700,28 +680,21 @@ def step(
 
     Band contract (the fields are described in `Band`).  Only `evolve`
     passes a band; a call without one steps through a fresh `Band()`, so
-    every cell runs, as on a band's first step.  With one dt and one
-    lambda, a cell whose bits, whose stencil neighbours' bits and whose
-    neighbouring ghost cells' bits did not change since the last step keeps
-    its bits again: skipping it is exact, and the outputs are bit-identical
-    to stepping every cell.  So a cell runs when it, a stencil neighbour or a
-    neighbouring ghost cell changed:
-    - the band holds the cells that changed in the last step, widened by
-      one cell along every axis: in 2-D the rows [a, b) along axis 0, in
-      3-D also a box along axes 1..d-1 per row;
-    - a moving background's ghost layers are compared with the last step's,
-      and a ghost that changed adds the cell next to it (in 2-D its row);
-    - a 2-D step runs the rows [a, b) whole; a 3-D step runs in each slab
-      the bounding box, along axes 1..d-1, of its rows' boxes, and no slab
-      whose rows hold none.
-    Every other cell is copied.  Whenever the band cannot vouch for the
-    field, every cell runs: on the first step, when the field is not the
-    array the last step made, and when dt or a lambda differs from the last
-    step.  Cells and ghosts are compared as int64: a -0.0 that became 0.0
-    has changed (float != would miss it).  2-D rows are found by scanning
-    [a, b) from both ends; a 3-D step finds the changed cells of each box
-    it ran and keeps, per row, their extent along each of axes 1..d-1,
-    widened in integer arithmetic.  The band's values, vmin and vmax spare
+    every cell runs.  The band vouches for the field only when it is the
+    array the last step made, dt and the lambdas equal the last step's, and
+    no bit of a moving background's ghost layers changed since the last
+    step; otherwise every cell runs.  Then a cell whose bits and whose
+    stencil neighbours' bits did not change in the last step keeps its bits
+    again, so skipping it is exact and the outputs are bit-identical to
+    stepping every cell.  The band holds the cells that changed in the last
+    step, widened by one cell along every axis: a 2-D step runs the rows
+    [a, b) along axis 0 whole; a 3-D step runs in each slab the bounding
+    box, along axes 1..d-1, of its rows' boxes, and no slab whose rows hold
+    none.  Every other cell is copied.  Cells and ghosts are compared as
+    int64: a -0.0 that became 0.0 has changed (float != would miss it).  2-D
+    rows are found by scanning [a, b) from both ends; a 3-D step finds the
+    changed cells of each box it ran and keeps, per row, their extent along
+    each of axes 1..d-1, widened in integer arithmetic.  The band's values, vmin and vmax spare
     the next step a pass for lambda.  A step that runs no cell returns the
     input field, which is safe because no field is ever written in place.
     Each outer face's fluxes live in a buffer of the whole face in the band,
@@ -753,17 +726,11 @@ def step(
     lam_used = max(0.0, *lams)
     boxed = g.d > 2  # 3-D steps run in slabs, each the box of its cells that can change
     a, b, box = 0, n0, None
-    if not fresh and band.key == (dt, *lams):
+    same_ghosts = band.ghosts is None or all(
+        np.array_equal(band.ghosts[k].view(np.int64), v.view(np.int64)) for k, v in ghosts.items())
+    if not fresh and band.key == (dt, *lams) and same_ghosts:
         a, b = band.rows
         box = band.box
-        marks = None if band.ghosts is None else _ghost_marks(band.ghosts, ghosts, g.counts)
-        if marks is not None:
-            if boxed:
-                box = np.minimum(box[0], marks[0]), np.maximum(box[1], marks[1])
-                a, b = _row_hull(*box)
-            else:
-                ma, mb = _row_hull(*marks)
-                a, b = (ma, mb) if a >= b else (min(a, ma), max(b, mb))
     if boxed:
         # the cells that changed, recorded over the cells that ran
         changed = [np.zeros((n0, n), dtype=bool) for n in g.counts[1:]]

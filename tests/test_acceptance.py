@@ -185,7 +185,7 @@ def test_criterion_6_dispersion(lab):
 
 
 def test_criterion_7_normalization_residual():
-    residuals = normalization_residual_study(1.0, 2, levels=4)
+    residuals = normalization_residual_study(1.0, 2)
     ratios = [residuals[k] / residuals[k + 1] for k in range(3)]
     ok = all(r >= 1.7 for r in ratios)
     _verdict("criterion-7 normalization-residual", ok,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
-from shocklab import config, solver
+from shocklab import cli, config, solver
 from shocklab.cli import main
 
 CONE_CFG = """\
@@ -93,15 +93,31 @@ def test_set_override(tmp_path):
 
 def test_cone_of_a_trivial_pair(tmp_path):
     # (s^3, s^5) admits no direction for the pair (1, -1): `cone` says so,
-    # and `profile`, which needs the dual, fails on it
+    # and the chord route agrees, and `profile`, which needs the dual, fails
     cfg = tmp_path / "c.cfg"
     cfg.write_text("flux.poly = [[0,0,0,1],[0,0,0,0,0,1]]\npair.u_minus = 1\n"
                    "pair.u_plus = -1\nprofile.front = planar\nprofile.nu = 1,0\n"
                    f"output.dir = {tmp_path / 'out'}\n")
-    assert run_cli(["cone", "--config", str(cfg)]) == (0, "trivial,0.0,0.0\n", "")
+    code, out, err = run_cli(["cone", "--config", str(cfg)])
+    assert (code, out) == (0, "trivial,0.0,0.0\n")
+    verdict = (tmp_path / "out" / "verdict.txt").read_text()
+    assert err == verdict
+    assert verdict.splitlines()[1].startswith("dual_routes_agree: pass measured=0.0 ")
     code, _, err = run_cli(["profile", "--config", str(cfg)])
     assert code == 1
     assert err == "error: TrivialCone: admissible cone is {0}\n"
+
+
+def test_cone_of_a_trivial_pair_fails_when_the_chord_route_spans_a_cone(tmp_path, monkeypatch):
+    pair = sl.make_shock_pair(sl.burgers_flux(2), 1.0, -1.0)
+    monkeypatch.setattr(cli, "dual_cone_from_flux", lambda _: sl.dual_cone_from_flux(pair))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("flux.poly = [[0,0,0,1],[0,0,0,0,0,1]]\npair.u_minus = 1\n"
+                   f"pair.u_plus = -1\noutput.dir = {tmp_path / 'out'}\n")
+    code, out, _ = run_cli(["cone", "--config", str(cfg)])
+    assert (code, out) == (1, "trivial,0.0,0.0\n")
+    line = (tmp_path / "out" / "verdict.txt").read_text().splitlines()[1]
+    assert line.startswith(f"dual_routes_agree: fail measured={np.pi / 2!r} ")
 
 
 def _route_gap(cfg_text, tmp_path):
@@ -404,6 +420,52 @@ def test_a_two_dimensional_command_rejects_a_3d_flux_at_its_line(case, tmp_path,
     assert code == 2
     assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.burgers_d: "
                    f"{command} is built for d = 2, and the flux has 3 components\n")
+
+
+@pytest.mark.parametrize("case", ["overhead", "dispersion", "normalize-check"])
+def test_a_burgers_command_rejects_another_flux_at_its_line(case, tmp_path, monkeypatch):
+    from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    command, cfg = CASES[case]
+    cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"flux.poly = [[0,1],[0,0,0,5]]\noutput.dir = {tmp_path / 'out'}\n")
+    code, out, err = run_cli([command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.poly: "
+                   f"{command} is built for the multi-D Burgers flux\n")
+    assert not (tmp_path / "out" / "verdict.txt").exists()
+
+
+def test_normalize_check_takes_d_from_the_flux(tmp_path):
+    # a Burgers flux.poly of 3 components is checked at d = 3, as flux.burgers_d = 3 is
+    outs = []
+    for flux in ("flux.burgers_d = 3", "flux.poly = [[0,0,1],[0,0,0,1],[0,0,0,0,1]]",
+                 "flux.burgers_d = 2"):
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(f"{flux}\nexperiment.u_ref = 0.8\noutput.dir = {tmp_path / 'out'}\n")
+        code, out, _ = run_cli(["normalize-check", "--config", str(cfg)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] != outs[2]
+
+
+def test_overhead_prints_its_absorption_estimate(tmp_path):
+    from test_cli_digests import CASES
+
+    command, cfg = CASES["overhead"]
+    outs = []
+    for eta in ("0.001", "0.2"):
+        path = tmp_path / "c.cfg"
+        path.write_text(cfg + f"experiment.eta = {eta}\noutput.dir = {tmp_path / 'out'}\n")
+        code, out, _ = run_cli([command, "--config", str(path)])
+        assert code == 0
+        outs.append([line.split(",", 1)[0] for line in out.splitlines()])
+    # a small eta is reached later and predicts an absorption time; a large
+    # one makes the drift ball swallow the absorption rate
+    assert outs[0] == ["t_ext", "t_eta", "t_star", "predicted_total"]
+    assert outs[1] == ["t_ext", "absorption_note"]
 
 
 # (digest case, the required key deleted from it)

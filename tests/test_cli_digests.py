@@ -42,6 +42,9 @@ OVERHEAD = (BURGERS2 + PLANAR + "grid.counts = 32,48\ngrid.box = -2.5,1.5,-3,3\n
 CASES = {
     "cone": ("cone", BURGERS2 + "cone.resolution = 1e-6\n"),
     "cone-3d": ("cone", BURGERS3 + "cone.resolution = 0.05\n"),
+    # (s^3, s^5) admits no direction for this pair, and the chord route agrees
+    "cone-trivial": ("cone", "flux.poly = [[0,0,0,1],[0,0,0,0,0,1]]\npair.u_minus = 1.0\n"
+                     "pair.u_plus = -1.0\n"),
     "profile": ("profile", BURGERS2 + "profile.front = abs_scaled\nprofile.slope = 0.5\n"
                 "grid.counts = 32,32\ngrid.box = -2,2,-2,2\n"),
     "simulate": ("simulate", BURGERS2 + PLANAR + "grid.counts = 32,32\n"
@@ -69,6 +72,9 @@ CASES = {
     "support": ("support", BURGERS2 + "grid.counts = 48,48\ngrid.box = -3,9,-3,9\n"
                 + BUMP.format(c="0,0", r=0.8, a=0.1) + "experiment.horizon = 1.0\n"),
     "normalize-check": ("normalize-check", "flux.burgers_d = 2\nexperiment.u_ref = 0.8\n"),
+    # d comes from the flux key
+    "normalize-check-poly3": ("normalize-check", "flux.poly = [[0,0,1],[0,0,0,1],[0,0,0,0,1]]\n"
+                              "experiment.u_ref = 0.8\n"),
 }
 
 

@@ -331,13 +331,13 @@ def test_stability_steps_all_go_through_solver_step(log, pair11, dual11):
     g = sl.Grid.from_box((-2, 2, -2, 2), (16, 16))
     phi = sl.PerturbationSpec("bump", (0.8, 0.0), 0.5, 0.5)
     rep = sl.stability_experiment(prof, phi, g, sl.SchemeConfig(), horizon=0.3,
-                                  settle_steps=5, uhat_settle_steps=3)
+                                  settle_steps=5)
     n_steps = len(rep.series[1]) - 1
     # one joint settle of 8 fields (5 comparisons, 2 sandwich bounds, base),
     # 9 fields evolved, and the U_hat settle
-    assert len(log) == 8 * 5 + 9 * n_steps + 3
+    assert len(log) == 8 * 5 + 9 * n_steps + 40
     settled = rep.extras["settle"]
-    assert settled["shocks"]["steps"] == 5 and settled["u_hat"]["steps"] == 3
+    assert settled["shocks"]["steps"] == 5 and settled["u_hat"]["steps"] == 40
     assert list(settled["shocks"]["fields"]) == [f"cmp{i}" for i in range(5)] + [
         "lower", "upper", "base"]
     assert not hasattr(xp, "step")

@@ -107,15 +107,14 @@ def test_many_exact_matches_reference_on_the_2d_scan(flux, states):
 def test_many_matches_reference_with_tol_samples_and_exact_3d():
     pair = sl.make_shock_pair(GENERAL3, 0.8, -1.3)
     dirs = _with_axes(cones._fibonacci_sphere(200))
-    _assert_same(sl.oleinik_admissible_many(pair, dirs, n_samples=7, tol=1e-3),
-                 _ref_many(pair, dirs, n_samples=7, tol=1e-3))
+    _assert_same(sl.oleinik_admissible_many(pair, dirs), _ref_many(pair, dirs))
     _assert_same(sl.oleinik_admissible_many(pair, dirs, exact=True),
                  _ref_many(pair, dirs, exact=True))
 
 
 def test_single_direction_wrapper_matches_reference(pair11):
     for xi in ([1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.3, -0.8], [-0.0, 1.0]):
-        for kw in ({}, {"exact": True}, {"n_samples": 5, "tol": 0.1}):
+        for kw in ({}, {"exact": True}):
             got = sl.oleinik_admissible(pair11, xi, **kw)
             want = _ref_oleinik(pair11, xi, **kw)
             assert type(got.worst_violation) is float
@@ -129,8 +128,6 @@ def test_many_rejects_bad_shapes(pair11):
         sl.oleinik_admissible_many(pair11, [1.0, 0.0])
     with pytest.raises(ValueError):
         sl.oleinik_admissible_many(pair11, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        sl.oleinik_admissible_many(pair11, np.zeros((3, 2)), n_samples=1)
     assert sl.oleinik_admissible_many(pair11, np.zeros((0, 2))).worst.shape == (0,)
 
 

@@ -545,6 +545,12 @@ def _cone(center, radius):
     return fn
 
 
+def _ghost_bits(g, bg, t):
+    """The bits of every ghost layer of a background at time t."""
+    layers = (bg.eval(solver._ghost_points(g, ax, side), t) for ax in range(g.d) for side in (0, 1))
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in layers)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
 @pytest.mark.parametrize("background", ["tilt", "cone-on-axis-0", "cone-on-last-axis"])
@@ -571,15 +577,18 @@ def test_moving_ghosts_run_the_cells_next_to_them(d, kind, background):
         bg = Background(_cone(center, 1.5 * g.dx), velocity)
     u0 = sl.Field(g, np.full(g.counts, 0.5))
     want = u0
-    cells = []
+    cells, moved = [], []
     for k, t, fields, stats in solver.evolve([(u0, bg)], scheme, flux, dt, 8, guard):
         want, want_stats = _ref_step(want, scheme, flux, bg, (k - 1) * dt, dt, guard)
         assert fields[0].values.tobytes() == want.values.tobytes(), k
         assert _bits(stats[0]) == _bits(want_stats), k
         cells.append(stats[0].cells)
+        moved.append(k > 1 and
+                     _ghost_bits(g, bg, (k - 1) * dt) != _ghost_bits(g, bg, (k - 2) * dt))
     assert cells[0] == g.ncells
-    if background != "tilt":
-        assert all(0 < c < g.ncells for c in cells[1:]), cells
+    # a step after a ghost changed runs every cell
+    assert any(moved)
+    assert all(c == g.ncells for c, m in zip(cells, moved) if m), (cells, moved)
 
 
 @pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
@@ -639,11 +648,26 @@ def test_a_signed_zero_change_widens_the_box():
     changed = [np.zeros((counts[0], n), dtype=bool) for n in counts[1:]]
     solver._mark(changed, old[box].view(np.int64) != old[box].copy().view(np.int64), box)
     assert boxes(*solver._widen(*solver._extents(changed), counts)) == {}
-    # a ghost whose zero changed sign marks the cell next to it, and only it
-    ghosts = {(ax, side): np.zeros(counts[:ax] + counts[ax + 1:]) for ax in range(3) for side in (0, 1)}
-    assert solver._ghost_marks(ghosts, {key: v.copy() for key, v in ghosts.items()}, counts) is None
-    for (ax, side), cell in [((0, 1), (9, 5, 4)), ((1, 0), (3, 0, 2)), ((2, 1), (0, 5, 4))]:
-        moved = {key: v.copy() for key, v in ghosts.items()}
-        moved[(ax, side)][cell[:ax] + cell[ax + 1:]] = -0.0
-        lo, hi = solver._ghost_marks(ghosts, moved, counts)
-        assert boxes(lo, hi) == {cell[0]: ([cell[1], cell[2]], [cell[1] + 1, cell[2] + 1])}
+    # a ghost whose zero changed sign resets the band: -0.0 left of the
+    # background's x = 0, 0.0 right of it, moved by one cell a step along
+    # axis 0 changes the ghosts of the faces along axes 1 and 2 at every
+    # step, while moved along axis 1, in which it is invariant, it keeps them
+    g = sl.Grid.from_box((-1.0, 1.0, -0.6, 0.6, -0.5, 0.5), (10, 6, 5))
+    scheme = sl.SchemeConfig()
+    flux = sl.burgers_flux(3)
+    guard = (-1.0, 1.0)
+    dt = stable_dt(flux, g, scheme, *guard)
+    u0 = sl.Field(g, np.zeros(g.counts))
+    for axis in (0, 1):
+        velocity = np.zeros(3)
+        velocity[axis] = g.dx / dt
+        bg = Background(lambda p: np.copysign(0.0, p[..., 0]), velocity)
+        want = u0
+        cells = []
+        for k, t, fields, stats in solver.evolve([(u0, bg)], scheme, flux, dt, 4, guard):
+            want, want_stats = _ref_step(want, scheme, flux, bg, (k - 1) * dt, dt, guard)
+            assert fields[0].values.tobytes() == want.values.tobytes(), (axis, k)
+            assert _bits(stats[0]) == _bits(want_stats), (axis, k)
+            cells.append(stats[0].cells)
+        assert cells[0] == g.ncells
+        assert all((c == g.ncells) == (axis == 0) for c in cells[1:]), (axis, cells)
