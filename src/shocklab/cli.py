@@ -15,8 +15,9 @@ before any work:
 
 `profile`, `stability` and `support` are built for d = 2, and `overhead`,
 `dispersion` and `normalize-check` for the multi-D Burgers flux: another
-flux is a config error at its key's line.  `normalize-check` takes d from
-the flux key, 2 without one.
+flux is a config error at its key's line, and so is a Burgers flux.poly of
+other than 2 or 3 components.  `normalize-check` takes d from the flux key,
+2 without one.
 """
 
 from __future__ import annotations

@@ -243,10 +243,16 @@ class RunConfig:
                              f"{command} is built for d = 2, and the flux has {d} components")
 
     def require_burgers(self, command: str) -> None:
-        """A config error at the flux's line unless it is the multi-D Burgers flux."""
-        key = self.flux_key()  # None: build_flux reports a missing flux
-        if key is not None and not is_burgers(self.build_flux()):
+        """A config error at the flux's line unless it is the multi-D Burgers
+        flux of 2 or 3 components, the dimensions flux.burgers_d allows."""
+        key = self.flux_key()
+        if key is None:
+            return  # build_flux reports a missing flux
+        if not is_burgers(self.build_flux()):
             raise self.error(key, f"{command} is built for the multi-D Burgers flux")
+        d = self.flux_dimension()
+        if d not in (2, 3):
+            raise self.error(key, f"the number of components must be 2 or 3, got {d}")
 
     # -- builders -----------------------------------------------------------
 

@@ -139,8 +139,9 @@ def settle(
     Raises CFLViolation if a step leaves the start range of a field and its
     ghosts, which a monotone update never does (`evolve` checks it).  The
     ghost layers stay those of t = 0: a moving background is replaced by a
-    copy at rest, whose layers are evaluated once (no ghost coordinate is
-    -0.0, so dropping the zero shift changes no value).
+    copy at rest, whose cached layers have an infinite horizon, so they are
+    evaluated once per grid (see `solver.Background`; no ghost coordinate
+    is -0.0, so dropping the zero shift changes no value).
     """
     pairs = []
     for f, bg in fields:

@@ -71,6 +71,12 @@ class Front:
         return self.fn(np.asarray(y, dtype=float))
 
 
+def _clamps(front: Front) -> bool:
+    """Whether the front is constant somewhere off its slopes: a pwl front
+    is, outside its nodes, and so is a combination with such a part."""
+    return front.kind == "pwl" or any(_clamps(p) for p in front.params.get("parts", ()))
+
+
 def _planar_front(dual: DualCone, nu: np.ndarray, offset: float) -> Front:
     w_dot = float(nu @ dual.W)
     h_dot = nu @ dual.H
@@ -151,11 +157,25 @@ class ShockProfile:
         """Front value psi(0) at the frame origin."""
         return float(self.front.value(np.zeros(()) if self.d == 2 else np.zeros(self.d - 1)))
 
-    def eval(self, x) -> np.ndarray:
-        """u_minus where r < psi(y), u_plus on and beyond the front."""
+    def eval(self, x, frame_values: bool = False):
+        """u_minus where r < psi(y), u_plus on and beyond the front; with
+        frame_values, (values, r, psi): also the values they were decided from."""
         r, y = self.dual.frame(x)
         psi = self.front.value(y)
-        return np.where(r < psi, self.pair.u_minus, self.pair.u_plus)
+        values = np.where(r < psi, self.pair.u_minus, self.pair.u_plus)
+        return (values, r, psi) if frame_values else values
+
+    def drift_rate(self, velocity) -> float:
+        """max |W.v - s.(H^T v)| over the front's local slopes s: a bound on
+        |d/dt (psi(y) - r)| at a point moving with velocity v.  Every front
+        is continuous and piecewise linear, and its local slopes are its
+        `slopes` plus 0 where a pwl front, alone or as a part, clamps outside
+        its nodes; along a straight path psi changes by a mean of those
+        slopes, so psi(y) - r moves by at most this rate times the time."""
+        v = np.asarray(velocity, dtype=float)
+        w_v = float(self.dual.W @ v)
+        rate = float(np.max(np.abs(w_v - self.front.slopes @ (self.dual.H.T @ v))))
+        return max(rate, abs(w_v)) if _clamps(self.front) else rate
 
     def same_frame(self, other: "ShockProfile") -> bool:
         return (

@@ -12,6 +12,12 @@ fixed point, so `evolve` hands `step` a `Band` per field, and a step runs
 only the cells that the last step's changes can reach: the rows along axis
 0 in 2-D, and in 3-D a box along the other axes in each slab of rows.  The
 skip is exact (the band contract is stated once, in `step`).
+
+Dirichlet ghost layers are cached per background and grid with a horizon
+in time (see `_evaluate_layers`): infinite at rest, 0 for a moving function,
+and for a moving shock profile the time before a ghost cell can cross its
+front.  A shock profile is two-valued, so until then a cached layer has the
+bits of a fresh one, and a step can tell unchanged layers by identity.
 """
 
 from __future__ import annotations
@@ -396,18 +402,27 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
 class Background:
     """Far-field state used for dirichlet ghost cells; translates with velocity.
 
-    While the velocity is zero the ghost layers do not depend on t, so each
-    grid's layers are evaluated once and kept, read-only, in _steady, with
-    their range.
+    Each grid's ghost layers are kept, read-only, in _layers with their
+    range, the time t_e they were evaluated at and a horizon: they are
+    returned again while |t - t_e| < horizon (see `_evaluate_layers`).  The
+    horizon is infinite while the velocity is zero, and for a moving
+    `profile` as long as no ghost cell can cross its front; any other moving
+    fn has horizon 0.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     velocity: np.ndarray
-    _steady: dict = field(default_factory=dict, init=False, repr=False)
+    _layers: dict = field(default_factory=dict, init=False, repr=False)
     moving: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moving", bool(np.any(np.asarray(self.velocity) != 0.0)))
+
+    @property
+    def profile(self) -> ShockProfile | None:
+        """The ShockProfile whose eval fn is, if any."""
+        owner = getattr(self.fn, "__self__", None)
+        return owner if isinstance(owner, ShockProfile) else None
 
     def eval(self, points: np.ndarray, t: float) -> np.ndarray:
         if self.moving:
@@ -450,35 +465,95 @@ class StepStats:
     cells: int = 0          # cells the step updated; the others kept their bits
 
 
-def _ghost_kind(scheme: SchemeConfig, background: Background | None) -> str:
-    """Where the ghost layers come from: the field's own edge cells ("field"),
-    a background at rest ("steady") or a moving one ("moving")."""
-    if scheme.boundary == "outflow" or background is None:
-        return "field"
-    return "moving" if background.moving else "steady"
+def _dirichlet(scheme: SchemeConfig, background: Background | None) -> bool:
+    """Whether the ghost layers come from the background rather than from the
+    field's own edge cells."""
+    return scheme.boundary != "outflow" and background is not None
+
+
+@dataclass(frozen=True)
+class _Layers:
+    """One grid's ghost layers of a background, evaluated at t, with their
+    range; they hold their bits while |t' - t| < horizon."""
+
+    ghosts: dict
+    range: tuple[float, float]
+    t: float
+    horizon: float
+
+
+# relative size of the rounding slack of a moving profile's ghost layers
+# (see `_evaluate_layers`): about 1e7 units of roundoff
+GHOST_SLACK = 1e-9
+
+
+def _evaluate_layers(background: Background, g: Grid, t: float) -> _Layers:
+    """Evaluate the ghost layers of g at t, and how long they keep their bits.
+
+    At rest the layers do not depend on t: the horizon is infinite.  A moving
+    fn other than a profile gets horizon 0 and is evaluated at every step.
+    A moving ShockProfile is u_minus exactly where r < psi(y), at the
+    translated points q = p - t v of the ghost centers p, so a layer keeps
+    its bits until some ghost point's gap psi(y) - r changes sign.  From the
+    same frame values that made the layers: m = min |psi - r| over the ghost
+    points, and P, the largest of |p|, |q| (max norm), |r| and |psi|.  The
+    exact gap moves by at most rate = `ShockProfile.drift_rate` per unit of
+    |t' - t|.  Each computed q, r, y and psi is a handful of roundings of
+    operands no larger than a small multiple of (1 + P)(1 + S), where S is
+    the largest 1-norm of a local slope, so slack = GHOST_SLACK (1 + P)(1 + S)
+    bounds the rounding of the computed gap with room to spare (d <= 3).
+    Over a time tau, P grows by at most 2 (1 + S) |v| tau, |v| the max norm
+    of the velocity (2 > sqrt(d)), and the slack at t' by
+    2 GHOST_SLACK (1 + S)^2 |v| tau.  The computed sign at t' is the
+    exact one while m - 2 slack > (rate + 2 GHOST_SLACK (1 + S)^2 |v|) tau,
+    and the exact sign never changes before, so the horizon is
+    (m - 2 slack) / (rate + 2 GHOST_SLACK (1 + S)^2 |v|), and 0 when
+    m - 2 slack <= 0.
+    """
+    profile = background.profile if background.moving else None
+    ghosts = {}
+    m, size = np.inf, 0.0
+    for ax in range(g.d):
+        for side in (0, 1):
+            p = _ghost_points(g, ax, side)
+            if profile is None:
+                layer = background.eval(p, t)
+            else:
+                q = p - t * background.velocity  # as Background.eval
+                layer, r, psi = profile.eval(q, frame_values=True)
+                m = min(m, float(np.min(np.abs(psi - r))))
+                size = max(size, *(float(np.max(np.abs(a))) for a in (p, q, r, psi)))
+            # float, so that a step can compare the layers as int64
+            layer = np.asarray(layer, dtype=float).view()
+            layer.flags.writeable = False
+            ghosts[(ax, side)] = layer
+    if not background.moving:
+        horizon = np.inf
+    elif profile is None:
+        horizon = 0.0
+    else:
+        s = float(np.max(np.abs(profile.front.slopes).sum(axis=1)))
+        speed = float(np.max(np.abs(background.velocity)))
+        slack = GHOST_SLACK * (1.0 + size) * (1.0 + s)
+        rate = profile.drift_rate(background.velocity) + \
+            2.0 * GHOST_SLACK * (1.0 + s) ** 2 * speed
+        horizon = (m - 2.0 * slack) / rate if m - 2.0 * slack > 0 else 0.0
+    return _Layers(ghosts, _ghost_range(ghosts), float(t), horizon)
 
 
 def _ghost_values(field: Field, scheme: SchemeConfig, background: Background | None, t: float):
-    """Ghost layers per (axis, side) and their range; dirichlet evaluates the
-    translated background, and a background at rest keeps both per grid."""
+    """Ghost layers per (axis, side) and their range; dirichlet layers are the
+    translated background's, returned from its cache (the same dict) while
+    they keep their bits (see `_evaluate_layers`)."""
     g = field.grid
-    kind = _ghost_kind(scheme, background)
-    if kind == "field":
+    if not _dirichlet(scheme, background):
         # the field's own edge cells cannot widen its range
         return {(ax, side): np.moveaxis(field.values, ax, 0)[0 if side == 0 else -1]
                 for ax in range(g.d) for side in (0, 1)}, (np.inf, -np.inf)
-    cached = background._steady.get(g)
-    if cached is None:
-        # float, so that a step can compare a moving background's layers as int64
-        ghosts = {(ax, side): np.asarray(background.eval(_ghost_points(g, ax, side), t),
-                                         dtype=float).view()
-                  for ax in range(g.d) for side in (0, 1)}
-        cached = ghosts, _ghost_range(ghosts)
-        if kind == "steady":
-            for v in ghosts.values():
-                v.flags.writeable = False
-            background._steady[g] = cached
-    return cached
+    layers = background._layers.get(g)
+    if layers is None or not abs(t - layers.t) < layers.horizon:
+        layers = background._layers[g] = _evaluate_layers(background, g, t)
+    return layers.ghosts, layers.range
 
 
 def _ghost_range(ghosts) -> tuple[float, float]:
@@ -534,9 +609,10 @@ class Band:
     the dt and per-axis lambdas they were found with.
     In 3-D, box (lo, hi) narrows each row to the box along axes 1..d-1 of
     its cells that the next step can change, as float arrays of shape
-    (d - 1, rows) (see `_extents`).  ghosts holds a moving background's
-    ghost layers of the last step, None for any other.  faces holds the flux buffers of both
-    outer faces of each axis, whole faces, and inflow the last step's total.
+    (d - 1, rows) (see `_extents`).  ghosts holds the last step's dirichlet
+    ghost layers, the background's cached dict (see `Background`), and None
+    for outflow.  faces holds the flux buffers of both outer faces of each
+    axis, whole faces, and inflow the last step's total.
     """
 
     values: np.ndarray | None = None
@@ -673,28 +749,30 @@ def step(
     box of its rows: each box is padded by the cells next to it or the ghost
     layers, and writes its part of each outer face into the whole-face
     buffers.  The bits do not depend on the slab size or the boxes.
-    Dirichlet ghost layers of a background with zero velocity do not depend
-    on t: they are evaluated once per background and grid and kept read-only.
-    A moving background is evaluated at every step; only the ghost cell
-    centers are cached.
+    Dirichlet ghost layers are cached read-only per background and grid with
+    a horizon (see `Background` and `_evaluate_layers`): for ever at rest,
+    while no ghost cell can cross the front for a moving ShockProfile; any
+    other moving background is evaluated at every step.  A cached layer has
+    the bits a fresh evaluation would have.
 
     Band contract (the fields are described in `Band`).  Only `evolve`
     passes a band; a call without one steps through a fresh `Band()`, so
     every cell runs.  The band vouches for the field only when it is the
     array the last step made, dt and the lambdas equal the last step's, and
-    no bit of a moving background's ghost layers changed since the last
-    step; otherwise every cell runs.  Then a cell whose bits and whose
-    stencil neighbours' bits did not change in the last step keeps its bits
-    again, so skipping it is exact and the outputs are bit-identical to
-    stepping every cell.  The band holds the cells that changed in the last
-    step, widened by one cell along every axis: a 2-D step runs the rows
-    [a, b) along axis 0 whole; a 3-D step runs in each slab the bounding
-    box, along axes 1..d-1, of its rows' boxes, and no slab whose rows hold
-    none.  Every other cell is copied.  Cells and ghosts are compared as
-    int64: a -0.0 that became 0.0 has changed (float != would miss it).  2-D
-    rows are found by scanning [a, b) from both ends; a 3-D step finds the
-    changed cells of each box it ran and keeps, per row, their extent along
-    each of axes 1..d-1, widened in integer arithmetic.  The band's values, vmin and vmax spare
+    no bit of the ghost layers changed since the last step (the same cached
+    dict, or equal bits after a new evaluation); otherwise every cell runs.
+    Then a cell whose bits and whose stencil neighbours' bits did not change
+    in the last step keeps its bits again, so skipping it is exact and the
+    outputs are bit-identical to stepping every cell.  The band holds the
+    cells that changed in the last step, widened by one cell along every
+    axis: a 2-D step runs the rows [a, b) along axis 0 whole; a 3-D step
+    runs in each slab the bounding box, along axes 1..d-1, of its rows'
+    boxes, and no slab whose rows hold none.  Every other cell is copied.
+    Cells and ghosts are compared as int64: a -0.0 that became 0.0 has
+    changed (float != would miss it).  2-D rows are found by scanning
+    [a, b) from both ends; a 3-D step finds the changed cells of each box
+    it ran and keeps, per row, their extent along each of axes 1..d-1,
+    widened in integer arithmetic.  The band's values, vmin and vmax spare
     the next step a pass for lambda.  A step that runs no cell returns the
     input field, which is safe because no field is ever written in place.
     Each outer face's fluxes live in a buffer of the whole face in the band,
@@ -726,7 +804,8 @@ def step(
     lam_used = max(0.0, *lams)
     boxed = g.d > 2  # 3-D steps run in slabs, each the box of its cells that can change
     a, b, box = 0, n0, None
-    same_ghosts = band.ghosts is None or all(
+    # cached layers are the same dict; re-evaluated ones are compared as int64
+    same_ghosts = band.ghosts is None or band.ghosts is ghosts or all(
         np.array_equal(band.ghosts[k].view(np.int64), v.view(np.int64)) for k, v in ghosts.items())
     if not fresh and band.key == (dt, *lams) and same_ghosts:
         a, b = band.rows
@@ -819,7 +898,7 @@ def step(
         moved = _moved_rows(values, new_values, a, b) if a < b else None
         band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
     band.key = (dt, *lams)
-    band.ghosts = ghosts if _ghost_kind(scheme, background) == "moving" else None
+    band.ghosts = ghosts if _dirichlet(scheme, background) else None
     band.values, band.vmin, band.vmax, band.inflow = new_values, vmin, vmax, inflow
     return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax), cells)
 

@@ -308,6 +308,10 @@ BROKEN = {
     "stability-original-frame": ("stability", "scheme.frame = original\n"),
     "overhead-not-burgers": ("overhead", "flux.poly = [[0,0,1],[0,0,0,2]]\n"),
     "cone-5d": ("cone", "flux.burgers_d = 5\n"),
+    # the Burgers flux of a dimension that flux.burgers_d refuses
+    "normalize-check-poly-1d": ("normalize-check", "flux.poly = [[0,0,1]]\n"),
+    "normalize-check-poly-4d": ("normalize-check",
+                                "flux.poly = [[0,0,1],[0,0,0,1],[0,0,0,0,1],[0,0,0,0,0,1]]\n"),
     "poly-infinite": ("cone", "flux.poly = [[0,0,1e999],[0,0,0,1]]\n"),
     "poly-not-nested": ("cone", "flux.poly = [1,2]\n"),
     "poly-integer-past-float": ("cone", "flux.poly = [[0,0,1%s],[0,0,0,1]]\n" % ("0" * 400)),
@@ -436,6 +440,17 @@ def test_a_burgers_command_rejects_another_flux_at_its_line(case, tmp_path, monk
     assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.poly: "
                    f"{command} is built for the multi-D Burgers flux\n")
     assert not (tmp_path / "out" / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize("case, d", [("normalize-check-poly-1d", 1), ("normalize-check-poly-4d", 4)])
+def test_normalize_check_refuses_a_burgers_poly_as_burgers_d_would(case, d, tmp_path):
+    _, broken = BROKEN[case]
+    path = tmp_path / "c.cfg"
+    path.write_text(broken + f"output.dir = {tmp_path / 'out'}\n")
+    code, out, err = run_cli(["normalize-check", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("config error: line 1: flux.poly: the number of components must be 2 or 3, "
+                   f"got {d}\n")
 
 
 def test_normalize_check_takes_d_from_the_flux(tmp_path):

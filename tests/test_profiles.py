@@ -375,7 +375,11 @@ def test_slope_ratio_bounds_every_pair_and_is_reached(case):
     exact = _slope_ratio(dual, slopes)
     delta = delta[np.linalg.norm(delta, axis=1) > 1e-100]  # no subnormal gauges
     if len(delta):
-        assert _sampled_ratio(dual, slopes, delta) <= exact * (1 + 1e-12)
+        # the ratio does not depend on the length of delta; on unit directions
+        # s . delta cannot underflow into subnormals that lose the bits the
+        # comparison needs (s = 1.1e-308 with delta = 1e-6 read 1.4e-10 high)
+        unit = delta / np.linalg.norm(delta, axis=1, keepdims=True)
+        assert _sampled_ratio(dual, slopes, unit) <= exact * (1 + 1e-12)
     psi = lambda z: np.max(z @ slopes.T + np.arange(len(slopes)), axis=1)
     rise = psi(y[: len(delta)] + delta) - psi(y[: len(delta)])
     bound = exact * _gauge_rows(dual, delta)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
+from shocklab import solver
 from shocklab.errors import GridMismatch
 from shocklab.solver import Background, Companion, sample_function, sample_profile, stable_dt
 
@@ -225,7 +226,8 @@ def test_step_stats_lambda(pair11):
 # -- the four discrete guarantees in d = 3 ------------------------------------------
 
 GRID3 = sl.Grid.from_box((-1, 1, -1, 1, -1, 1), (10, 10, 10))
-FLUX3 = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0).reduced
+PAIR3 = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
+FLUX3 = PAIR3.reduced
 GUARD3 = (-1.0, 1.0)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -272,4 +274,25 @@ def test_mass_balance_3d(seed, kind, boundary):
     a = sl.Field(GRID3, np.random.default_rng(seed).uniform(-1, 1, GRID3.counts))
     bg = Background(lambda p: np.tanh(2.0 * p[..., 0] - p[..., 2]), np.zeros(3))
     out, inflow = _steps3(a, sl.SchemeConfig(numerical_flux=kind, boundary=boundary), bg)
+    assert abs(out.mass - a.mass - inflow) <= 1e-12 * max(1.0, abs(a.mass))
+
+
+PLANAR3 = sl.make_planar(PAIR3, sl.dual_cone(sl.admissible_cone(PAIR3, 0.05)), [0.58, 0.0, 0.81])
+
+
+@settings(deadline=None, max_examples=6)
+@given(SEEDS, KINDS, st.floats(min_value=0.5, max_value=3.0), st.sampled_from([-1.0, 1.0]))
+def test_mass_balance_3d_moving_background(seed, kind, speed, sign):
+    # the planar front moves across its normal, so its ghost layers are
+    # evaluated again as ghost cells cross it, and the ghosts' bits change
+    nu = np.asarray(PLANAR3.front.params["nu"])
+    bg = Background(PLANAR3.eval, sign * speed * nu)
+    a = sl.Field(GRID3, np.random.default_rng(seed).uniform(-1, 1, GRID3.counts))
+    scheme = sl.SchemeConfig(numerical_flux=kind)
+    dt = stable_dt(FLUX3, GRID3, scheme, *GUARD3)
+    inflow = 0.0
+    for _, _, fields, stats in solver.evolve([(a, bg)], scheme, FLUX3, dt, 12, GUARD3):
+        inflow += stats[0].boundary_inflow
+    assert bg._layers[GRID3].t > 0.0  # evaluated again after t = 0
+    out = fields[0]
     assert abs(out.mass - a.mass - inflow) <= 1e-12 * max(1.0, abs(a.mass))
