@@ -13,11 +13,10 @@ before any work:
   experiment.snapshot_interval ratio above that (an interval of 0 writes
   none).
 
-`profile`, `stability` and `support` are built for d = 2, and `overhead`,
-`dispersion` and `normalize-check` for the multi-D Burgers flux: another
-flux is a config error at its key's line, and so is a Burgers flux.poly of
-other than 2 or 3 components.  `normalize-check` takes d from the flux key,
-2 without one.
+`COMMANDS` holds one row per command: the keys it reads and the flux it is
+built for.  A key the command does not read, and a flux it is not built for,
+is a config error at that key's line, raised before any work.
+`normalize-check` takes d from the flux key, 2 without one.
 """
 
 from __future__ import annotations
@@ -29,24 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as xp
-from .config import RunConfig, tokenize, validate
-from .cones import cone_contains, dual_cone, dual_cone_from_flux
+from .config import KEYS, RunConfig, tokenize, validate
+from .cones import admissible_cone, cone_contains, dual_cone, dual_cone_from_flux
 from .errors import ConfigError, ShockLabError, TrivialCone
 from .experiments import Check, ExperimentReport
-from .fluxes import burgers_flux
+from .fluxes import burgers_flux, is_burgers
 from .profiles import front_normals
 from .snapshots import format_verdict, write_probes_csv, write_snapshot, write_verdict
 from .solver import Field, profile_background, run, sample_function, sample_profile
-
-
-def _load_config(path: str, overrides: list[str]) -> RunConfig:
-    entries = tokenize(Path(path).read_text(encoding="utf-8"))
-    for i, item in enumerate(overrides):
-        if "=" not in item:
-            raise ConfigError([(0, f"--set expects key=value, got {item!r}")])
-        key, _, value = item.partition("=")
-        entries[key.strip()] = (value.strip(), 0)
-    return validate(entries)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -85,7 +74,7 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
 
 def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
-    cone = cfg.build_cone(pair)
+    cone = admissible_cone(pair, cfg.get("cone.resolution"))
     tol = 2 * cfg.get("cone.resolution") + 1e-3
     if cone.trivial:
         stdout.write("trivial," + ",".join(["0.0"] * pair.d) + "\n")
@@ -118,7 +107,7 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
 
 def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
-    cone = cfg.build_cone(pair)
+    cone = admissible_cone(pair, cfg.get("cone.resolution"))
     prof = cfg.build_profile(pair, dual_cone(cone))
     out = _outdir(cfg)
     ys = np.linspace(prof.y_extent[0], prof.y_extent[1], 257)
@@ -138,16 +127,13 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
     grid = cfg.build_grid()
     scheme = cfg.build_scheme()
     flux = scheme.flux_of(pair)
-    if cfg.has("perturbation.shape"):
-        phi = cfg.build_perturbation()
-        cfg.check_amplitude(pair.u_plus, pair.u_minus, flux, grid)
-    else:
-        cfg.check_steps(pair.u_plus, pair.u_minus, flux, grid)
+    phi = cfg.build_perturbation() if cfg.has("perturbation.shape") else None
+    cfg.check_amplitude(pair.u_plus, pair.u_minus, flux, grid)
     snapshot_times = _snapshot_times(cfg)
     prof = cfg.build_profile(pair)
     bg = profile_background(prof, moving=scheme.frame == "original")
     u0 = sample_profile(prof, grid)
-    if cfg.has("perturbation.shape"):
+    if phi is not None:
         u0 = Field(grid, u0.values + sample_function(phi, grid).values)
     rep = run(u0, scheme, flux, cfg.get("experiment.horizon"), bg,
               snapshot_times=snapshot_times)
@@ -163,8 +149,6 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
-    if cfg.get("scheme.frame") != "reduced":
-        raise cfg.error("scheme.frame", "stability runs in the reduced (steady) frame")
     pair = cfg.build_pair()
     phi = cfg.build_perturbation()
     if phi.shape != "sum" and abs(phi.amplitude) > pair.jump:
@@ -186,7 +170,6 @@ def cmd_stability(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
-    cfg.require_burgers("overhead")
     phi = cfg.build_perturbation()
     pair, grid, scheme = cfg.build_pair(), cfg.build_grid(), cfg.build_scheme()
     cfg.check_amplitude(pair.u_plus, pair.u_minus, scheme.flux_of(pair), grid)
@@ -202,7 +185,6 @@ def cmd_overhead(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, stdout, stderr) -> int:
-    cfg.require_burgers("dispersion")
     if cfg.get("experiment.t0") >= cfg.get("experiment.horizon"):
         raise cfg.error("experiment.t0", "the measurement window must start before "
                         "experiment.horizon")
@@ -236,7 +218,6 @@ def cmd_support(cfg: RunConfig, stdout, stderr) -> int:
 
 
 def cmd_normalize_check(cfg: RunConfig, stdout, stderr) -> int:
-    cfg.require_burgers("normalize-check")
     d = cfg.flux_dimension() or 2
     u_ref = cfg.state("experiment.u_ref", burgers_flux(d))
     residuals = xp.normalization_residual_study(u_ref, d)
@@ -256,16 +237,57 @@ def cmd_normalize_check(cfg: RunConfig, stdout, stderr) -> int:
     return _emit_report(cfg, report, stderr)
 
 
-HANDLERS = {
-    "cone": cmd_cone,
-    "profile": cmd_profile,
-    "simulate": cmd_simulate,
-    "stability": cmd_stability,
-    "overhead": cmd_overhead,
-    "dispersion": cmd_dispersion,
-    "support": cmd_support,
-    "normalize-check": cmd_normalize_check,
+# One row per command: its handler, what it needs of the flux besides 2 or 3
+# components ("d = 2", "burgers" for the multi-D Burgers flux, or nothing),
+# and the keys it reads besides flux.* and output.dir: sections such as
+# "profile." and single keys such as "grid.box".  Any other key is an error.
+# scheme.frame is read only where the background moves with the frame:
+# stability runs in the steady frame, and the others against a constant state.
+PROFILE = "pair. cone. profile. grid.box "
+EVOLVE = "perturbation. grid. experiment.horizon scheme.numerical_flux scheme.cfl scheme.boundary "
+COMMANDS = {
+    "cone": (cmd_cone, "", "pair. cone."),
+    "profile": (cmd_profile, "d = 2", PROFILE),
+    "simulate": (cmd_simulate, "", PROFILE + EVOLVE + "scheme.frame experiment.snapshot_interval"),
+    "stability": (cmd_stability, "d = 2",
+                  PROFILE + EVOLVE + "experiment.snapshot_interval experiment.settle_steps"),
+    "overhead": (cmd_overhead, "burgers",
+                 PROFILE + EVOLVE + "scheme.frame experiment.eta experiment.settle_steps"),
+    # the flux key is checked, and the grid gives d
+    "dispersion": (cmd_dispersion, "burgers", EVOLVE + "experiment.t0 experiment.u_ref"),
+    # pair.u_minus is the base state
+    "support": (cmd_support, "d = 2", EVOLVE + "pair.u_minus experiment.threshold"),
+    "normalize-check": (cmd_normalize_check, "burgers", "experiment.u_ref"),
 }
+
+
+def _load_config(path: str, overrides: list[str], name: str) -> RunConfig:
+    """The config of command `name`, checked against its row of COMMANDS."""
+    entries = tokenize(Path(path).read_text(encoding="utf-8"))
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError([(0, f"--set expects key=value, got {item!r}")])
+        key, _, value = item.partition("=")
+        entries[key.strip()] = (value.strip(), 0)
+    _, needs, reads = COMMANDS[name]
+    reads = reads.split() + ["flux.", "output.dir"]
+    unread = [k for k in entries
+              if k in KEYS and k not in reads and k.split(".")[0] + "." not in reads]
+    errors = [(entries[k][1], f"{k}: {name} does not read this key") for k in unread]
+    try:
+        cfg = validate({k: v for k, v in entries.items() if k not in unread})
+        key, d = cfg.flux_key(), cfg.flux_dimension()  # None without one: build_flux reports it
+        if needs == "burgers" and key and not is_burgers(cfg.build_flux()):
+            raise cfg.error(key, f"{name} is built for the multi-D Burgers flux")
+        if needs == "d = 2" and d not in (None, 2):
+            raise cfg.error(key, f"{name} is built for d = 2, and the flux has {d} components")
+        if d not in (None, 2, 3):
+            raise cfg.error(key, f"the number of components must be 2 or 3, got {d}")
+    except ConfigError as exc:
+        errors.extend(exc.diagnostics)
+    if errors:
+        raise ConfigError(sorted(errors, key=lambda e: e[0]))
+    return cfg
 
 
 def main(argv=None, stdout=None, stderr=None) -> int:
@@ -273,7 +295,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     parser = argparse.ArgumentParser(prog="shocklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a flat config file")
         p.add_argument("--set", action="append", default=[], metavar="section.key=value",
@@ -284,10 +306,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        cfg = _load_config(args.config, args.set)
-        if args.command in ("profile", "stability", "support"):
-            cfg.require_2d(args.command)
-        return HANDLERS[args.command](cfg, stdout, stderr)
+        cfg = _load_config(args.config, args.set, args.command)
+        return COMMANDS[args.command][0](cfg, stdout, stderr)
     except ConfigError as exc:
         for ln, msg in exc.diagnostics:
             where = f"line {ln}: " if ln else ""

@@ -2,7 +2,8 @@
 
 The format is line-oriented and greppable: one assignment per line, `#`
 comments, no nesting.  Unknown keys are hard errors so a typo can never fall
-back to a silent default.
+back to a silent default, and so is a key the command does not read (see
+`cli.COMMANDS`), so that no key is set to no effect.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from numpy.polynomial import polynomial as P
 
 from .cones import admissible_cone, dual_cone
 from .errors import ConfigError, ShockLabError
-from .fluxes import Flux, burgers_flux, is_burgers, make_shock_pair
+from .fluxes import Flux, burgers_flux, make_shock_pair
 from .profiles import PerturbationSpec, ShockProfile, make_graph, make_planar, make_scaled_gauge
 from .solver import Grid, SchemeConfig, stable_dt, wave_speed
 
@@ -100,6 +101,15 @@ def _parse_counts(s: str) -> tuple[int, ...]:
     return counts
 
 
+def _parse_box(s: str) -> tuple[float, ...]:
+    box = _parse_floats(s)
+    extents = [hi - lo for lo, hi in zip(box[::2], box[1::2])]
+    if len(box) not in (4, 6) or not all(0 < e < math.inf for e in extents):
+        raise ValueError(f"expected lo,hi of positive, finite extent, 2 entries per axis, "
+                         f"got {box}")
+    return box
+
+
 def _parse_terms(s: str) -> tuple[tuple[str, tuple[float, ...]], ...]:
     """`shape:c_1,...,c_d,radius,amplitude` terms separated by `;`."""
     terms = []
@@ -178,7 +188,7 @@ KEYS = {
     "perturbation.amplitude": (_finite, None),
     "perturbation.terms": (_parse_terms, None),
     "grid.counts": (_parse_counts, None),
-    "grid.box": (_parse_floats, None),
+    "grid.box": (_parse_box, None),
     "scheme.numerical_flux": (_enum("rusanov", "engquist-osher"), "rusanov"),
     "scheme.cfl": (_finite, None),
     "scheme.boundary": (_enum("dirichlet-profile", "outflow"), "dirichlet-profile"),
@@ -235,25 +245,6 @@ class RunConfig:
         value = self.get(key) if key else None
         return len(value) if key == "flux.poly" else value
 
-    def require_2d(self, command: str) -> None:
-        """A config error at the flux's line unless it has 2 components."""
-        d = self.flux_dimension()
-        if d not in (None, 2):  # build_flux reports a missing flux
-            raise self.error(self.flux_key(),
-                             f"{command} is built for d = 2, and the flux has {d} components")
-
-    def require_burgers(self, command: str) -> None:
-        """A config error at the flux's line unless it is the multi-D Burgers
-        flux of 2 or 3 components, the dimensions flux.burgers_d allows."""
-        key = self.flux_key()
-        if key is None:
-            return  # build_flux reports a missing flux
-        if not is_burgers(self.build_flux()):
-            raise self.error(key, f"{command} is built for the multi-D Burgers flux")
-        d = self.flux_dimension()
-        if d not in (2, 3):
-            raise self.error(key, f"the number of components must be 2 or 3, got {d}")
-
     # -- builders -----------------------------------------------------------
 
     def build_flux(self) -> Flux:
@@ -279,12 +270,6 @@ class RunConfig:
         return make_shock_pair(flux, self.state("pair.u_minus", flux),
                                self.state("pair.u_plus", flux))
 
-    def build_cone(self, pair):
-        if pair.d not in (2, 3):
-            raise self.error(self.flux_key(),
-                             f"the admissible cone is built for d = 2 or 3, not {pair.d}")
-        return admissible_cone(pair, self.get("cone.resolution"))
-
     def build_grid(self) -> Grid:
         counts, box = self.require("grid.counts", "grid.box")
         return Grid.from_box(box, counts)
@@ -303,7 +288,7 @@ class RunConfig:
         error at the key that gives its front."""
         pair = pair or self.build_pair()
         if dual is None:
-            dual = dual_cone(self.build_cone(pair))
+            dual = dual_cone(admissible_cone(pair, self.get("cone.resolution")))
         y_extent = (-8.0, 8.0)
         if self.has("grid.box"):
             box = self.get("grid.box")
@@ -344,14 +329,15 @@ class RunConfig:
 
         A bump's peak and an indicator's value are its amplitude, so a base
         in [lo, hi] plus up to `scale` times the perturbation stays in [lo, hi]
-        widened by scale * (the sum of |amplitude| over the terms).
+        widened by scale * (the sum of |amplitude| over the terms, 0 if none).
         """
-        if self.get("perturbation.shape") == "sum":
+        shape = self.get("perturbation.shape")
+        if shape == "sum":
             key = "perturbation.terms"
             a = scale * sum(abs(nums[-1]) for _, nums in self.get(key))
         else:
             key = "perturbation.amplitude"
-            a = scale * abs(self.get(key))
+            a = scale * abs(self.get(key)) if shape else 0.0
         lo, hi = lo - a, hi + a
         with np.errstate(over="ignore", invalid="ignore"):
             # sample_function sums 4 subsamples per axis before it divides
@@ -402,14 +388,15 @@ def tokenize(text: str) -> dict[str, tuple[str, int]]:
 
 
 def _check_dimensions(cfg: RunConfig, entries: dict[str, tuple[str, int]]) -> None:
-    """One flux component per grid axis, front normal entry and bump center entry."""
+    """grid.counts, profile.nu, perturbation.center: one entry per flux component; grid.box two."""
     d = cfg.flux_dimension()
     if d is None:
         return  # build_flux reports a missing flux
     flux_key = cfg.flux_key()
     errors = []
-    for key in ("grid.counts", "profile.nu", "perturbation.center"):
-        if cfg.has(key) and len(cfg.get(key)) != d:
+    for key, per_axis in (("grid.counts", 1), ("grid.box", 2), ("profile.nu", 1),
+                          ("perturbation.center", 1)):
+        if cfg.has(key) and len(cfg.get(key)) != per_axis * d:
             errors.append((entries[key][1], f"{key} has {len(cfg.get(key))} entries, but "
                            f"the flux ({flux_key}) has {d} components"))
     for kind, nums in cfg.get("perturbation.terms") or ():

@@ -96,14 +96,14 @@ def test_cone_of_a_trivial_pair(tmp_path):
     # and the chord route agrees, and `profile`, which needs the dual, fails
     cfg = tmp_path / "c.cfg"
     cfg.write_text("flux.poly = [[0,0,0,1],[0,0,0,0,0,1]]\npair.u_minus = 1\n"
-                   "pair.u_plus = -1\nprofile.front = planar\nprofile.nu = 1,0\n"
-                   f"output.dir = {tmp_path / 'out'}\n")
+                   f"pair.u_plus = -1\noutput.dir = {tmp_path / 'out'}\n")
     code, out, err = run_cli(["cone", "--config", str(cfg)])
     assert (code, out) == (0, "trivial,0.0,0.0\n")
     verdict = (tmp_path / "out" / "verdict.txt").read_text()
     assert err == verdict
     assert verdict.splitlines()[1].startswith("dual_routes_agree: pass measured=0.0 ")
-    code, _, err = run_cli(["profile", "--config", str(cfg)])
+    code, _, err = run_cli(["profile", "--config", str(cfg),
+                            "--set", "profile.front=planar", "--set", "profile.nu=1,0"])
     assert code == 1
     assert err == "error: TrivialCone: admissible cone is {0}\n"
 
@@ -175,7 +175,7 @@ def test_simulate_writes_outputs_and_is_deterministic(tmp_path):
 
 def test_profile_command(tmp_path):
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(SIM_CFG.format(out=tmp_path / "out"))
+    cfg.write_text(CONE_CFG.format(out=tmp_path / "out"))
     code, out, _ = run_cli(["profile", "--config", str(cfg),
                             "--set", "profile.front=abs_scaled", "--set", "profile.slope=0.5"])
     assert code == 0
@@ -190,7 +190,6 @@ def test_support_command(tmp_path):
     cfg.write_text(
         "flux.burgers_d = 2\n"
         "pair.u_minus = 1.0\n"
-        "pair.u_plus = -1.0\n"
         "grid.counts = 96,96\n"
         "grid.box = -3,9,-3,9\n"
         "perturbation.shape = bump\n"
@@ -237,6 +236,8 @@ def test_simulate_with_a_2d_flux_on_a_3d_grid_is_a_config_error(tmp_path):
     code, _, err = run_cli(["simulate", "--config", str(cfg)])
     assert code == 2
     assert err == ("config error: line 6: grid.counts has 3 entries, but the flux "
+                   "(flux.burgers_d) has 2 components\n"
+                   "config error: line 7: grid.box has 6 entries, but the flux "
                    "(flux.burgers_d) has 2 components\n")
     assert not (tmp_path / "out").exists()
 
@@ -379,8 +380,8 @@ BROKEN = {
                      "grid.box = -3,5,-8,8,-8,8\nperturbation.center = 2.7,0,0\n",
                      "flux.burgers_d"),
     "profile-3d": ("profile", "flux.burgers_d = 3\nprofile.front = planar\n"
-                   "profile.nu = 0.58,0.0,0.81\ngrid.counts = 8,8,8\n"
-                   "grid.box = -2,2,-2,2,-2,2\n", "flux.burgers_d"),
+                   "profile.nu = 0.58,0.0,0.81\ngrid.box = -2,2,-2,2,-2,2\n",
+                   "flux.burgers_d"),
 }
 
 
@@ -540,7 +541,8 @@ def test_a_run_past_the_step_ceiling_without_a_perturbation(tmp_path, monkeypatc
 
 SCALARS = (config._dimension, config._count, config._finite, config._positive,
            config._nonnegative, config._fraction)
-LISTS = (config._parse_floats, config._parse_counts, config._parse_direction)
+LISTS = (config._parse_floats, config._parse_counts, config._parse_direction,
+         config._parse_box)
 
 # finite values out of range, by the keys of the digest configs whose rule
 # rejects them before any work; a list key takes the value in every entry,

@@ -46,7 +46,7 @@ CASES = {
     "cone-trivial": ("cone", "flux.poly = [[0,0,0,1],[0,0,0,0,0,1]]\npair.u_minus = 1.0\n"
                      "pair.u_plus = -1.0\n"),
     "profile": ("profile", BURGERS2 + "profile.front = abs_scaled\nprofile.slope = 0.5\n"
-                "grid.counts = 32,32\ngrid.box = -2,2,-2,2\n"),
+                "grid.box = -2,2,-2,2\n"),
     "simulate": ("simulate", BURGERS2 + PLANAR + "grid.counts = 32,32\n"
                  "grid.box = -1.5,1.5,-1.5,1.5\n" + BUMP.format(c="0.4,0.2", r=0.5, a=0.3)
                  + "experiment.horizon = 0.4\nexperiment.snapshot_interval = 0.2\n"),
@@ -69,7 +69,8 @@ CASES = {
     "dispersion": ("dispersion", "flux.burgers_d = 2\ngrid.counts = 48,39\n"
                    "grid.box = -6,10,-6.5,6.5\n" + BUMP.format(c="0.0,0.0", r=1.5, a=0.25)
                    + "experiment.horizon = 6.0\nexperiment.t0 = 2.0\n"),
-    "support": ("support", BURGERS2 + "grid.counts = 48,48\ngrid.box = -3,9,-3,9\n"
+    "support": ("support", "flux.burgers_d = 2\npair.u_minus = 1.0\n"
+                "grid.counts = 48,48\ngrid.box = -3,9,-3,9\n"
                 + BUMP.format(c="0,0", r=0.8, a=0.1) + "experiment.horizon = 1.0\n"),
     "normalize-check": ("normalize-check", "flux.burgers_d = 2\nexperiment.u_ref = 0.8\n"),
     # d comes from the flux key
