@@ -30,6 +30,7 @@ __all__ = [
     "dual_cone",
     "dual_cone_from_flux",
     "cone_contains",
+    "direction_count",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -195,11 +196,16 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     return sector_cone(theta1, theta2, pair)
 
 
+def direction_count(resolution: float) -> int:
+    """The number n of directions a 3-D cone samples at an angular resolution;
+    their spacing is sqrt(4 pi / n), which stops shrinking at n = 4096."""
+    return int(np.clip(4.0 * np.pi / resolution**2, 256, 4096))
+
+
 def _admissible_cone_nd(pair: ShockPair, resolution: float) -> AdmissibleCone:
     if pair.d != 3:
         raise NotImplementedError("direction sampling implemented for d in {2, 3}")
-    n = int(np.clip(4.0 * np.pi / resolution**2, 256, 4096))
-    dirs = _fibonacci_sphere(n)
+    dirs = _fibonacci_sphere(direction_count(resolution))
     mask = oleinik_admissible_many(pair, dirs).admissible
     if not mask.any():
         return AdmissibleCone(3, pair, trivial=True)

@@ -198,8 +198,8 @@ KEYS = {
     "experiment.threshold": (_fraction, 1e-3),
     "experiment.eta": (_finite, 0.05),
     "experiment.t0": (_positive, 10.0),
-    # normalize-check measures the order of its residuals for |u_ref| <= 2 in
-    # 2-D and <= 1.5 in 3-D (see experiments.normalization_residual_study)
+    # normalize-check refuses |u_ref| above 2 in 2-D and above 1.5 in 3-D, where
+    # its residuals are not yet asymptotic (see normalization_residual_study)
     "experiment.u_ref": (_finite, 0.0),
     "experiment.settle_steps": (_count, 1500),
     "output.dir": (str, "out"),

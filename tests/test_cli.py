@@ -142,6 +142,20 @@ def test_cone_routes_agree_for_a_3d_flux_of_odd_powers(states, resolution, tmp_p
     assert gap <= 2 * resolution + 1e-3
 
 
+@pytest.mark.parametrize("resolution", ["", "cone.resolution = 0.01\n", "cone.resolution = 0.05\n"])
+def test_a_3d_cone_is_checked_at_the_spacing_of_its_sample(resolution, tmp_path):
+    # 4,096 directions are at most what a 3-D cone samples, about 0.0554 rad
+    # apart; below that a finer resolution builds the same cone, and the
+    # tolerance must not shrink with it (the default once failed: 0.0321
+    # against 0.0012)
+    code, gap = _route_gap("flux.burgers_d = 3\npair.u_minus = 1.0\npair.u_plus = -1.0\n"
+                           + resolution, tmp_path)
+    line = (tmp_path / "out" / "verdict.txt").read_text().splitlines()[1]
+    assert code == 0
+    assert float(line.split("tol=")[1].split()[0]) == 2 * np.sqrt(4 * np.pi / 4096) + 1e-3
+    assert gap == pytest.approx(0.0321, abs=1e-4)
+
+
 @pytest.mark.parametrize("states", [(1.0, -1.0), (1.0, 0.0), (0.5, -1.5), (2.0, 1.0)])
 def test_cone_route_gap_in_2d_is_the_angular_hausdorff_distance(states, tmp_path):
     # no dual ray of these pairs lies near the angle +-pi, so sorting the
@@ -454,6 +468,24 @@ def test_normalize_check_refuses_a_burgers_poly_as_burgers_d_would(case, d, tmp_
                    f"got {d}\n")
 
 
+@pytest.mark.parametrize("d, u_ref", [(2, 2.0), (2, -2.0), (3, 1.5), (3, -1.5)] + [
+    (2, u) for u in (2.5, -2.5, 3.0, -3.0)] + [(3, u) for u in (2.0, -2.0, 2.5, -2.5)])
+def test_normalize_check_refuses_a_u_ref_past_its_asymptotic_range(d, u_ref, tmp_path):
+    # past |u_ref| = 2 in 2-D and 1.5 in 3-D the study's first halvings are
+    # not yet asymptotic, and a correct normalization read as a failed check
+    bound = {2: 2.0, 3: 1.5}[d]
+    path = tmp_path / "n.cfg"
+    path.write_text(f"flux.burgers_d = {d}\nexperiment.u_ref = {u_ref}\n"
+                    f"output.dir = {tmp_path / 'out'}\n")
+    code, _, err = run_cli(["normalize-check", "--config", str(path)])
+    if abs(u_ref) <= bound:
+        assert code == 0, err
+    else:
+        assert (code, err) == (2, f"config error: line 2: experiment.u_ref: normalize-check "
+                                  f"measures the order of its residuals for |u_ref| <= {bound} "
+                                  f"at d = {d}, not at {u_ref!r}\n")
+
+
 def test_normalize_check_takes_d_from_the_flux(tmp_path):
     # a Burgers flux.poly of 3 components is checked at d = 3, as flux.burgers_d = 3 is
     outs = []
@@ -562,7 +594,8 @@ OUT_OF_RANGE = {
     "experiment.snapshot_interval": ("-5", "1e-300"),     # 1e-300: over 10,000 snapshots
     "experiment.threshold": ("-5", "0", "1e300"),
     "experiment.t0": ("-5", "0", "1e300"),                     # 1e300: past the horizon
-    "experiment.u_ref": ("1e300", "1e150", "100"),   # the flux overflows; 100: no residual
+    # the flux overflows; 100: no residual; 2.5: past the range normalize-check measures
+    "experiment.u_ref": ("1e300", "1e150", "100", "2.5"),
     "experiment.settle_steps": ("-5", "0", "1e300", "1e-300", "1000001"),
 }
 # values past the work ceiling on the number of steps, drawn for the cases

@@ -83,11 +83,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(name: str, workdir: Path) -> dict[str, object]:
-    """Run one case; return its exit code and the digest of each pinned output."""
-    command, cfg = CASES[name]
+def run_config(command: str, cfg: str, workdir: Path) -> tuple[dict[str, object], str]:
+    """Run command on cfg (without output.dir); return its exit code and the
+    digest of each pinned output, and its standard error."""
     out = workdir / "out"
-    path = workdir / f"{name}.cfg"
+    path = workdir / "c.cfg"
     path.write_text(cfg + f"output.dir = {out}\n", encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
     code = main([command, "--config", str(path)], stdout=stdout, stderr=stderr)
@@ -95,7 +95,12 @@ def run_case(name: str, workdir: Path) -> dict[str, object]:
     for pattern in PINNED:
         for p in sorted(out.glob(pattern)):
             record[p.name] = _sha(p.read_bytes())
-    return record
+    return record, stderr.getvalue()
+
+
+def run_case(name: str, workdir: Path) -> dict[str, object]:
+    """Run one case; return its exit code and the digest of each pinned output."""
+    return run_config(*CASES[name], workdir)[0]
 
 
 def differing(want: dict, got: dict) -> list[str]:
