@@ -16,7 +16,8 @@ before any work:
 `COMMANDS` holds one row per command: the keys it reads and the flux it is
 built for.  A key the command does not read, and a flux it is not built for,
 is a config error at that key's line, raised before any work.
-`normalize-check` takes d from the flux key, 2 without one.
+`normalize-check` takes d from the flux key, 2 without one, and refuses an
+|experiment.u_ref| above 2 at d = 2 and above 1.5 at d = 3.
 """
 
 from __future__ import annotations

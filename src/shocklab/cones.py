@@ -132,10 +132,11 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
     bisection of the two boundary angles down to `resolution` radians, or
     to adjacent floats if that comes first.
     d = 3: admissibility test on a quasi-uniform direction grid sized from
-    `resolution` as an angular spacing; the admitted directions span a
-    polyhedral cone (`_cone_rays`).
+    `resolution` as an angular spacing (`direction_count`), so a resolution
+    below about 0.0554 rad gives the same cone; the admitted directions span
+    a polyhedral cone (`_cone_rays`).
 
-    A resolution below about 1e-7 rad buys no accuracy: the exact test,
+    In 2-D a resolution below about 1e-7 rad buys no accuracy: the exact test,
     `oleinik_admissible(exact=True)`, admits directions up to about 8.4e-8
     rad outside the cone (for the 2-D Burgers pair (1, -1)), since its
     violation grows quadratically in the angle past the boundary and only

@@ -175,7 +175,8 @@ KEYS = {
     "flux.poly": (_parse_poly, None),
     "pair.u_minus": (_finite, None),
     "pair.u_plus": (_finite, None),
-    # radians; a value below about 1e-7 gives no finer cone (see cones.admissible_cone)
+    # radians; a value below about 1e-7 in 2-D, or 0.0554 in 3-D, gives no finer
+    # cone (see cones.admissible_cone)
     "cone.resolution": (_positive, 1e-4),
     "profile.front": (_enum("planar", "abs_scaled", "pwl_file"), "planar"),
     "profile.nu": (_parse_direction, None),
