@@ -15,7 +15,9 @@ before any work:
 
 `COMMANDS` holds one row per command: the keys it reads and the flux it is
 built for.  A key the command does not read, and a flux it is not built for,
-is a config error at that key's line, raised before any work.
+is a config error at that key's line, raised before any work.  A key that
+the chosen profile.front or perturbation.shape does not read is one too,
+raised when the command builds that profile or perturbation.
 `normalize-check` takes d from the flux key, 2 without one, and refuses an
 |experiment.u_ref| above 2 at d = 2 and above 1.5 at d = 3.
 """
@@ -23,6 +25,8 @@ is a config error at that key's line, raised before any work.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 from pathlib import Path
 
@@ -295,7 +299,30 @@ def _load_config(path: str, overrides: list[str], name: str) -> RunConfig:
     return cfg
 
 
+# glibc's mallopt parameter numbers
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc raises both when a large block is freed, and until then maps each
+    grid-sized temporary of a step afresh and faults its pages in again: how
+    fast `step` ran depended on whether the run had freed a large block
+    before.  A libc without mallopt keeps its own policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None, stdout=None, stderr=None) -> int:
+    _fix_malloc_thresholds()
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     parser = argparse.ArgumentParser(prog="shocklab", description=__doc__)

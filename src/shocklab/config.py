@@ -3,7 +3,8 @@
 The format is line-oriented and greppable: one assignment per line, `#`
 comments, no nesting.  Unknown keys are hard errors so a typo can never fall
 back to a silent default, and so is a key the command does not read (see
-`cli.COMMANDS`), so that no key is set to no effect.
+`cli.COMMANDS`) or the chosen profile.front or perturbation.shape does not
+read (see `VARIANTS`), so that no key is set to no effect.
 """
 
 from __future__ import annotations
@@ -206,6 +207,16 @@ KEYS = {
     "output.dir": (str, "out"),
 }
 
+# the keys that each variant of profile.front and of perturbation.shape reads;
+# a variant refuses its section's keys that only the other variants read
+_CRA = "perturbation.center perturbation.radius perturbation.amplitude"
+VARIANTS = {
+    "profile.front": {"planar": "profile.nu profile.offset",
+                      "abs_scaled": "profile.slope profile.offset",
+                      "pwl_file": "profile.pwl_path"},
+    "perturbation.shape": {"bump": _CRA, "indicator": _CRA, "sum": "perturbation.terms"},
+}
+
 
 @dataclass(eq=False)
 class RunConfig:
@@ -287,6 +298,7 @@ class RunConfig:
         """The profile of the profile.* keys; a profile that cannot exist (an
         inadmissible normal, a front ratio above 1, a bad front file) is an
         error at the key that gives its front."""
+        self._refuse_unread("profile.front")
         pair = pair or self.build_pair()
         if dual is None:
             dual = dual_cone(admissible_cone(pair, self.get("cone.resolution")))
@@ -313,8 +325,20 @@ class RunConfig:
         except (ShockLabError, ValueError) as exc:
             raise self.error(key, f"{value}: {exc}") from exc
 
+    def _refuse_unread(self, key: str) -> None:
+        """A ConfigError at the line of each key that the variant chosen by
+        key does not read (see VARIANTS)."""
+        choice, options = self.get(key), VARIANTS[key]
+        reads = options[choice].split()
+        unread = {k for keys in options.values() for k in keys.split()} - set(reads)
+        errors = [(self.lines.get(k, 0), f"{k}: {key} = {choice} does not read this key")
+                  for k in unread if self.has(k)]
+        if errors:
+            raise ConfigError(sorted(errors))
+
     def build_perturbation(self) -> PerturbationSpec:
         shape = self.require("perturbation.shape")[0]
+        self._refuse_unread("perturbation.shape")
         if shape == "sum":
             return PerturbationSpec("sum", terms=tuple(
                 PerturbationSpec(kind, nums[:-2], nums[-2], nums[-1])

@@ -85,6 +85,11 @@ class TruncatedFile(ShockLabError):
     """Snapshot file ends before the declared payload is complete."""
 
 
+class BadSnapshot(ShockLabError):
+    """Snapshot header or cells do not form a finite field on a uniform grid,
+    or bytes follow its payload."""
+
+
 class ConfigError(ShockLabError):
     """Configuration text failed validation.
 

@@ -7,12 +7,13 @@ f64 time | f64 cell data, row major.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedFile
+from .errors import BadMagic, BadSnapshot, TruncatedFile
 from .experiments import ExperimentReport
 from .solver import Field, Grid
 
@@ -63,12 +64,21 @@ def read_snapshot(path) -> tuple[Field, float]:
     counts = take(f"<{d}I")
     box = take(f"<{2 * d}d")
     (time,) = take("<d")
-    n = int(np.prod(counts))
-    need = n * 8
-    if off + need > len(raw):
+    if min(counts) < 4 or not np.all(np.isfinite(box)):
+        raise BadSnapshot(f"{path}: counts {counts} and box {box} form no grid")
+    try:
+        grid = Grid.from_box(box, counts)
+    except ValueError as exc:
+        raise BadSnapshot(f"{path}: {exc}") from None
+    n = math.prod(counts)
+    end = off + n * 8
+    if end > len(raw):
         raise TruncatedFile(f"{path}: payload holds {(len(raw) - off) // 8} of {n} cells")
+    if end < len(raw):
+        raise BadSnapshot(f"{path}: {len(raw) - end} bytes follow the payload of {n} cells")
     values = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(counts)
-    grid = Grid.from_box(box, counts)
+    if not np.all(np.isfinite(values)):
+        raise BadSnapshot(f"{path}: non-finite cell values")
     return Field(grid, values.astype(float)), time
 
 

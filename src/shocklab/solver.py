@@ -18,6 +18,11 @@ in time (see `_evaluate_layers`): infinite at rest, 0 for a moving function,
 and for a moving shock profile the time before a ghost cell can cross its
 front.  A shock profile is two-valued, so until then a cached layer has the
 bits of a fresh one, and a step can tell unchanged layers by identity.
+
+`sample_function` averages fn at SUBSAMPLES^d points per cell, but evaluates
+it there only in cells where it cannot prove fn constant: a shock profile's
+front and a perturbation's balls cut few cells of a grid (see
+`_constant_cells`).  Every cell keeps the bits of the whole-mesh average.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
 from .fluxes import Flux, _key, critical_points, poly_abs_max
-from .profiles import ShockProfile
+from .profiles import PerturbationSpec, ShockProfile, _clamps
 
 __all__ = [
     "Grid",
@@ -80,6 +85,8 @@ class Grid:
         lo = box[0::2]
         hi = box[1::2]
         dxs = [(hi[i] - lo[i]) / counts[i] for i in range(d)]
+        if not min(dxs) > 0:
+            raise ValueError(f"box extents imply non-positive cell sizes {dxs}")
         if max(dxs) - min(dxs) > 1e-9 * max(dxs):
             raise ValueError(f"box extents imply non-uniform cell sizes {dxs}")
         return cls(tuple(counts), tuple(lo), dxs[0])
@@ -483,7 +490,8 @@ class _Layers:
 
 
 # relative size of the rounding slack of a moving profile's ghost layers
-# (see `_evaluate_layers`): about 1e7 units of roundoff
+# (see `_evaluate_layers`) and of `sample_function`'s proofs of constant
+# cells: about 1e7 units of roundoff
 GHOST_SLACK = 1e-9
 
 
@@ -1052,10 +1060,84 @@ def run(
 
 # midpoint subsamples per cell and axis of `sample_function`
 SUBSAMPLES = 4
-# mesh coordinates (points x d) that `sample_function` builds at once, 16 MiB;
-# the 2-D grids of the experiments (up to 256x256 cells at 4x4 subsamples)
-# fit in one slab
-SAMPLE_BLOCK = 1 << 21
+# subsample coordinates (points x d) that `sample_function` builds at once for
+# the cells it evaluates: 2 MiB, 8,192 cells in 2-D and 1,365 in 3-D.  Below
+# the 4 MiB at which numpy asks for huge pages, so sampling leaves no
+# huge-page heap behind for the steps (see `cli._fix_malloc_thresholds`).
+SAMPLE_BLOCK = 1 << 18
+
+
+def _cell_means(vals: np.ndarray) -> np.ndarray:
+    """Cell averages of subsample values of shape (cells, S, ..., S): the mean
+    over grid axis 0's subsamples first, then over axis 1's, and so on."""
+    for _ in range(vals.ndim - 1):
+        vals = vals.mean(axis=1)
+    return vals
+
+
+def _front_constant(profile: ShockProfile, grid: Grid) -> np.ndarray:
+    """Cells whose subsamples a shock profile's front cannot separate.
+
+    Along a segment the gap g = psi(y) - r is piecewise linear with gradients
+    W - H s over the front's local slopes s (and s = 0 where a pwl front
+    clamps), so it moves by at most L |p - c| (max norm), L the largest
+    |W - H s|_1.  A subsample is at most (1 - 1/S) dx / 2 from its cell's
+    centre c along each axis (3 dx / 8).  The computed gaps at c and at the
+    subsamples are within slack = GHOST_SLACK (1 + P)(1 + S') of the exact
+    ones, as in `_evaluate_layers`, with P bounding the coordinates, r and
+    psi over the cell and S' the largest |s|_1; the rounding of the
+    subsample coordinates is far inside it.  So where the computed |g(c)|
+    exceeds L (1 - 1/S) dx / 2 + 2 slack, every subsample decides r < psi
+    alike.
+    """
+    front, dual = profile.front, profile.dual
+    slopes = front.slopes
+    if _clamps(front):
+        slopes = np.vstack([slopes, np.zeros_like(slopes[:1])])
+    lip = float(np.max(np.abs(dual.W - slopes @ dual.H.T).sum(axis=1)))
+    s1 = float(np.max(np.abs(front.slopes).sum(axis=1)))
+    r, y = dual.frame(grid.center_mesh())
+    psi = front.value(y)
+    size = max(*(abs(b) for b in grid.lo + grid.hi), float(np.max(np.abs(r))),
+               float(np.max(np.abs(psi)))) + (lip + 2.0) * grid.dx
+    slack = GHOST_SLACK * (1.0 + size) * (1.0 + s1)
+    return np.abs(psi - r) > lip * (1.0 - 1.0 / SUBSAMPLES) * grid.dx / 2 + 2.0 * slack
+
+
+def _outside(spec: PerturbationSpec, axes: list):
+    """Cells whose subsamples all lie outside every ball of a perturbation,
+    where each bump is +-0.0, each indicator 0.0 and a sum 0.0.
+
+    q^2 is a sum over the axes of (x_i - c_i)^2 / r^2, so its least value
+    over a cell's subsamples is the sum of each axis's least term.  The
+    terms are computed here with the bump's own operations, and rounding is
+    monotone, so where that least sum over the computed r^2 exceeds
+    1 + GHOST_SLACK, the computed q^2 exceeds 1 at every subsample.  A sum is
+    outside where each of its terms is.
+    """
+    if spec.shape == "sum":
+        mask = True
+        for term in spec.terms:
+            mask = mask & _outside(term, axes)
+        return mask
+    d = len(axes)
+    c = np.broadcast_to(np.asarray(spec.center, dtype=float), (d,))
+    least = 0.0
+    for i, x in enumerate(axes):
+        term = ((x - c[i]) ** 2).min(axis=1)
+        least = least + term.reshape([-1 if j == i else 1 for j in range(d)])
+    return least / spec.radius**2 > 1.0 + GHOST_SLACK
+
+
+def _constant_cells(fn, grid: Grid, axes: list) -> np.ndarray:
+    """Cells at whose subsamples fn provably takes one value: proved for a
+    ShockProfile's eval (`_front_constant`) and a PerturbationSpec
+    (`_outside`), and for no cell of any other fn."""
+    if getattr(fn, "__func__", None) is ShockProfile.eval:
+        return _front_constant(fn.__self__, grid)
+    if isinstance(fn, PerturbationSpec):
+        return np.broadcast_to(_outside(fn, axes), grid.counts)
+    return np.zeros(grid.counts, dtype=bool)
 
 
 def sample_function(fn, grid: Grid) -> Field:
@@ -1063,30 +1145,40 @@ def sample_function(fn, grid: Grid) -> Field:
 
     fn maps points of shape (..., d) to values of shape (...), each value
     depending on its own point only; each cell averages SUBSAMPLES midpoints
-    per axis.  The subsample mesh is built and
-    averaged in slabs of whole cells along axis 0 of at most SAMPLE_BLOCK
-    coordinates (at least one cell), so memory stays bounded on 3-D grids;
-    each cell average sees the same operations as with the whole mesh.
+    per axis.  fn is evaluated only at the subsamples of the cells where it
+    is not proved constant (`_constant_cells`), in blocks of whole cells of
+    at most SAMPLE_BLOCK coordinates (at least one cell), so memory stays
+    bounded on 3-D grids.  A cell proved constant takes its value v from fn
+    at one of its own subsamples, never its centre, which a bump smaller
+    than the cell can cover while missing every subsample; its average is
+    the mean of a block of S^d copies of v, taken once per distinct v.
+    Every cell average sees the operations it would see with the whole mesh.
     """
-    offs = (np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES * grid.dx
-    axes = [grid.lo[i] + np.add.outer(np.arange(grid.counts[i]) * grid.dx, offs).ravel()
-            for i in range(grid.d)]
+    d, sub = grid.d, SUBSAMPLES
+    offs = (np.arange(sub) + 0.5) / sub * grid.dx
+    # the subsample coordinates along each axis, (cells, SUBSAMPLES)
+    axes = [grid.lo[i] + np.add.outer(np.arange(grid.counts[i]) * grid.dx, offs)
+            for i in range(d)]
+    constant = _constant_cells(fn, grid, axes)
     out = np.empty(grid.counts)
-    layer = SUBSAMPLES * grid.d * int(np.prod([len(a) for a in axes[1:]]))
-    slab = max(1, SAMPLE_BLOCK // layer)
-    for a in range(0, grid.counts[0], slab):
-        b = min(a + slab, grid.counts[0])
-        # the stacked meshgrid, filled in place without meshgrid's copies
-        coords = [axes[0][a * SUBSAMPLES:b * SUBSAMPLES]] + axes[1:]
-        mesh = np.empty([len(c) for c in coords] + [grid.d])
-        for i, c in enumerate(coords):
-            mesh[..., i] = c.reshape([-1 if j == i else 1 for j in range(grid.d)])
-        vals = np.asarray(fn(mesh), dtype=float)
-        for ax in range(grid.d):
-            shape = list(vals.shape)
-            n = shape[ax] // SUBSAMPLES
-            vals = vals.reshape(shape[:ax] + [n, SUBSAMPLES] + shape[ax + 1:]).mean(axis=ax + 1)
-        out[a:b] = vals
+    proved = np.nonzero(constant)
+    if proved[0].size:
+        v = np.asarray(fn(np.stack([axes[i][proved[i], 0] for i in range(d)], axis=-1)),
+                       dtype=float)
+        # distinct values by their bits, so that -0.0 keeps its sign
+        bits, which = np.unique(v.view(np.int64), return_inverse=True)
+        block = np.broadcast_to(bits.view(float).reshape((-1,) + (1,) * d),
+                                (len(bits),) + (sub,) * d)
+        out[proved] = _cell_means(np.ascontiguousarray(block))[which]
+    rest = np.flatnonzero(~constant)
+    per = max(1, SAMPLE_BLOCK // (sub**d * d))
+    for a in range(0, rest.size, per):
+        cells = np.unravel_index(rest[a:a + per], grid.counts)
+        mesh = np.empty((cells[0].size,) + (sub,) * d + (d,))
+        for i in range(d):
+            mesh[..., i] = axes[i][cells[i]].reshape(
+                (-1,) + tuple(sub if j == i else 1 for j in range(d)))
+        out[cells] = _cell_means(np.asarray(fn(mesh), dtype=float))
     return Field(grid, out)
 
 

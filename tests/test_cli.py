@@ -409,6 +409,15 @@ def test_a_broken_key_is_a_config_error(case, tmp_path, monkeypatch):
     command, cfg = CASES[base]
     if "flux.poly" in broken:  # it takes the place of the base's flux
         cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
+    for variant_key, options in config.VARIANTS.items():
+        # another front or perturbation shape drops the base's keys it does not read
+        chosen = [v.strip() for k, _, v in (ln.partition("=") for ln in broken.splitlines())
+                  if k.strip() == variant_key]
+        if chosen:
+            unread = {k for keys in options.values() for k in keys.split()} - \
+                set(options[chosen[0]].split())
+            cfg = "".join(ln for ln in cfg.splitlines(True)
+                          if ln.partition("=")[0].strip() not in unread)
     csv = tmp_path / "front.csv"
     csv.write_text("y,psi\n-1,0\n0,abc\n1,0\n")
     steep = tmp_path / "steep.csv"

@@ -25,13 +25,15 @@ from shocklab.cli import COMMANDS
 
 from test_cli_digests import CASES, TABLE, differing, run_config
 
-# (command, key) -> (digest case, keys set on top of it, a new value of key).
-# A key the case does not make live gets a config that does.  {csv} and
-# {csv2} are two front files.
-SUM = {"perturbation.shape": "sum", "perturbation.terms": "bump:0.4,0.2,0.5,0.3"}
-PWL = {"profile.front": "pwl_file", "profile.pwl_path": "{csv}"}
-PLANAR = {"profile.front": "planar", "profile.nu": "1,0"}
-GAUGE = {"profile.front": "abs_scaled", "profile.slope": "0.5"}
+# (command, key) -> (digest case, keys set on top of it or dropped (None), a
+# new value of key).  A key the case does not make live gets a config that
+# does.  {csv} and {csv2} are two front files.
+SUM = {"perturbation.shape": "sum", "perturbation.terms": "bump:0.4,0.2,0.5,0.3",
+       "perturbation.center": None, "perturbation.radius": None, "perturbation.amplitude": None}
+PWL = {"profile.front": "pwl_file", "profile.pwl_path": "{csv}", "profile.nu": None,
+       "profile.slope": None, "profile.offset": None}
+PLANAR = {"profile.front": "planar", "profile.nu": "1,0", "profile.slope": None}
+GAUGE = {"profile.front": "abs_scaled", "profile.slope": "0.5", "profile.nu": None}
 POLY = "[[0,0,1],[0,0,0,2]]"   # (s^2, 2 s^3): not Burgers
 
 
@@ -62,7 +64,8 @@ def _profile(case, more=()):
         "pair.u_minus": (case, {}, "1.5"),
         "pair.u_plus": (case, {}, "-0.5"),
         "cone.resolution": (case, GAUGE, "0.01"),
-        "profile.front": (case, {**PLANAR, **GAUGE, "profile.front": "planar"}, "abs_scaled"),
+        # the keys of one front are refused by another, in errors naming it
+        "profile.front": (case, PLANAR, "abs_scaled"),
         "profile.nu": (case, PLANAR, "1,0.2"),
         "profile.offset": (case, {}, "0.2"),
         "profile.slope": (case, GAUGE, "0.3"),
@@ -159,12 +162,12 @@ SAMPLE = {
 PAIRS = [(command, key) for command in COMMANDS for key in config.KEYS if key != "output.dir"]
 
 
-def _replace(cfg: str, key: str, value: str) -> str:
-    """cfg with key set to value on a line of its own at the end; a flux key
-    takes the place of the other one."""
+def _replace(cfg: str, key: str, value: str | None) -> str:
+    """cfg with key set to value on a line of its own at the end, or without
+    key if value is None; a flux key takes the place of the other one."""
     drop = {key} | ({"flux.poly", "flux.burgers_d"} if key.startswith("flux.") else set())
     lines = [ln for ln in cfg.splitlines() if ln.partition("=")[0].strip() not in drop]
-    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    return "\n".join(lines + ([] if value is None else [f"{key} = {value}"])) + "\n"
 
 
 def _line(cfg: str, key: str) -> int:
@@ -217,13 +220,16 @@ def test_a_key_is_live_or_refused(command, key, files, monkeypatch):
         want = json.loads(TABLE.read_text())["cases"][case]
     cfg = _replace(base, key, value)
     got, err = _run(command, cfg, files)
-    assert "does not read" not in err
+    assert f": {command} does not read" not in err
     if got["exit_code"] != 2:
         assert differing(want, got), f"{key} = {value} changes no output of {command}"
     elif key == "flux.burgers_d" and "entries, but the flux" in err:
         # a flux of the other dimension is refused at the lines of the keys
         # whose numbers of entries it sets, each in a message naming it
         assert all(f"the flux ({key}) has 3 components" in ln for ln in err.splitlines()), err
+    elif key in config.VARIANTS and "does not read this key" in err:
+        # another variant is refused at the lines of the keys it does not read
+        assert all(f"{key} = {value} does not read" in ln for ln in err.splitlines()), err
     else:
         assert err.startswith(f"config error: line {_line(cfg, key)}: {key}"), err
 
@@ -249,3 +255,45 @@ def test_every_benchmark_workload_passes_the_load_path(name, seed, tiny, tmp_pat
     path = tmp_path / "w.cfg"
     path.write_text(workload.config(seed, str(tmp_path / "out"), tiny=tiny))
     cli._load_config(str(path), [], workload.command)
+
+
+# (variant key, variant, a key that variant does not read, its value)
+UNREAD = [
+    ("profile.front", "abs_scaled", "profile.nu", "1,0"),
+    ("profile.front", "pwl_file", "profile.nu", "1,0"),
+    ("profile.front", "planar", "profile.slope", "0.5"),
+    ("profile.front", "pwl_file", "profile.slope", "0.5"),
+    ("profile.front", "planar", "profile.pwl_path", "{csv}"),
+    ("profile.front", "abs_scaled", "profile.pwl_path", "{csv}"),
+    ("profile.front", "pwl_file", "profile.offset", "0.1"),
+    ("perturbation.shape", "bump", "perturbation.terms", "bump:2.7,0.0,1.6,1.9"),
+    ("perturbation.shape", "indicator", "perturbation.terms", "bump:2.7,0.0,1.6,1.9"),
+    ("perturbation.shape", "sum", "perturbation.center", "2.7,0.0"),
+    ("perturbation.shape", "sum", "perturbation.radius", "1.6"),
+    ("perturbation.shape", "sum", "perturbation.amplitude", "1.9"),
+]
+# what each variant needs on top of the stability digest case, less what it refuses
+NEEDS = {"planar": {"profile.nu": "1,0", "profile.slope": None},
+         "abs_scaled": {},
+         "pwl_file": {"profile.pwl_path": "{csv}", "profile.slope": None},
+         "bump": {}, "indicator": {},
+         "sum": {"perturbation.terms": "bump:2.7,0.0,1.6,1.9", "perturbation.center": None,
+                 "perturbation.radius": None, "perturbation.amplitude": None}}
+
+
+@pytest.mark.parametrize("variant_key, variant, key, value", UNREAD)
+def test_a_key_the_variant_does_not_read_is_refused(variant_key, variant, key, value, files,
+                                                     monkeypatch):
+    base = _replace(CASES["stability"][1], variant_key, variant)
+    for k, v in NEEDS[variant].items():
+        base = _replace(base, k, v)
+    if ("stability", base) not in BASES:
+        BASES["stability", base] = _run("stability", base, files)
+    record, err = BASES["stability", base]
+    assert record["exit_code"] in (0, 1), err
+    cfg = _replace(base, key, value)
+    monkeypatch.setattr(solver, "step", lambda *a, **k: pytest.fail("evolved"))
+    record, err = _run("stability", cfg, files)
+    assert record["exit_code"] == 2
+    assert err == (f"config error: line {_line(cfg, key)}: {key}: {variant_key} = {variant} "
+                   f"does not read this key\n")

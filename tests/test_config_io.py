@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
 from shocklab.config import emit_config, parse_config
-from shocklab.errors import BadMagic, ConfigError, TruncatedFile
+from shocklab.errors import BadMagic, BadSnapshot, ConfigError, TruncatedFile
 
 MINIMAL = """\
 # Burgers pair with a planar front
@@ -193,6 +195,30 @@ def test_snapshot_truncated(tmp_path, rng):
         sl.read_snapshot(path)
     path.write_bytes(raw[:9])
     with pytest.raises(TruncatedFile):
+        sl.read_snapshot(path)
+
+
+def _snapshot_bytes(counts, box, values, time=0.0) -> bytes:
+    d = len(counts)
+    return (b"SHKW1" + struct.pack(f"<I{d}I{2 * d}dd", d, *counts, *box, time)
+            + np.asarray(values, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("counts, box, values, why", [
+    ((3, 8), (0, 0.75, 0, 2), np.zeros(24), "form no grid"),
+    ((0, 8), (0, 1, 0, 1), np.zeros(0), "form no grid"),
+    ((8, 8), (0, 1, 0, 2), np.zeros(64), "non-uniform"),
+    ((8, 8), (0, np.inf, 0, 1), np.zeros(64), "form no grid"),
+    ((8, 8), (0, 1, 0, np.nan), np.zeros(64), "form no grid"),
+    ((8, 8), (1, 0, 1, 0), np.zeros(64), "non-positive"),
+    ((4, 4), (0, 1, 0, 1), [0.0] * 15 + [np.nan], "non-finite"),
+    ((4, 4, 4), (0, 1, 0, 1, 0, 1), [np.inf] + [0.0] * 63, "non-finite"),
+    ((4, 4), (0, 1, 0, 1), np.zeros(17), "8 bytes follow"),
+])
+def test_snapshot_that_forms_no_field_is_a_typed_error(tmp_path, counts, box, values, why):
+    path = tmp_path / "f.shkw"
+    path.write_bytes(_snapshot_bytes(counts, box, values))
+    with pytest.raises(BadSnapshot, match=why):
         sl.read_snapshot(path)
 
 

@@ -8,11 +8,12 @@ whose rays are rebuilt from the sector's angles.  The batched
 which reads the rays stored in the cone, must reproduce their bytes.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
@@ -160,10 +161,15 @@ def _ref_sample_function(fn, grid, subsamples=4):
     return vals
 
 
+@functools.lru_cache(maxsize=None)
+def _dual(d):
+    pair = sl.make_shock_pair(sl.burgers_flux(d), 1.0, -1.0)
+    return pair, sl.dual_cone(sl.admissible_cone(pair, 1e-8 if d == 2 else 0.05))
+
+
 def _profile_3d():
-    pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
-    cone = sl.admissible_cone(pair, 0.05)
-    return sl.make_planar(pair, sl.dual_cone(cone), [0.58, 0.0, 0.81], 0.0)
+    pair, dual = _dual(3)
+    return sl.make_planar(pair, dual, [0.58, 0.0, 0.81], 0.0)
 
 
 # a negative amplitude makes -0.0 outside the support
@@ -174,9 +180,9 @@ BUMP2 = sl.PerturbationSpec("bump", (0.1, -0.2), 0.9, -0.5)
 def test_sample_function_slabs_match_whole_mesh_3d(monkeypatch):
     prof = _profile_3d()
     grid = sl.Grid.from_box((-1.5, 1.25, -1.0, 1.0, -1.0, 0.75), (11, 8, 7))
-    layer = 4 * 3 * 8 * 4 * 7 * 4                  # coordinates per cell along axis 0
-    for cells in (3, 1):                            # slabs of 3, 3, 3, 2 cells; of 1 cell
-        monkeypatch.setattr(solver, "SAMPLE_BLOCK", cells * layer + layer - 1)
+    per_cell = 4**3 * 3                             # coordinates per cell
+    for cells in (200, 1):                          # blocks of 200, 200, 200, 16 cells; of 1
+        monkeypatch.setattr(solver, "SAMPLE_BLOCK", cells * per_cell + per_cell - 1)
         shapes = []
 
         def fn(p, f):
@@ -186,13 +192,14 @@ def test_sample_function_slabs_match_whole_mesh_3d(monkeypatch):
         for f, sub in ((prof.eval, 4), (BUMP3, 4), (BUMP3, 3)):
             shapes.clear()
             monkeypatch.setattr(solver, "SUBSAMPLES", sub)
+            # a lambda has no proof: every cell is evaluated
             got = solver.sample_function(lambda p: fn(p, f), grid)
             want = _ref_sample_function(f, grid, subsamples=sub)
             assert got.values.tobytes() == want.tobytes()
             assert got.values.flags.c_contiguous
             if sub == 4:
-                assert [s[0] for s in shapes] == [4 * c for c in
-                                                  ([3, 3, 3, 2] if cells == 3 else [1] * 11)]
+                assert shapes == [(c, 4, 4, 4, 3) for c in
+                                  ([200] * 3 + [16] if cells == 200 else [1] * 616)]
     assert np.signbit(got.values).any()
 
 
@@ -202,21 +209,146 @@ def test_sample_function_matches_whole_mesh_2d(pair11, dual11):
     for f in (prof.eval, BUMP2):
         calls = []
         got = solver.sample_function(lambda p: calls.append(p.shape) or f(p), grid)
-        assert calls == [(128, 256, 2)]             # one slab
+        assert calls == [(2048, 4, 4, 2)]           # one block of every cell
         assert got.values.tobytes() == _ref_sample_function(f, grid).tobytes()
 
 
 def test_sample_function_memory_is_bounded_on_48_cubed():
     prof = _profile_3d()
     grid = sl.Grid.from_box((-1.5, 1.5) * 3, (48, 48, 48))
-    tracemalloc.start()
-    try:
-        field = solver.sample_function(prof.eval, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert {float(prof.pair.u_minus), float(prof.pair.u_plus)} <= set(np.unique(field.values))
+    # the proved paths and, through a lambda, the blocks of every cell
+    for f in (prof.eval, BUMP3, lambda p: BUMP3(p)):
+        tracemalloc.start()
+        try:
+            field = solver.sample_function(f, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20                    # 37 MiB with whole slabs of cells
+        if f == prof.eval:
+            assert {float(prof.pair.u_minus), float(prof.pair.u_plus)} <= \
+                set(np.unique(field.values))
+
+
+@pytest.mark.parametrize("counts, box", [
+    ((11, 8, 7), (-1.5, 1.25, -1.0, 1.0, -1.0, 0.75)),
+    ((48, 48, 48), (-1.5, 1.5) * 3),
+    ((32, 64), (-3.0, 5.0, -8.0, 8.0)),
+])
+def test_sample_function_proved_cells_match_whole_mesh(counts, box):
+    grid = sl.Grid.from_box(box, counts)
+    pair, dual = _dual(grid.d)
+    fns = [sl.make_scaled_gauge(pair, dual, 0.5, 0.1).eval, BUMP3 if grid.d == 3 else BUMP2,
+           sl.PerturbationSpec("sum", terms=(BUMP3 if grid.d == 3 else BUMP2,
+                                             sl.PerturbationSpec("indicator", (0.3,) * grid.d,
+                                                                 0.25, -0.75)))]
+    if grid.d == 3:
+        fns.append(_profile_3d().eval)
+    for f in fns:
+        got = solver.sample_function(f, grid)
+        assert got.values.tobytes() == _ref_sample_function(f, grid).tobytes()
+        assert 0 < _constant(f, grid).mean() < 1
+
+
+def _constant(f, grid):
+    offs = (np.arange(solver.SUBSAMPLES) + 0.5) / solver.SUBSAMPLES * grid.dx
+    axes = [grid.lo[i] + np.add.outer(np.arange(grid.counts[i]) * grid.dx, offs)
+            for i in range(grid.d)]
+    return solver._constant_cells(f, grid, axes)
+
+
+def _subsample_values(f, grid):
+    """fn at every subsample, (cells..., S^d), from the whole mesh."""
+    s = solver.SUBSAMPLES
+    offs = (np.arange(s) + 0.5) / s * grid.dx
+    axes = [grid.lo[i] + np.add.outer(np.arange(grid.counts[i]) * grid.dx, offs).ravel()
+            for i in range(grid.d)]
+    vals = np.asarray(f(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)), dtype=float)
+    shape = [k for n in grid.counts for k in (n, s)]
+    order = list(range(0, 2 * grid.d, 2)) + list(range(1, 2 * grid.d, 2))
+    return vals.reshape(shape).transpose(order).reshape(grid.counts + (-1,))
+
+
+@st.composite
+def sampled(draw, d):
+    """A grid and a front or a perturbation to sample on it.
+
+    Fronts (and the sandwiches of gauge fronts) pass through a subsample
+    point, a cell centre, a face or a random point, and bumps have negative
+    amplitudes; some bumps are smaller than a cell and
+    sit on a cell centre, between its subsamples."""
+    n = draw(st.lists(st.integers(4, 9 if d == 2 else 6), min_size=d, max_size=d))
+    dx = draw(st.sampled_from([0.1, 0.25, 0.3, 1 / 3]))
+    lo = draw(st.lists(st.floats(-2.0, 0.0).map(lambda x: round(x, 2)), min_size=d,
+                       max_size=d))
+    grid = sl.Grid(tuple(n), tuple(lo), dx)
+    cell = np.array([draw(st.integers(0, k - 1)) for k in n])
+    where = draw(st.sampled_from(["centre", "subsample", "face", "random"]))
+    frac = {"centre": [0.5] * d, "face": [0.0] * d,
+            "subsample": [draw(st.sampled_from([0.125, 0.375, 0.625, 0.875]))
+                          for _ in range(d)],
+            "random": [draw(st.floats(0.0, 1.0)) for _ in range(d)]}[where]
+    p = np.array(lo) + (cell + np.array(frac)) * dx
+    pair, dual = _dual(d)
+    kind = draw(st.sampled_from(["planar", "abs_scaled", "pwl", "sandwich", "bump",
+                                 "indicator", "sum", "tiny"] if d == 2 else
+                                ["planar", "abs_scaled", "sandwich", "bump", "indicator", "sum",
+                                 "tiny"]))
+    if kind == "planar":
+        nu = dual.W if d == 2 or draw(st.booleans()) else np.array([0.58, 0.0, 0.81])
+        return grid, sl.make_planar(pair, dual, nu, float(nu @ p)).eval
+    r, y = dual.frame(p)
+    if kind in ("abs_scaled", "sandwich"):
+        slope = draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+        prof = sl.make_scaled_gauge(pair, dual, slope, r - slope * dual.gauge(y))
+        if kind == "sandwich":  # min and max with cone fronts
+            prof = sl.sandwich_bounds(prof, (p - 2 * dx, p + dx))[draw(st.integers(0, 1))]
+        return grid, prof.eval
+    if kind == "pwl":
+        # nodes inside the grid, so that the front clamps on it
+        nodes = np.sort(draw(st.lists(st.floats(-2.0, 1.0), min_size=2, max_size=5,
+                                      unique=True)))
+        assume(np.all(np.diff(nodes) > 1e-3))
+        values = np.cumsum([0.0] + [draw(st.floats(-0.9, 0.9)) * h for h in np.diff(nodes)])
+        shift = r - np.interp(y, nodes, values)
+        return grid, sl.make_graph(pair, dual, (nodes, values + shift)).eval
+    amp = draw(st.sampled_from([-0.5, -1.0, 0.75]))
+    if kind == "tiny":
+        centre = np.array(lo) + (cell + 0.5) * dx
+        return grid, sl.PerturbationSpec("bump", tuple(centre), dx / 10, amp)
+    radius = draw(st.sampled_from([dx / 3, 0.5, 1.0]))
+    spec = sl.PerturbationSpec("bump" if kind == "sum" else kind, tuple(p), radius, amp)
+    if kind == "sum":
+        other = sl.PerturbationSpec("indicator", tuple(p + 2 * dx), radius, amp)
+        spec = sl.PerturbationSpec("sum", terms=(spec, other))
+    return grid, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(2, 3).flatmap(sampled))
+def test_sample_function_matches_whole_mesh_on_proved_cells(case):
+    grid, f = case
+    got = solver.sample_function(f, grid).values
+    assert got.tobytes() == _ref_sample_function(f, grid).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(2, 3).flatmap(sampled))
+def test_a_cell_proved_constant_has_equal_subsample_values(case):
+    grid, f = case
+    constant = _constant(f, grid)
+    vals = _subsample_values(f, grid)[constant].view(np.int64)
+    assert (vals == vals[:, :1]).all()
+
+
+def test_a_bump_between_subsamples_is_zero_on_its_cell():
+    grid = sl.Grid((4, 4, 4), (0.0, 0.0, 0.0), 1.0)
+    spec = sl.PerturbationSpec("bump", (1.5, 2.5, 0.5), 0.1, -1.0)
+    assert spec(np.array([1.5, 2.5, 0.5])) < 0           # its centre is not zero
+    assert _constant(spec, grid).all()
+    got = solver.sample_function(spec, grid).values
+    assert got.tobytes() == _ref_sample_function(spec, grid).tobytes()
+    assert not got.any()                                # its centre would give -1.0
 
 
 def _ref_dual_cone_2d(cone):
