@@ -41,7 +41,7 @@ from .experiments import Check, ExperimentReport
 from .fluxes import burgers_flux, is_burgers
 from .profiles import front_normals
 from .snapshots import format_verdict, write_probes_csv, write_snapshot, write_verdict
-from .solver import Field, profile_background, run, sample_function, sample_profile
+from .solver import Field, Shifted, profile_background, run, sample_function, sample_profile
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -136,7 +136,7 @@ def cmd_simulate(cfg: RunConfig, stdout, stderr) -> int:
     grid = cfg.build_grid()
     scheme = cfg.build_scheme()
     flux = scheme.flux_of(pair)
-    phi = cfg.build_perturbation() if cfg.has("perturbation.shape") else None
+    phi = cfg.build_perturbation(required=False)
     cfg.check_amplitude(pair.u_plus, pair.u_minus, flux, grid)
     snapshot_times = _snapshot_times(cfg)
     prof = cfg.build_profile(pair)
@@ -203,7 +203,7 @@ def cmd_dispersion(cfg: RunConfig, stdout, stderr) -> int:
     u_ref = cfg.state("experiment.u_ref", flux)
     # the experiment also evolves the doubled data
     cfg.check_amplitude(u_ref, u_ref, flux, grid, scale=2.0)
-    data = sample_function(lambda p: u_ref + phi(p), grid)
+    data = sample_function(Shifted(u_ref, phi), grid)
     report = xp.dispersion_experiment(
         data, cfg.build_scheme(), cfg.get("experiment.horizon"),
         u_ref=u_ref, t0=cfg.get("experiment.t0"),

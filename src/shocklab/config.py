@@ -327,16 +327,24 @@ class RunConfig:
 
     def _refuse_unread(self, key: str) -> None:
         """A ConfigError at the line of each key that the variant chosen by
-        key does not read (see VARIANTS)."""
+        key does not read (see VARIANTS); with no variant chosen, nothing
+        reads any of them."""
         choice, options = self.get(key), VARIANTS[key]
-        reads = options[choice].split()
+        reads = options[choice].split() if choice is not None else []
         unread = {k for keys in options.values() for k in keys.split()} - set(reads)
-        errors = [(self.lines.get(k, 0), f"{k}: {key} = {choice} does not read this key")
-                  for k in unread if self.has(k)]
+        why = (f"{key} = {choice} does not read this key" if choice is not None
+               else f"without {key} nothing reads this key")
+        errors = [(self.lines.get(k, 0), f"{k}: {why}") for k in unread if self.has(k)]
         if errors:
             raise ConfigError(sorted(errors))
 
-    def build_perturbation(self) -> PerturbationSpec:
+    def build_perturbation(self, required: bool = True) -> PerturbationSpec | None:
+        """The perturbation of the perturbation.* keys.  When it is not
+        required, a config without perturbation.shape has none (None), and
+        each other perturbation key it sets is an error at its line."""
+        if not required and not self.has("perturbation.shape"):
+            self._refuse_unread("perturbation.shape")
+            return None
         shape = self.require("perturbation.shape")[0]
         self._refuse_unread("perturbation.shape")
         if shape == "sum":

@@ -37,6 +37,7 @@ from .solver import (
     Companion,
     Field,
     Grid,
+    RowSums,
     SchemeConfig,
     constant_background,
     evolve,
@@ -160,15 +161,20 @@ def settle(
     changes = list(unknown)
     history = deque(maxlen=PLATEAU_WINDOW + 1)
     steps = 0
+    # column i sums field i's change in one step: the rows outside the rows
+    # the step changed add +0.0, so the total is l1_distance(nxt, prev)
+    sums = RowSums(g.counts, len(pairs))
     stepping = evolve(pairs, scheme, flux, dt, max_steps)
     # from here on only prev holds the start fields (unless the caller keeps
     # them), so the first step frees them: the settle holds two generations
     # of its fields, fewer than a run with the same fields as companions
     del fields, pairs
-    for steps, _, current, _ in stepping:
+    for steps, _, current, stats in stepping:
+        sums.nodes.fill(0.0)
         for i, nxt in enumerate(current):
-            changes[i] = l1_distance(nxt, prev[i])
+            sums.refresh(i, stats[i].rows, nxt.values, prev[i].values)
             prev[i] = nxt
+        changes = (sums.totals() * g.cell_volume).tolist()
         history.append(list(changes))
         back = history[0] if len(history) > PLATEAU_WINDOW else unknown
         if all(c <= tol or c >= PLATEAU_RATIO * b for c, b in zip(changes, back)):

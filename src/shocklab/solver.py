@@ -4,7 +4,10 @@ First-order schemes only: they are exactly the discrete dynamics that inherit
 the comparison principle, the max principle, and the L1 contraction, which the
 experiments treat as testable guarantees rather than approximations.  All
 reductions use numpy's pairwise summation with fixed operand order, so results
-are independent of how the work is scheduled.
+are independent of how the work is scheduled.  `run` and `settle` keep the
+sums of that tree over its smallest nodes that hold whole rows along axis 0
+(`RowSums`), and re-sum only the nodes that hold rows a step changed: the
+mass and L1 distances they report have the bits of whole-array sums.
 
 Every update goes through the module-level name `step`; `evolve` is the one
 time loop.  Near a steady shock most cells are already at their discrete
@@ -27,6 +30,7 @@ front and a perturbation's balls cut few cells of a grid (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
@@ -117,13 +121,14 @@ class Grid:
 
 @dataclass(eq=False)
 class Field:
-    """Cell-average state on a grid."""
+    """Cell-average state on a grid.  The values are C-contiguous (an array in
+    another order is copied), so numpy sums them row by row (see `RowSums`)."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.shape != self.grid.counts:
             raise ValueError(f"values shape {self.values.shape} != grid {self.grid.counts}")
         if not np.all(np.isfinite(self.values)):
@@ -173,6 +178,116 @@ def l1_distance(a: Field, b: Field) -> float:
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     return float(np.abs(a.values - b.values).sum()) * a.grid.cell_volume
+
+
+# numpy sums a contiguous float array pairwise: up to PAIRWISE_LEAF values in
+# one 8-lane loop, more split at n / 2 rounded down to a multiple of 8
+PAIRWISE_LEAF = 128
+
+
+@lru_cache(maxsize=64)
+def _row_tree(n_rows: int, row_len: int) -> tuple:
+    """numpy's pairwise summation tree over n_rows rows of row_len values, cut
+    at its smallest nodes that hold whole rows: where numpy's tree has a leaf
+    or splits a node inside a row.
+
+    Returns (bounds, runs, levels).  The cut nodes come in row order; node i
+    holds rows bounds[i] to bounds[i + 1] - 1.  runs lists them as (first
+    node, count, rows per node) per stretch of nodes of equal size.  levels
+    lists the nodes above the cut by height, lowest first, as (start, stop,
+    left, right): nodes start..stop-1, numbered after the cut nodes, are the
+    sums of the nodes left and right.  The root is the last node.
+    """
+    nodes = []  # (height, first row, rows) of a cut node, (height, left, right) above
+
+    def build(row0, rows):
+        n = rows * row_len
+        half = n // 2 - (n // 2) % 8
+        if n > PAIRWISE_LEAF and half % row_len == 0:
+            left = build(row0, half // row_len)
+            right = build(row0 + half // row_len, rows - half // row_len)
+            nodes.append((1 + max(nodes[left][0], nodes[right][0]), left, right))
+        else:
+            nodes.append((0, row0, rows))
+        return len(nodes) - 1
+
+    build(0, n_rows)
+    # a stable sort keeps the cut nodes in row order, in which build met them
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
+    number = {old: new for new, old in enumerate(order)}
+    cut = [nodes[i] for i in order if nodes[i][0] == 0]
+    bounds = tuple(row0 for _, row0, _ in cut) + (n_rows,)
+    runs = []
+    for i, (_, _, rows) in enumerate(cut):
+        if runs and runs[-1][2] == rows:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1, rows])
+    levels = []
+    for height in range(1, nodes[order[-1]][0] + 1):
+        level = [i for i in order if nodes[i][0] == height]
+        start = number[level[0]]
+        levels.append((start, start + len(level),
+                       _index([number[nodes[i][1]] for i in level]),
+                       _index([number[nodes[i][2]] for i in level])))
+    return bounds, tuple(map(tuple, runs)), tuple(levels)
+
+
+def _index(ids: list[int]):
+    """ids as a slice where they step evenly, which numpy reads without a
+    copy, else as an index array."""
+    step = ids[1] - ids[0] if len(ids) > 1 else 1
+    if step > 0 and ids == list(range(ids[0], ids[-1] + 1, step)):
+        return slice(ids[0], ids[-1] + 1, step)
+    return np.array(ids)
+
+
+class RowSums:
+    """The sums of `count` float arrays of one shape, with the bits of numpy's
+    whole-array sums, kept per cut node of `_row_tree` so that a refresh
+    reads only the rows that changed.
+
+    Column j of `nodes` holds array j's node sums: the cut nodes, then the
+    nodes above them, the root last.  numpy sums a cut node's rows, as one
+    contiguous block, by its own tree below the cut; `totals` adds the nodes
+    above the cut as that tree does.  np.sum adds its result to +0.0, which
+    turns -0.0 into +0.0, and so does each cut node's sum here: the sign of a
+    zero term never changes a nonzero sum, so a total is numpy's, a zero one
+    +0.0.  The arrays must be C-contiguous, as a Field's values are: numpy
+    sums those in row order.
+    """
+
+    def __init__(self, shape: tuple[int, ...], count: int):
+        self.bounds, self.runs, self.levels = _row_tree(shape[0], math.prod(shape[1:]))
+        cut = len(self.bounds) - 1
+        self.node_of_row = np.repeat(np.arange(cut), np.diff(self.bounds)).tolist()
+        self.nodes = np.zeros((2 * cut - 1, count))
+
+    def refresh(self, j: int, rows: tuple[int, int], x: np.ndarray, y: np.ndarray | None = None):
+        """Re-sum in column j the cut nodes that hold any of rows [r0, r1)
+        along axis 0 of x, or of |x - y|."""
+        r0, r1 = rows
+        if r0 >= r1:
+            return
+        c0, c1 = self.node_of_row[r0], self.node_of_row[r1 - 1] + 1
+        a = self.bounds[c0]
+        block = x[a:self.bounds[c1]]
+        if y is not None:
+            block = block - y[a:self.bounds[c1]]
+            np.abs(block, out=block)
+        for first, count, size in self.runs:
+            lo, hi = max(c0, first), min(c1, first + count)
+            if lo < hi:
+                at = self.bounds[lo] - a
+                part = block[at:at + (hi - lo) * size]
+                self.nodes[lo:hi, j] = part.reshape(hi - lo, -1).sum(axis=1)
+
+    def totals(self) -> np.ndarray:
+        """Each array's sum, numpy's bits."""
+        s = self.nodes
+        for start, stop, left, right in self.levels:
+            np.add(s[left], s[right], out=s[start:stop])
+        return s[-1]
 
 
 DEFAULT_CFL = {2: 0.45, 3: 0.3}
@@ -470,6 +585,7 @@ class StepStats:
     vmin: float = np.nan    # min and max of the new field
     vmax: float = np.nan
     cells: int = 0          # cells the step updated; the others kept their bits
+    rows: tuple[int, int] = (0, 0)  # rows [a, b) along axis 0 that hold every changed cell
 
 
 def _dirichlet(scheme: SchemeConfig, background: Background | None) -> bool:
@@ -637,31 +753,33 @@ class Band:
 def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, int] | None:
     """First and last row of [a, b) along axis 0 whose bits changed, or None.
 
-    Rows are compared as int64 so that -0.0 -> 0.0 counts as a change (`step`
-    keeps the sign of a zero, as div starts from +0.0, but the test does not
-    lean on that).  Each end is scanned inward in blocks of 2, 4, 8, ...
-    rows: a band whose ends changed costs a few rows, not a pass over it.
+    Rows are compared by their bytes, the same test as comparing them as
+    int64, so -0.0 -> 0.0 counts as a change (`step` keeps the sign of a
+    zero, as div starts from +0.0, but the test does not lean on that).
+    Each end is scanned inward in blocks of 1, 2, 4, ... rows, and row by
+    row only inside the first block that differs: a band whose ends changed
+    costs a few rows, and a band without a change one pass over it.
     """
-    o, n = old.view(np.int64), new.view(np.int64)
+    def same(i, j):
+        return old[i:j].tobytes() == new[i:j].tobytes()
 
-    def moved(i, j):
-        return np.flatnonzero((o[i:j] != n[i:j]).reshape(j - i, -1).any(axis=1))
-
-    first, k = a, 2
+    first, k = a, 1
     while True:
         if first >= b:
             return None
-        hit = moved(first, min(first + k, b))
-        if hit.size:
-            first += int(hit[0])
+        if not same(first, min(first + k, b)):
+            while same(first, first + 1):
+                first += 1
             break
         first, k = min(first + k, b), 2 * k
-    last, k = b, 2
+    last, k = b, 1
     while True:  # row `first` changed, so this ends
         i = max(last - k, first)
-        hit = moved(i, last)
-        if hit.size:
-            return first, i + int(hit[-1])
+        if not same(i, last):
+            last -= 1
+            while same(last, last + 1):
+                last -= 1
+            return first, last
         last, k = i, 2 * k
 
 
@@ -708,6 +826,13 @@ def _widen(lo: np.ndarray, hi: np.ndarray, counts) -> tuple[np.ndarray, np.ndarr
     return np.maximum(wlo, 0), np.minimum(whi, np.array(counts[1:])[:, None])
 
 
+def _exact_reciprocal(dx: float) -> float | None:
+    """1/dx where dx is a power of two whose reciprocal is finite, else None:
+    then x * (1/dx) and x / dx are the same correctly rounded number."""
+    mantissa, exponent = math.frexp(dx)
+    return 1.0 / dx if mantissa == 0.5 and exponent >= -1022 else None
+
+
 # cells per slab of a 3-D step, so that the arrays of one slab stay in cache
 # (4,096 was slower); 2-D steps gained nothing from slabs and run whole
 SLAB_CELLS = 16384
@@ -745,8 +870,12 @@ def step(
       over the sign intervals of g', where adding or subtracting a zero that
       cannot change a bit is left out by the same rule, and two intervals
       of one sign that meet at 0 are one piece (see `_eo_part`);
-    - div starts from zeros and takes ((F_hi - F_lo) / dx) axis by axis; the
-      result is u - dt*div;
+    - div is 0.0 + ((F_hi - F_lo) / dx) of axis 0, and then adds that of
+      each other axis in turn; the result is u - dt*div.  div starts as axis
+      0's jump plus 0.0, in place: IEEE addition commutes, so those are the
+      bits of 0.0 + jump.  Where dx is a power of two with a finite
+      reciprocal, the jump is multiplied by 1/dx: x * 2^-k and x / 2^k are
+      the same correctly rounded number;
     - the boundary inflow sums each outer face's fluxes from a C-contiguous
       buffer of the whole face, axis by axis after the last row is updated,
       so the pairwise summation order does not depend on the axis or on the
@@ -788,7 +917,7 @@ def step(
     every box keeps the fluxes of its unchanged cells and ghosts.  The
     range check and the finiteness test still see the whole new array, and
     its min and max come back in the StepStats, with the number of cells
-    that ran.
+    that ran and the rows from the first to the last that changed.
     """
     g = field.grid
     n0 = g.counts[0]
@@ -810,6 +939,7 @@ def step(
     keys = [_key(flux.coeffs[ax]) for ax in range(g.d)]
     lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
     lam_used = max(0.0, *lams)
+    inv_dx = _exact_reciprocal(g.dx)
     boxed = g.d > 2  # 3-D steps run in slabs, each the box of its cells that can change
     a, b, box = 0, n0, None
     # cached layers are the same dict; re-evaluated ones are compared as int64
@@ -847,7 +977,6 @@ def step(
             sub = (slice(s, e), *span)
             rows = values[sub]
             cells += rows.size
-            div = np.zeros_like(rows)
             for ax in range(g.d):
                 # the padded copy puts the interface axis first, so both states
                 # of every interface and every flux jump are contiguous blocks;
@@ -872,8 +1001,15 @@ def step(
                 else:
                     f = _engquist_osher(data, ext[:-1], ext[1:])
                 jump = f[1:] - f[:-1]
-                jump /= g.dx
-                div += jump.transpose(back)
+                if inv_dx is None:
+                    jump /= g.dx
+                else:
+                    jump *= inv_dx
+                if ax == 0:
+                    div = jump
+                    div += 0.0
+                else:
+                    div += jump.transpose(back)
                 # f[0] and f[-1] are C-contiguous, like np.take(f, 0, axis=ax);
                 # they are outer faces only where the box reaches the grid's end
                 face_lo, face_hi = band.faces[ax]
@@ -900,15 +1036,18 @@ def step(
         # no cell can change: the same bits, the same faces, the same checks
         new_values, inflow, result = values, band.inflow, field
     if boxed:
-        band.box = _widen(*_extents(changed), g.counts)
+        extents = _extents(changed)
+        moved = _row_hull(*extents)
+        band.box = _widen(*extents, g.counts)
         band.rows = _row_hull(*band.box)
     else:
-        moved = _moved_rows(values, new_values, a, b) if a < b else None
-        band.rows = (0, 0) if moved is None else (max(moved[0] - 1, 0), min(moved[1] + 2, n0))
+        hit = _moved_rows(values, new_values, a, b) if a < b else None
+        moved = (0, 0) if hit is None else (hit[0], hit[1] + 1)
+        band.rows = (0, 0) if hit is None else (max(hit[0] - 1, 0), min(hit[1] + 2, n0))
     band.key = (dt, *lams)
     band.ghosts = ghosts if _dirichlet(scheme, background) else None
     band.values, band.vmin, band.vmax, band.inflow = new_values, vmin, vmax, inflow
-    return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax), cells)
+    return result, StepStats(dt, inflow * dt, lam_used, float(vmin), float(vmax), cells, moved)
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -926,8 +1065,8 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
 
     Yields (k, t, fields, stats) after step k = 1..n_steps, which runs from
     (k-1)*dt to t = k*dt: one list of the fields in the order of pairs,
-    updated in place, and the StepStats of each, whose vmin and vmax are
-    those of the field yielded.  A range_guard is shared by every field and
+    updated in place, and the StepStats of each, whose vmin, vmax and rows
+    are those of the field yielded.  A range_guard is shared by every field and
     sets each step's dissipation bound, so fields compared cellwise or in L1
     go through one update map; without one each step takes the bound from
     its own range.  Every field is held to its own start range with its
@@ -951,12 +1090,23 @@ def evolve(pairs, scheme: SchemeConfig, flux: Flux, dt: float, n_steps: int,
             fields[i], stats[i] = step(fields[i], scheme, flux, bg, (k - 1) * dt, dt,
                                        range_guard, bands[i])
             if fields[i].values is not bands[i].values:
-                # not the array the step reported on: a replaced `step`
+                # not the array the step reported on: a replaced `step`,
+                # which may have changed any row
                 values = fields[i].values
                 stats[i] = replace(stats[i], vmin=float(values.min()),
-                                   vmax=float(values.max()))
+                                   vmax=float(values.max()), rows=(0, len(values)))
             check_range(stats[i].vmin, stats[i].vmax, guards[i])
         yield k, k * dt, fields, stats
+
+
+def _join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The rows from the first to the last of two row ranges; an empty one
+    (r0 >= r1) adds none."""
+    if a[0] >= a[1]:
+        return b
+    if b[0] >= b[1]:
+        return a
+    return min(a[0], b[0]), max(a[1], b[1])
 
 
 @dataclass(eq=False)
@@ -1004,7 +1154,9 @@ def run(
     Companions advance with the same dt and their own backgrounds, so ordered
     or L1-comparable initial data stay exactly comparable step by step.  The
     probe series records sup, inf, mass, and the L1 distance of the main field
-    to every companion.
+    to every companion, with the bits of `Field.mass` and `l1_distance`: a
+    probe re-sums only the `RowSums` nodes that hold rows either field
+    changed since the last probe (`StepStats.rows`).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -1012,6 +1164,10 @@ def run(
     names = [c.name for c in companions]
     if len(set(names)) < len(names):
         raise ValueError(f"companion names must be unique: {names}")
+    g = initial.grid
+    for c in companions:
+        if c.field.grid != g:
+            raise GridMismatch(f"grids differ: {g} vs {c.field.grid}")
     pairs = [(initial, background)] + [(c.field, c.background) for c in companions]
     ranges = [field_range(f, scheme, bg) for f, bg in pairs]
     lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
@@ -1026,20 +1182,30 @@ def run(
     inflows = [0.0]
     snapshots: list[tuple[float, Field]] = []
     cum_in = 0.0
+    # column 0 sums the main field, column i its distance to companion i;
+    # moved[i] holds the rows field i changed since the last probe
+    sums = RowSums(g.counts, len(fields))
+    moved = [(0, g.counts[0])] * len(fields)
 
     def record(t, vmin, vmax):
-        main = fields[0]
+        main = fields[0].values
+        sums.refresh(0, moved[0], main)
+        for i, f in enumerate(fields[1:], 1):
+            sums.refresh(i, _join(moved[0], moved[i]), main, f.values)
+        moved[:] = [(0, 0)] * len(fields)
+        mass, *l1 = (sums.totals() * g.cell_volume).tolist()
         times.append(t)
         sups.append(float(vmax))
         infs.append(float(vmin))
-        masses.append(main.mass)
-        for name, f in zip(names, fields[1:]):
-            l1s[name].append(l1_distance(main, f))
+        masses.append(mass)
+        for name, d in zip(names, l1):
+            l1s[name].append(d)
 
     record(0.0, initial.values.min(), initial.values.max())
     if 0 in snap_steps:
         snapshots.append((0.0, initial.copy()))
     for k, t, fields, stats in evolve(pairs, scheme, flux, dt, n_steps, range_guard):
+        moved[:] = [_join(m, s.rows) for m, s in zip(moved, stats)]
         cum_in += stats[0].boundary_inflow
         if k % probe_every == 0 or k == n_steps:
             record(t, stats[0].vmin, stats[0].vmax)
@@ -1129,12 +1295,31 @@ def _outside(spec: PerturbationSpec, axes: list):
     return least / spec.radius**2 > 1.0 + GHOST_SLACK
 
 
+@dataclass(frozen=True)
+class Shifted:
+    """The pointwise function base + phi(p): a perturbation on a constant state."""
+
+    base: float
+    phi: PerturbationSpec
+
+    def __call__(self, points) -> np.ndarray:
+        return self.base + self.phi(points)
+
+
 def _constant_cells(fn, grid: Grid, axes: list) -> np.ndarray:
     """Cells at whose subsamples fn provably takes one value: proved for a
-    ShockProfile's eval (`_front_constant`) and a PerturbationSpec
-    (`_outside`), and for no cell of any other fn."""
+    ShockProfile's eval (`_front_constant`), a PerturbationSpec (`_outside`)
+    and a `Shifted` one, and for no cell of any other fn.
+
+    Outside its balls a perturbation takes one value, the same zero
+    everywhere (a bump's sign is its amplitude's), so base plus it takes one
+    value there too, even where base is -0.0 and that value's sign depends
+    on the zero's: `sample_function` reads the value from fn itself.
+    """
     if getattr(fn, "__func__", None) is ShockProfile.eval:
         return _front_constant(fn.__self__, grid)
+    if isinstance(fn, Shifted):
+        fn = fn.phi
     if isinstance(fn, PerturbationSpec):
         return np.broadcast_to(_outside(fn, axes), grid.counts)
     return np.zeros(grid.counts, dtype=bool)

@@ -297,3 +297,27 @@ def test_a_key_the_variant_does_not_read_is_refused(variant_key, variant, key, v
     assert record["exit_code"] == 2
     assert err == (f"config error: line {_line(cfg, key)}: {key}: {variant_key} = {variant} "
                    f"does not read this key\n")
+
+
+# simulate builds a perturbation only from a perturbation.shape
+ORPHANS = {"perturbation.center": "0.4,0.2", "perturbation.radius": "0.5",
+           "perturbation.amplitude": "0.3", "perturbation.terms": "bump:0.4,0.2,0.5,0.3"}
+
+
+@pytest.mark.parametrize("keys", [[k] for k in ORPHANS] + [list(ORPHANS)])
+def test_simulate_refuses_a_perturbation_key_without_a_shape(keys, files, monkeypatch):
+    base = _replace(CASES["simulate"][1], "perturbation.shape", None)
+    for k in ORPHANS:
+        base = _replace(base, k, None)
+    if ("simulate", base) not in BASES:
+        BASES["simulate", base] = _run("simulate", base, files)
+    record, err = BASES["simulate", base]
+    assert record["exit_code"] in (0, 1), err  # unperturbed
+    cfg = base
+    for k in keys:
+        cfg = _replace(cfg, k, ORPHANS[k])
+    monkeypatch.setattr(solver, "step", lambda *a, **k: pytest.fail("evolved"))
+    record, err = _run("simulate", cfg, files)
+    assert record["exit_code"] == 2
+    assert err == "".join(f"config error: line {_line(cfg, k)}: {k}: without perturbation.shape "
+                          f"nothing reads this key\n" for k in keys)

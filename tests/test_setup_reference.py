@@ -276,7 +276,8 @@ def sampled(draw, d):
     Fronts (and the sandwiches of gauge fronts) pass through a subsample
     point, a cell centre, a face or a random point, and bumps have negative
     amplitudes; some bumps are smaller than a cell and
-    sit on a cell centre, between its subsamples."""
+    sit on a cell centre, between its subsamples.  A perturbation may sit on
+    a constant state (`solver.Shifted`)."""
     n = draw(st.lists(st.integers(4, 9 if d == 2 else 6), min_size=d, max_size=d))
     dx = draw(st.sampled_from([0.1, 0.25, 0.3, 1 / 3]))
     lo = draw(st.lists(st.floats(-2.0, 0.0).map(lambda x: round(x, 2)), min_size=d,
@@ -315,13 +316,17 @@ def sampled(draw, d):
     amp = draw(st.sampled_from([-0.5, -1.0, 0.75]))
     if kind == "tiny":
         centre = np.array(lo) + (cell + 0.5) * dx
-        return grid, sl.PerturbationSpec("bump", tuple(centre), dx / 10, amp)
-    radius = draw(st.sampled_from([dx / 3, 0.5, 1.0]))
-    spec = sl.PerturbationSpec("bump" if kind == "sum" else kind, tuple(p), radius, amp)
-    if kind == "sum":
-        other = sl.PerturbationSpec("indicator", tuple(p + 2 * dx), radius, amp)
-        spec = sl.PerturbationSpec("sum", terms=(spec, other))
-    return grid, spec
+        spec = sl.PerturbationSpec("bump", tuple(centre), dx / 10, amp)
+    else:
+        radius = draw(st.sampled_from([dx / 3, 0.5, 1.0]))
+        spec = sl.PerturbationSpec("bump" if kind == "sum" else kind, tuple(p), radius, amp)
+        if kind == "sum":
+            other = sl.PerturbationSpec("indicator", tuple(p + 2 * dx), radius, amp)
+            spec = sl.PerturbationSpec("sum", terms=(spec, other))
+    # on a constant state, as `dispersion` samples it: -0.0 plus a bump's
+    # -0.0 outside its ball is -0.0, plus +0.0 it is +0.0
+    base = draw(st.sampled_from([None, 0.0, -0.0, 0.8, 5e-324]))
+    return grid, spec if base is None else solver.Shifted(base, spec)
 
 
 @settings(max_examples=150, deadline=None)
