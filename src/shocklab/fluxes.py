@@ -203,11 +203,8 @@ class OleinikBatch:
 
 
 # directions x points evaluated at once: the excess block and the temporaries
-# of its Horner recurrence stay at 2 MiB each, below the 4 MiB at which numpy
-# asks for huge pages.  8 MiB blocks put the peak RSS of a 3-D cone's set-up
-# at 66 or 74 MiB from run to run, by where the heap fell, and left huge
-# pages behind on which later 3-D steps ran about 6% faster.
-EXCESS_BLOCK = 1 << 18
+# of its Horner recurrence stay at about 8 MiB each
+EXCESS_BLOCK = 1 << 20
 
 # Chebyshev sample points of the chord test when it does not run exactly
 CHORD_SAMPLES = 1024

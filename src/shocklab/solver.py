@@ -228,18 +228,9 @@ def _row_tree(n_rows: int, row_len: int) -> tuple:
         level = [i for i in order if nodes[i][0] == height]
         start = number[level[0]]
         levels.append((start, start + len(level),
-                       _index([number[nodes[i][1]] for i in level]),
-                       _index([number[nodes[i][2]] for i in level])))
+                       np.array([number[nodes[i][1]] for i in level]),
+                       np.array([number[nodes[i][2]] for i in level])))
     return bounds, tuple(map(tuple, runs)), tuple(levels)
-
-
-def _index(ids: list[int]):
-    """ids as a slice where they step evenly, which numpy reads without a
-    copy, else as an index array."""
-    step = ids[1] - ids[0] if len(ids) > 1 else 1
-    if step > 0 and ids == list(range(ids[0], ids[-1] + 1, step)):
-        return slice(ids[0], ids[-1] + 1, step)
-    return np.array(ids)
 
 
 class RowSums:

@@ -209,18 +209,3 @@ def test_is_burgers(burgers2):
     assert is_burgers(burgers2)
     assert is_burgers(sl.burgers_flux(3))
     assert not is_burgers(sl.Flux(((0.0, 1.0), (0.0, 0.0, 1.0))))
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_the_excess_block_size_does_not_change_a_bit(exact, monkeypatch):
-    # every direction gets the operations of a test of it alone, so blocks of
-    # one direction or of all of them give the bits of the default blocks
-    from shocklab import fluxes
-    pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
-    xis = np.random.default_rng(7).standard_normal((300, 3))
-    want = fluxes.oleinik_admissible_many(pair, xis, exact)
-    for block in (1, 1 << 30):
-        monkeypatch.setattr(fluxes, "EXCESS_BLOCK", block)
-        got = fluxes.oleinik_admissible_many(pair, xis, exact)
-        for name in ("admissible", "worst", "lax"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

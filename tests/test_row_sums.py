@@ -122,19 +122,28 @@ def test_moved_rows_match_an_int64_scan(n, m, seed, flips, a, b):
     assert solver._moved_rows(old, old.copy(), 0, n) is None  # an unchanged band
 
 
+@pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("replaced", [False, True])
-def test_run_series_equal_whole_grid_sums_at_every_probe(pair11, planar11, replaced,
-                                                          monkeypatch):
+def test_run_series_equal_whole_grid_sums_at_every_probe(burgers2, axis, replaced, monkeypatch):
+    # with axis 1 the flux's axes are swapped and the front's frame axis is
+    # grid axis 1, where sample_profile samples the transpose, and the main
+    # field's data come in Fortran order: every Field still holds C-ordered
+    # values, which RowSums sums row by row as numpy does
+    flux = burgers2 if axis == 0 else sl.Flux(burgers2.coeffs[::-1])
+    pair = sl.make_shock_pair(flux, 1.0, -1.0)
+    dual = sl.dual_cone(sl.admissible_cone(pair, 1e-8))
+    nu = np.eye(2)[axis]
     g = sl.Grid.from_box((-2, 2, -4, 4), (32, 64))
-    bg = sl.profile_background(planar11)
-    main = sl.sample_profile(planar11, g)
+    steady = sl.make_planar(pair, dual, nu, 0.0, y_extent=(-8.0, 8.0))
+    shifted = sl.make_planar(pair, dual, nu, 0.3, y_extent=(-8.0, 8.0))
+    bg = sl.profile_background(steady)
     bump = sl.PerturbationSpec("bump", (0.3, 0.5), 0.8, -0.6)
-    main = Field(g, main.values + sl.sample_function(bump, g).values)
-    shifted = sl.make_planar(planar11.pair, planar11.dual, [1.0, 0.0], 0.3,
-                             y_extent=(-8.0, 8.0))
-    comps = [solver.Companion("steady", sl.sample_profile(planar11, g), bg),
+    main = Field(g, np.asfortranarray(sl.sample_profile(steady, g).values
+                                      + sl.sample_function(bump, g).values))
+    comps = [solver.Companion("steady", sl.sample_profile(steady, g), bg),
              solver.Companion("shifted", sl.sample_profile(shifted, g),
                               sl.profile_background(shifted))]
+    assert all(f.values.flags.c_contiguous for f in [main] + [c.field for c in comps])
     if replaced:
         # a step that hands back a copy: evolve cannot know its rows
         real = solver.step
@@ -148,7 +157,7 @@ def test_run_series_equal_whole_grid_sums_at_every_probe(pair11, planar11, repla
         seen.append((u.mass, {k: sl.l1_distance(u, f) for k, f in others.items()}))
 
     scheme = sl.SchemeConfig()
-    rep = sl.run(main, scheme, scheme.flux_of(planar11.pair), 0.8, bg, comps,
+    rep = sl.run(main, scheme, scheme.flux_of(pair), 0.8, bg, comps,
                  on_step=on_step, probe_every=3)
     n = len(seen)
     assert n > 6
