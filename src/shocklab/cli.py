@@ -40,7 +40,7 @@ from .errors import ConfigError, ShockLabError, TrivialCone
 from .experiments import Check, ExperimentReport
 from .fluxes import burgers_flux, is_burgers
 from .profiles import front_normals
-from .snapshots import format_verdict, write_probes_csv, write_snapshot, write_verdict
+from .snapshots import format_verdict, write_probes_csv, write_snapshot
 from .solver import Field, Shifted, profile_background, run, sample_function, sample_profile
 
 
@@ -59,8 +59,9 @@ def _emit_report(cfg: RunConfig, report: ExperimentReport, stderr) -> int:
     final = report.extras.get("final")
     if isinstance(final, Field):
         write_snapshot(final, out / "final.shkw")
-    write_verdict(report, out / "verdict.txt")
-    stderr.write(format_verdict(report))
+    verdict = format_verdict(report)
+    (out / "verdict.txt").write_text(verdict, encoding="utf-8")
+    stderr.write(verdict)
     return 0 if report.passed else 1
 
 

@@ -19,6 +19,7 @@ from .errors import (
     BoundaryContact,
     Characteristic,
     EtaTooLarge,
+    GridMismatch,
     RangeViolation,
 )
 from .fluxes import Flux, burgers_normalization, component_abs_max, is_burgers
@@ -151,7 +152,7 @@ def settle(
         pairs.append((f, bg))
     g = pairs[0][0].grid
     if any(f.grid != g for f, _ in pairs):
-        raise ValueError("fields must share a grid")
+        raise GridMismatch("fields must share a grid")
     tol = 1e-13 * g.ncells * g.cell_volume
     lo = min(float(f.values.min()) for f, _ in pairs)
     hi = max(float(f.values.max()) for f, _ in pairs)
@@ -270,7 +271,7 @@ def support_experiment(
     """
     g = b1.grid
     if g != b2.grid:
-        raise ValueError("fields must share a grid")
+        raise GridMismatch("fields must share a grid")
     if g.d != 2:
         raise NotImplementedError("support experiment implemented for d = 2")
     if flux.d != g.d:

@@ -165,14 +165,10 @@ def make_shock_pair(flux: Flux, u_minus: float, u_plus: float) -> ShockPair:
     if u_plus > u_minus:
         raise WrongOrder(f"need u_plus < u_minus, got ({u_minus}, {u_plus})")
     v = (flux.value(u_plus) - flux.value(u_minus)) / (u_plus - u_minus)
-    red = []
-    for i in range(flux.d):
-        c = list(flux.coeffs[i])
-        while len(c) < 2:
-            c.append(0.0)
-        c[1] -= v[i]
-        red.append(tuple(c))
-    reduced = Flux(tuple(red))
+    red = [list(c) + [0.0] * (2 - len(c)) for c in flux.coeffs]
+    for c, v_i in zip(red, v):
+        c[1] -= v_i
+    reduced = Flux(tuple(map(tuple, red)))
     f_bar = reduced.value(u_minus)
     mismatch = np.max(np.abs(reduced.value(u_plus) - f_bar))
     scale = max(1.0, float(np.max(np.abs(f_bar))))
@@ -202,9 +198,12 @@ class OleinikBatch:
     lax: np.ndarray          # (n, 2) endpoint characteristic margins
 
 
-# directions x points evaluated at once: the excess block and the temporaries
-# of its Horner recurrence stay at about 8 MiB each
-EXCESS_BLOCK = 1 << 20
+# float64 values that a set-up pass holds in one block: 2 MiB, the chord
+# test's directions x points and `solver.sample_function`'s subsample
+# coordinates.  Below the 4 MiB at which numpy asks for huge pages, so the
+# set-up leaves no huge-page heap behind for the steps (see
+# `cli._fix_malloc_thresholds`).
+SETUP_BLOCK = 1 << 18
 
 # Chebyshev sample points of the chord test when it does not run exactly
 CHORD_SAMPLES = 1024
@@ -222,11 +221,14 @@ def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> Oleini
     nonnegative whenever the chord condition holds.
 
     Every row gets the same floating-point operations as a test of that row
-    alone: `np.vecdot` is `np.dot` per row, the Horner recurrence of
-    `P.polyval` is elementwise, and the critical points of each excess
-    polynomial come from its own `critical_points` call.  Ragged
-    critical-point sets are padded with u_minus, which is a candidate point
-    already.
+    alone: `np.vecdot` is `np.dot` per row, each row has its own
+    `critical_points` call, and ragged sets are padded with u_minus, a
+    candidate already.  Each block of at most SETUP_BLOCK values v is one
+    buffer, where `P.polyval`'s recurrence runs in place (IEEE addition
+    commutes).  Rounding is monotone, so max(v - ref) = max(v) - ref in rows
+    where neither max(v) - ref nor min(v) - ref is NaN; other rows reduce
+    v - ref, whose NaN's sign numpy takes from where it lies.  max|v| =
+    max(max v, -min v) but for the signs of zeros and NaNs, which fmax hides.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != pair.d:
@@ -246,15 +248,22 @@ def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> Oleini
         pts[:, -2] = pair.u_plus
     else:
         pts = np.broadcast_to(pair.chebyshev_nodes(CHORD_SAMPLES), (len(e), CHORD_SAMPLES))
-    worst = np.empty(len(e))
-    peak = np.empty(len(e))
-    rows = max(1, EXCESS_BLOCK // pts.shape[1])
+    worst, peak = np.empty(len(e)), np.empty(len(e))
+    rows = max(1, SETUP_BLOCK // pts.shape[1])
+    buf = np.empty((min(rows, len(e)), pts.shape[1]))
     for a in range(0, len(e), rows):
-        b = a + rows
-        vals = P.polyval(pts[a:b], e[a:b].T[..., None], tensor=False)
-        top = np.max(vals - ref[a:b, None], axis=1)
-        worst[a:b] = np.maximum(top, 0.0)
-        peak[a:b] = np.max(np.abs(vals), axis=1)
+        x, r = pts[a : a + rows], ref[a : a + rows]
+        vals = np.multiply(x, 0.0, out=buf[: len(x)])
+        vals += e[a : a + rows, -1:]
+        for c in e[a : a + rows, -2::-1].T[..., None]:
+            vals *= x
+            vals += c
+        hi, lo = vals.max(axis=1), vals.min(axis=1)
+        top = hi - r
+        nan = np.isnan(top) | np.isnan(lo - r)  # only where values overflow
+        top[nan] = np.max(vals[nan] - r[nan, None], axis=1)
+        worst[a : a + rows] = np.maximum(top, 0.0)
+        peak[a : a + rows] = np.maximum(hi, -lo)
     # max(1, |ref|, peak), ignoring NaN like the builtin max does here; exact
     # critical-point evaluation carries only rounding noise, so the slack can
     # sit just above machine precision

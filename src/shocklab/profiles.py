@@ -66,15 +66,10 @@ class Front:
     fn: Callable[[np.ndarray], np.ndarray]
     slopes: np.ndarray
     params: dict = field(default_factory=dict)
+    clamps: bool = False  # constant off its slopes: a pwl front, or a combination with one
 
     def value(self, y):
         return self.fn(np.asarray(y, dtype=float))
-
-
-def _clamps(front: Front) -> bool:
-    """Whether the front is constant somewhere off its slopes: a pwl front
-    is, outside its nodes, and so is a combination with such a part."""
-    return front.kind == "pwl" or any(_clamps(p) for p in front.params.get("parts", ()))
 
 
 def _planar_front(dual: DualCone, nu: np.ndarray, offset: float) -> Front:
@@ -113,7 +108,7 @@ def _pwl_front(nodes: np.ndarray, values: np.ndarray) -> Front:
     def fn(y):
         return np.interp(np.asarray(y, dtype=float), nodes, values)
 
-    return Front("pwl", fn, seg, {"nodes": nodes, "values": values})
+    return Front("pwl", fn, seg, {"nodes": nodes, "values": values}, clamps=True)
 
 
 def _combine_front(op: str, parts: tuple[Front, ...]) -> Front:
@@ -126,7 +121,8 @@ def _combine_front(op: str, parts: tuple[Front, ...]) -> Front:
         return out
 
     slopes = np.vstack([p.slopes for p in parts])
-    return Front("combine", fn, slopes, {"op": op, "parts": parts})
+    return Front("combine", fn, slopes, {"op": op, "parts": parts},
+                 clamps=any(p.clamps for p in parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +171,7 @@ class ShockProfile:
         v = np.asarray(velocity, dtype=float)
         w_v = float(self.dual.W @ v)
         rate = float(np.max(np.abs(w_v - self.front.slopes @ (self.dual.H.T @ v))))
-        return max(rate, abs(w_v)) if _clamps(self.front) else rate
+        return max(rate, abs(w_v)) if self.front.clamps else rate
 
     def same_frame(self, other: "ShockProfile") -> bool:
         return (

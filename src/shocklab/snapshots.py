@@ -22,7 +22,6 @@ __all__ = [
     "read_snapshot",
     "write_probes_csv",
     "format_verdict",
-    "write_verdict",
 ]
 
 MAGIC = b"SHKW1"
@@ -101,7 +100,3 @@ def format_verdict(report: ExperimentReport) -> str:
         lines.append(f"{c.name}: {status} measured={_fmt(c.measured)} tol={_fmt(c.tol)}{note}")
     lines.append(f"overall: {'pass' if report.passed else 'fail'}")
     return "\n".join(lines) + "\n"
-
-
-def write_verdict(report: ExperimentReport, path) -> None:
-    Path(path).write_text(format_verdict(report), encoding="utf-8")

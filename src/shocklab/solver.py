@@ -39,8 +39,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
-from .fluxes import Flux, _key, critical_points, poly_abs_max
-from .profiles import PerturbationSpec, ShockProfile, _clamps
+from .fluxes import SETUP_BLOCK, Flux, _key, critical_points, poly_abs_max
+from .profiles import Front, PerturbationSpec, ShockProfile
 
 __all__ = [
     "Grid",
@@ -417,15 +417,10 @@ def _horner(plan: tuple, x):
     return out
 
 
-def _lambda_max(key: bytes, lo, hi):
-    """max |g'| over [lo, hi], exact via the critical points of g'."""
-    return poly_abs_max(_derivative(key), lo, hi)
-
-
 @lru_cache(maxsize=1024)
 def _lambda_bound(key: bytes, lo: float, hi: float) -> float:
     """float(max |g'|) over [lo, hi]; the same range recurs step after step."""
-    return float(np.max(_lambda_max(key, lo, hi)))
+    return float(np.max(poly_abs_max(_derivative(key), lo, hi)))
 
 
 def _rusanov(g_a, g_b, a, b, lam):
@@ -502,7 +497,7 @@ def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
     data = _compiled(key)
     if kind == "rusanov":
         if lam is None:
-            lam = _lambda_max(key, np.minimum(a, b), np.maximum(a, b))
+            lam = poly_abs_max(_derivative(key), np.minimum(a, b), np.maximum(a, b))
         return _rusanov(_horner(data["plan"], a), _horner(data["plan"], b), a, b, lam)
     if kind == "engquist-osher":
         return _engquist_osher(data, a, b)
@@ -518,9 +513,9 @@ class Background:
     Each grid's ghost layers are kept, read-only, in _layers with their
     range, the time t_e they were evaluated at and a horizon: they are
     returned again while |t - t_e| < horizon (see `_evaluate_layers`).  The
-    horizon is infinite while the velocity is zero, and for a moving
-    `profile` as long as no ghost cell can cross its front; any other moving
-    fn has horizon 0.
+    horizon is infinite while the velocity is zero, and for a moving shock
+    profile's eval as long as no ghost cell can cross its front; any other
+    moving fn has horizon 0.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -531,16 +526,15 @@ class Background:
     def __post_init__(self):
         object.__setattr__(self, "moving", bool(np.any(np.asarray(self.velocity) != 0.0)))
 
-    @property
-    def profile(self) -> ShockProfile | None:
-        """The ShockProfile whose eval fn is, if any."""
-        owner = getattr(self.fn, "__self__", None)
-        return owner if isinstance(owner, ShockProfile) else None
-
     def eval(self, points: np.ndarray, t: float) -> np.ndarray:
         if self.moving:
             points = points - t * self.velocity
         return self.fn(points)
+
+
+def _profile_of(fn) -> ShockProfile | None:
+    """The ShockProfile whose eval fn is, if any."""
+    return fn.__self__ if getattr(fn, "__func__", None) is ShockProfile.eval else None
 
 
 def constant_background(value: float, d: int) -> Background:
@@ -602,6 +596,12 @@ class _Layers:
 GHOST_SLACK = 1e-9
 
 
+def _gap_slack(front: Front, size: float) -> tuple[float, float]:
+    """GHOST_SLACK (1 + size)(1 + S) and S = max |s|_1 over front's slopes."""
+    s = float(np.max(np.abs(front.slopes).sum(axis=1)))
+    return GHOST_SLACK * (1.0 + size) * (1.0 + s), s
+
+
 def _evaluate_layers(background: Background, g: Grid, t: float) -> _Layers:
     """Evaluate the ghost layers of g at t, and how long they keep their bits.
 
@@ -625,7 +625,7 @@ def _evaluate_layers(background: Background, g: Grid, t: float) -> _Layers:
     (m - 2 slack) / (rate + 2 GHOST_SLACK (1 + S)^2 |v|), and 0 when
     m - 2 slack <= 0.
     """
-    profile = background.profile if background.moving else None
+    profile = _profile_of(background.fn) if background.moving else None
     ghosts = {}
     m, size = np.inf, 0.0
     for ax in range(g.d):
@@ -647,9 +647,8 @@ def _evaluate_layers(background: Background, g: Grid, t: float) -> _Layers:
     elif profile is None:
         horizon = 0.0
     else:
-        s = float(np.max(np.abs(profile.front.slopes).sum(axis=1)))
+        slack, s = _gap_slack(profile.front, size)
         speed = float(np.max(np.abs(background.velocity)))
-        slack = GHOST_SLACK * (1.0 + size) * (1.0 + s)
         rate = profile.drift_rate(background.velocity) + \
             2.0 * GHOST_SLACK * (1.0 + s) ** 2 * speed
         horizon = (m - 2.0 * slack) / rate if m - 2.0 * slack > 0 else 0.0
@@ -1217,11 +1216,6 @@ def run(
 
 # midpoint subsamples per cell and axis of `sample_function`
 SUBSAMPLES = 4
-# subsample coordinates (points x d) that `sample_function` builds at once for
-# the cells it evaluates: 2 MiB, 8,192 cells in 2-D and 1,365 in 3-D.  Below
-# the 4 MiB at which numpy asks for huge pages, so sampling leaves no
-# huge-page heap behind for the steps (see `cli._fix_malloc_thresholds`).
-SAMPLE_BLOCK = 1 << 18
 
 
 def _cell_means(vals: np.ndarray) -> np.ndarray:
@@ -1240,24 +1234,22 @@ def _front_constant(profile: ShockProfile, grid: Grid) -> np.ndarray:
     clamps), so it moves by at most L |p - c| (max norm), L the largest
     |W - H s|_1.  A subsample is at most (1 - 1/S) dx / 2 from its cell's
     centre c along each axis (3 dx / 8).  The computed gaps at c and at the
-    subsamples are within slack = GHOST_SLACK (1 + P)(1 + S') of the exact
-    ones, as in `_evaluate_layers`, with P bounding the coordinates, r and
-    psi over the cell and S' the largest |s|_1; the rounding of the
+    subsamples are within the slack of `_gap_slack` of the exact ones, with
+    P bounding the coordinates, r and psi over the cell; the rounding of the
     subsample coordinates is far inside it.  So where the computed |g(c)|
     exceeds L (1 - 1/S) dx / 2 + 2 slack, every subsample decides r < psi
     alike.
     """
     front, dual = profile.front, profile.dual
     slopes = front.slopes
-    if _clamps(front):
+    if front.clamps:
         slopes = np.vstack([slopes, np.zeros_like(slopes[:1])])
     lip = float(np.max(np.abs(dual.W - slopes @ dual.H.T).sum(axis=1)))
-    s1 = float(np.max(np.abs(front.slopes).sum(axis=1)))
     r, y = dual.frame(grid.center_mesh())
     psi = front.value(y)
     size = max(*(abs(b) for b in grid.lo + grid.hi), float(np.max(np.abs(r))),
                float(np.max(np.abs(psi)))) + (lip + 2.0) * grid.dx
-    slack = GHOST_SLACK * (1.0 + size) * (1.0 + s1)
+    slack, _ = _gap_slack(front, size)
     return np.abs(psi - r) > lip * (1.0 - 1.0 / SUBSAMPLES) * grid.dx / 2 + 2.0 * slack
 
 
@@ -1307,8 +1299,9 @@ def _constant_cells(fn, grid: Grid, axes: list) -> np.ndarray:
     value there too, even where base is -0.0 and that value's sign depends
     on the zero's: `sample_function` reads the value from fn itself.
     """
-    if getattr(fn, "__func__", None) is ShockProfile.eval:
-        return _front_constant(fn.__self__, grid)
+    profile = _profile_of(fn)
+    if profile is not None:
+        return _front_constant(profile, grid)
     if isinstance(fn, Shifted):
         fn = fn.phi
     if isinstance(fn, PerturbationSpec):
@@ -1323,7 +1316,7 @@ def sample_function(fn, grid: Grid) -> Field:
     depending on its own point only; each cell averages SUBSAMPLES midpoints
     per axis.  fn is evaluated only at the subsamples of the cells where it
     is not proved constant (`_constant_cells`), in blocks of whole cells of
-    at most SAMPLE_BLOCK coordinates (at least one cell), so memory stays
+    at most SETUP_BLOCK coordinates (at least one cell), so memory stays
     bounded on 3-D grids.  A cell proved constant takes its value v from fn
     at one of its own subsamples, never its centre, which a bump smaller
     than the cell can cover while missing every subsample; its average is
@@ -1347,7 +1340,7 @@ def sample_function(fn, grid: Grid) -> Field:
                                 (len(bits),) + (sub,) * d)
         out[proved] = _cell_means(np.ascontiguousarray(block))[which]
     rest = np.flatnonzero(~constant)
-    per = max(1, SAMPLE_BLOCK // (sub**d * d))
+    per = max(1, SETUP_BLOCK // (sub**d * d))  # 8,192 cells in 2-D, 1,365 in 3-D
     for a in range(0, rest.size, per):
         cells = np.unravel_index(rest[a:a + per], grid.counts)
         mesh = np.empty((cells[0].size,) + (sub,) * d + (d,))

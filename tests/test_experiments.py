@@ -11,6 +11,7 @@ from shocklab.errors import (
     CFLViolation,
     Characteristic,
     EtaTooLarge,
+    GridMismatch,
     RangeViolation,
 )
 from shocklab.experiments import (
@@ -182,6 +183,15 @@ def test_support_rejects_a_flux_of_another_dimension(monkeypatch):
     monkeypatch.setattr(solver, "step", None)  # it fails before the first step
     with pytest.raises(ValueError, match="3 components for a 2-D grid"):
         sl.support_experiment(sl.burgers_flux(3), b1, b2, sl.SchemeConfig(), 0.5)
+
+
+def test_support_rejects_fields_on_different_grids(burgers2, monkeypatch):
+    g = sl.Grid.from_box((-3, 9, -3, 9), (24, 24))
+    h = sl.Grid.from_box((-3, 9, -3, 11), (24, 28))
+    monkeypatch.setattr(solver, "step", None)  # it fails before the first step
+    with pytest.raises(GridMismatch):
+        sl.support_experiment(burgers2, sl.Field(g, np.ones(g.counts)),
+                              sl.Field(h, np.ones(h.counts)), sl.SchemeConfig(), 0.5)
 
 
 def test_support_range_guard_catches_a_broken_update(burgers2, monkeypatch):
@@ -360,6 +370,15 @@ def test_settle_reaches_steady_state(pair11, planar11):
                 2500).fields[0]
     nxt, _ = sl.step(us, sl.SchemeConfig(), pair11.reduced, bg)
     assert np.abs(nxt.values - us.values).sum() * g.cell_volume <= 1e-11
+
+
+def test_settle_rejects_fields_on_different_grids(pair11, planar11, monkeypatch):
+    bg = sl.profile_background(planar11)
+    fields = [(sample_profile(planar11, sl.Grid.from_box((-2, hi, -2, 2), (n, 16))), bg)
+              for hi, n in ((2, 16), (2, 16), (3, 20))]
+    monkeypatch.setattr(solver, "step", None)  # it fails before the first step
+    with pytest.raises(GridMismatch):
+        settle(fields, sl.SchemeConfig(), pair11.reduced, 10)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
+from shocklab.cones import _fibonacci_sphere
 from shocklab.errors import DegenerateFlux, EqualStates, WrongOrder
-from shocklab.fluxes import critical_points, is_burgers
+from shocklab.fluxes import CHORD_SAMPLES, critical_points, is_burgers
 
 
 def test_eval_flux_burgers_values(burgers2):
@@ -128,6 +131,91 @@ def test_oleinik_exact_mode_matches_dense_sampling(pair11, rng):
         slack = 1e-12 * max(1.0, abs(ref), float(np.max(np.abs(vals))))
         assert fast.admissible == (worst <= slack)
         assert abs(fast.worst_violation - worst) <= 1e-6
+
+
+def _polyval_chord_test(pair, xis, exact):
+    """`oleinik_admissible_many` as it was written with `P.polyval` and
+    whole-block temporaries, in blocks of 2**20 values."""
+    sigma = np.vecdot(xis, pair.velocity)
+    e = np.zeros((len(xis), max(max(len(c) for c in pair.flux.coeffs), 2)))
+    for i, c in enumerate(pair.flux.coeffs):
+        e[:, : len(c)] += xis[:, i : i + 1] * np.asarray(c)
+    e[:, 1] -= sigma
+    ref = P.polyval(pair.u_minus, e.T)
+    if exact:
+        crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(critical_points, e)]
+        pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
+        for row, crit in zip(pts, crits):
+            row[: len(crit)] = crit
+        pts[:, -2] = pair.u_plus
+    else:
+        pts = np.broadcast_to(pair.chebyshev_nodes(CHORD_SAMPLES), (len(e), CHORD_SAMPLES))
+    worst = np.empty(len(e))
+    peak = np.empty(len(e))
+    rows = max(1, (1 << 20) // pts.shape[1])
+    for a in range(0, len(e), rows):
+        b = a + rows
+        vals = P.polyval(pts[a:b], e[a:b].T[..., None], tensor=False)
+        worst[a:b] = np.maximum(np.max(vals - ref[a:b, None], axis=1), 0.0)
+        peak[a:b] = np.max(np.abs(vals), axis=1)
+    tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
+    lax = np.stack([sigma - np.vecdot(xis, pair.flux.value(pair.u_plus, 1)),
+                    np.vecdot(xis, pair.flux.value(pair.u_minus, 1)) - sigma], axis=1)
+    return worst <= tol, worst, lax
+
+
+CHORD_FLUXES = {
+    "burgers-2": sl.burgers_flux(2),
+    "burgers-3": sl.burgers_flux(3),
+    "odd-3": sl.Flux(((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))),
+    "mixed-2": sl.Flux(((0.0, 1.0, -3.0, 0.0, 2.0), (0.5, 0.0, 0.0, -1.0))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CHORD_FLUXES)), states=st.sampled_from([(1.0, -1.0), (2.0, 0.5)]),
+       n=st.sampled_from([1, 255, 256, 257, 4096]), exact=st.booleans(),
+       overflow=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# max(v - ref) is NaN where ref = -inf and some v too, while max(v) is finite
+@example(name="burgers-2", states=(1.0, -1.0), n=1, exact=False, overflow=True, seed=-1)
+def test_chord_test_keeps_the_bits_of_polyval_blocks(name, states, n, exact, overflow, seed):
+    """Every admissibility bit, worst and lax equals the `P.polyval` block
+    loop's, also in rows whose values overflow to inf or NaN; each row's
+    scale is 1, 1e150, 1e300 or, with overflow, 1.7e308, so one block mixes
+    them.  An exact test whose critical points overflow raises on both."""
+    pair = sl.make_shock_pair(CHORD_FLUXES[name], *states)
+    with np.errstate(all="ignore"):
+        if seed < 0:
+            xis = np.full((n, pair.d), -1.7e308)
+        else:
+            rng = np.random.default_rng(seed)
+            scale = rng.choice([1.0, 1e150, 1e300, 1.7e308][: 3 + overflow], size=(n, 1))
+            xis = rng.standard_normal((n, pair.d)) * scale
+        if exact:
+            xis = xis[:257]  # a critical-point solve per row
+        try:
+            want = _polyval_chord_test(pair, xis, exact)
+        except DegenerateFlux:
+            with pytest.raises(DegenerateFlux):
+                sl.oleinik_admissible_many(pair, xis, exact)
+            return
+        got = sl.oleinik_admissible_many(pair, xis, exact)
+    assert got.admissible.tobytes() == want[0].tobytes()
+    assert got.worst.tobytes() == want[1].tobytes()
+    assert got.lax.tobytes() == want[2].tobytes()
+
+
+def test_chord_test_holds_one_block_at_a_time():
+    # the 3-D cone's call: 4,096 directions at CHORD_SAMPLES points each
+    pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
+    dirs = _fibonacci_sphere(4096)
+    tracemalloc.start()
+    try:
+        sl.oleinik_admissible_many(pair, dirs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_lax_margins_nonnegative_when_admissible(pair11, rng):

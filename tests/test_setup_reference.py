@@ -182,7 +182,7 @@ def test_sample_function_slabs_match_whole_mesh_3d(monkeypatch):
     grid = sl.Grid.from_box((-1.5, 1.25, -1.0, 1.0, -1.0, 0.75), (11, 8, 7))
     per_cell = 4**3 * 3                             # coordinates per cell
     for cells in (200, 1):                          # blocks of 200, 200, 200, 16 cells; of 1
-        monkeypatch.setattr(solver, "SAMPLE_BLOCK", cells * per_cell + per_cell - 1)
+        monkeypatch.setattr(solver, "SETUP_BLOCK", cells * per_cell + per_cell - 1)
         shapes = []
 
         def fn(p, f):
