@@ -39,7 +39,6 @@ from .fluxes import (
     burgers_normalization,
     check_nondegeneracy,
     make_shock_pair,
-    normal_speed,
     oleinik_admissible,
     oleinik_admissible_many,
 )
@@ -52,7 +51,6 @@ from .profiles import (
     make_graph,
     make_planar,
     make_scaled_gauge,
-    perturb_end_states,
     sandwich_bounds,
 )
 from .snapshots import read_snapshot, write_snapshot

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrivialCone
+from .errors import DegenerateFlux, TrivialCone
 from .fluxes import ShockPair, oleinik_admissible, oleinik_admissible_many
 from .hulls import hull_indices
 
@@ -160,7 +160,7 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     if not mask.any():
         return AdmissibleCone(2, pair, trivial=True)
     if mask.all():
-        raise ValueError("every sampled direction is admissible; flux violates non-degeneracy")
+        raise DegenerateFlux("every sampled direction is admissible; flux violates non-degeneracy")
 
     # longest circular run of admissible samples
     idx = np.arange(n_scan)
@@ -243,13 +243,6 @@ class DualCone:
     facet_slopes: np.ndarray
     primal_generators: np.ndarray
     degenerate: bool = False
-
-    def point(self, r, y) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape[-1] != self.d - 1:
-            y = y[..., None]
-        return np.multiply.outer(r, self.W) + y @ self.H.T
 
     def frame(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(r, y) = (x . W, x H) of world points x, shape (..., d); y has the
@@ -369,19 +362,11 @@ def dual_cone_from_flux(pair: ShockPair) -> DualCone:
     return _frame(gens, primal, _interior_direction(gens))
 
 
-def cone_contains(cone: AdmissibleCone, nu, margin: float = 0.0) -> bool:
-    """Membership of a unit direction with a safety distance to the boundary.
-
-    The distance is the arcsine of the worst dual-generator functional, the
-    angle to the nearest facet plane: for d = 2 (width < pi), the nearer edge.
-    """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+def cone_contains(cone: AdmissibleCone, nu) -> bool:
+    """Membership of a direction in the closed cone: no unit dual generator
+    has a negative inner product with unit nu (False when that is NaN).  The
+    arcsine of the least one is nu's angle to the nearest facet plane."""
     if cone.trivial:
         return False
     nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
-    worst = float((cone.dual_generators @ nu).min())
-    if worst < 0:
-        return False
-    return float(np.arcsin(min(worst, 1.0))) >= margin
+    return float((cone.dual_generators @ (nu / np.linalg.norm(nu))).min()) >= 0

@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as P
 
 from .cones import admissible_cone, dual_cone
 from .errors import ConfigError, ShockLabError
-from .fluxes import Flux, burgers_flux, make_shock_pair
+from .fluxes import Flux, burgers_flux, check_nondegeneracy, make_shock_pair
 from .profiles import PerturbationSpec, ShockProfile, make_graph, make_planar, make_scaled_gauge
 from .solver import Grid, SchemeConfig, stable_dt, wave_speed
 
@@ -275,9 +275,15 @@ class RunConfig:
         return u
 
     def build_pair(self):
-        """The shock pair; a state at which a flux value overflows is an error
-        at that state's line."""
+        """The shock pair.  A flux that the paper's non-degeneracy excludes is
+        an error at the flux key's line, naming a kernel direction; a state at
+        which a flux value overflows is an error at that state's line."""
         flux = self.build_flux()
+        nondegeneracy = check_nondegeneracy(flux)
+        if not nondegeneracy.passed:
+            tau, *xi = (f"{v + 0.0:.6g}" for v in np.hstack(nondegeneracy.failures[0]))
+            raise self.error(self.flux_key(), "the flux is degenerate: tau + f'(s) . xi is "
+                             f"0 for every s at the unit (tau, xi) = ({tau}, ({', '.join(xi)}))")
         self.require("pair.u_minus", "pair.u_plus")
         return make_shock_pair(flux, self.state("pair.u_minus", flux),
                                self.state("pair.u_plus", flux))

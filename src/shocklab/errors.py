@@ -37,10 +37,6 @@ class NotUNC(ShockLabError):
     """Operation requires a uniformly non-characteristic profile (ratio < 1)."""
 
 
-class NotUNCAfterPerturbation(ShockLabError):
-    """End-state perturbation pushed a front normal out of the cone margin."""
-
-
 class EmptyInterior(ShockLabError):
     """Dual cone has empty interior; no interior axis direction exists."""
 
@@ -58,7 +54,8 @@ class GridMismatch(ShockLabError):
 
 
 class DegenerateFlux(ShockLabError):
-    """A flux polynomial's roots overflow: its leading coefficient is tiny."""
+    """A flux the library cannot treat: a derivative or its roots overflow, or
+    every 2-D direction is admissible, which non-degeneracy excludes."""
 
 
 class RangeViolation(ShockLabError):

@@ -28,7 +28,6 @@ __all__ = [
     "poly_abs_max",
     "component_abs_max",
     "make_shock_pair",
-    "normal_speed",
     "oleinik_admissible",
     "oleinik_admissible_many",
     "check_nondegeneracy",
@@ -87,8 +86,8 @@ def _key(coeffs) -> bytes:
 def critical_points(coeffs) -> np.ndarray:
     """Sorted real roots of p' for p with ascending coefficients (read-only).
 
-    Raises DegenerateFlux when the roots overflow: the companion matrix of p'
-    divides by its leading coefficient, so a tiny one makes it infinite.
+    Raises DegenerateFlux when p' or its roots overflow: the companion matrix
+    of p' divides by its leading coefficient, so a tiny one makes it infinite.
     """
     return _critical_points(_key(coeffs))
 
@@ -97,6 +96,8 @@ def critical_points(coeffs) -> np.ndarray:
 def _critical_points(key: bytes) -> np.ndarray:
     # polyroots trims trailing zero coefficients itself
     dc = P.polyder(np.frombuffer(key))
+    if not np.isfinite(dc).all():
+        raise DegenerateFlux(f"the derivative {dc.tolist()} overflows: a coefficient is too large")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             r = P.polyroots(dc)
@@ -175,11 +176,6 @@ def make_shock_pair(flux: Flux, u_minus: float, u_plus: float) -> ShockPair:
     if not mismatch <= 1e-12 * scale:  # NaN when a flux value overflowed
         raise ValueError(f"reduced flux end values differ by {mismatch} (scale {scale})")
     return ShockPair(flux, u_minus, u_plus, v, reduced, f_bar)
-
-
-def normal_speed(pair: ShockPair, xi) -> float:
-    """Rankine-Hugoniot normal velocity xi . v, extended to arbitrary xi."""
-    return float(np.dot(np.asarray(xi, dtype=float), pair.velocity))
 
 
 @dataclass(frozen=True)
@@ -303,14 +299,19 @@ def check_nondegeneracy(flux: Flux) -> NondegeneracyResult:
     higher = mat[:, 1:]
     if higher.size == 0:
         higher = np.zeros((d, 1))
-    # xi annihilates all non-constant coefficients iff xi is in the kernel of higher^T
-    _, sv, vh = np.linalg.svd(higher.T, full_matrices=True)
+    # xi annihilates all non-constant coefficients iff xi is in the kernel of
+    # higher^T; rows of unit max make the rank blind to each component's
+    # scale, as the question is (xi_i -> xi_i / c for f_i -> c f_i)
+    size = np.abs(higher).max(axis=1)
+    size[size == 0] = 1.0
+    _, sv, vh = np.linalg.svd((higher / size[:, None]).T, full_matrices=True)
     rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
     if rank == d:
         return NondegeneracyResult(True, ())
-    xi = vh[-1]
+    xi = vh[-1] / size
     tau = -float(np.dot(xi, mat[:, 0]))
     vec = np.concatenate([[tau], xi])
+    vec = vec / np.abs(vec).max()  # no overflow in the norm
     vec = vec / np.linalg.norm(vec)
     return NondegeneracyResult(False, ((float(vec[0]), tuple(float(x) for x in vec[1:])),))
 

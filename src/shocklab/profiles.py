@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DualCone, admissible_cone, cone_contains, dual_cone
+from .cones import DualCone
 from .errors import (
     EmptyInterior,
     FrameMismatch,
@@ -22,9 +22,8 @@ from .errors import (
     NoCrossing,
     NotLipschitzInGauge,
     NotUNC,
-    NotUNCAfterPerturbation,
 )
-from .fluxes import ShockPair, make_shock_pair
+from .fluxes import ShockPair
 
 __all__ = [
     "Front",
@@ -34,7 +33,6 @@ __all__ = [
     "make_planar",
     "make_graph",
     "make_scaled_gauge",
-    "perturb_end_states",
     "sandwich_bounds",
     "front_surgery",
     "bounded_intersection",
@@ -46,8 +44,7 @@ __all__ = [
 
 # a front is uniformly non-characteristic (UNC) when its ratio rho is at most this
 UNC_RHO = 0.9
-DEFAULT_NORMAL_MARGIN = 0.05
-# samples of a front across its y extent: graph nodes and resampling
+# samples of a front across its y extent: the nodes of a graph front
 FRONT_NODES = 1025
 
 
@@ -206,11 +203,11 @@ def _slope_ratio(dual: DualCone, slopes: np.ndarray) -> float:
     function reaches at a vertex.  It is one-sided, psi(y + delta) - psi(y)
     <= rho gauge(delta), as the gauge is not symmetric; that is all that
     bounded_intersection (psi(y) - psi(0) <= rho gauge(y), and subadditivity),
-    predicted_absorption_time, ShockProfile.unc, perturb_end_states and the
-    slope_room of default_comparison_profiles use.  A combination's ratio is
-    the max over its parts, an upper bound.  2-D balls are centrally symmetric
-    (the frame axis bisects two unit dual generators), so there it is also
-    two-sided.  GaugeZero where s . u > 1e-13 along an unbounded direction u.
+    predicted_absorption_time, ShockProfile.unc and the slope_room of
+    default_comparison_profiles use.  A combination's ratio is the max over
+    its parts, an upper bound.  2-D balls are centrally symmetric (the frame
+    axis bisects two unit dual generators), so there it is also two-sided.
+    GaugeZero where s . u > 1e-13 along an unbounded direction u.
     """
     verts, finite = _gauge_ball(dual)
     if np.max(slopes @ verts[~finite].T, initial=0.0) > 1e-13:
@@ -277,48 +274,6 @@ def make_scaled_gauge(
     """Front psi(y) = slope * gauge(y) + offset (a cone-shaped shock)."""
     front = _scaled_gauge_front(dual, slope, offset)
     return _finish_profile(pair, dual, front, y_extent, 1e-6)
-
-
-def perturb_end_states(
-    profile: ShockProfile,
-    u_hat_minus: float,
-    u_hat_plus: float,
-    margin: float = DEFAULT_NORMAL_MARGIN,
-) -> ShockProfile:
-    """Keep the front, change the end states, and re-certify every normal.
-
-    The perturbed pair gets its own admissibility cone; each front normal
-    class must sit inside it with the given angular margin, otherwise the
-    perturbation is too large.
-    """
-    if not profile.unc:
-        raise NotUNC("end-state perturbation requires a uniformly non-characteristic profile")
-    if u_hat_minus == profile.pair.u_minus and u_hat_plus == profile.pair.u_plus:
-        return profile
-    new_pair = make_shock_pair(profile.pair.flux, u_hat_minus, u_hat_plus)
-    cone = admissible_cone(new_pair, 1e-4)
-    if cone.trivial:
-        raise NotUNCAfterPerturbation("perturbed pair admits no shock direction")
-    for nu in front_normals(profile):
-        if not cone_contains(cone, nu, margin):
-            raise NotUNCAfterPerturbation(
-                f"front normal {nu} lost the {margin} margin after perturbation"
-            )
-    new_dual = dual_cone(cone)
-    if new_dual.same_frame(profile.dual):
-        front = profile.front
-        return _finish_profile(new_pair, new_dual, front, profile.y_extent, 1e-6)
-    if profile.front.kind == "planar":
-        return make_planar(new_pair, new_dual, np.asarray(profile.front.params["nu"]),
-                           profile.front.params["offset"], y_extent=profile.y_extent)
-    if profile.d != 2:
-        raise NotImplementedError("frame change of non-planar fronts only supported for d = 2")
-    # re-express the front in the perturbed frame by resampling front points
-    nodes = np.linspace(profile.y_extent[0], profile.y_extent[1], FRONT_NODES)
-    r_new, y_new = new_dual.frame(profile.dual.point(profile.front.value(nodes), nodes))
-    order = np.argsort(y_new)
-    return make_graph(new_pair, new_dual, (y_new[order], r_new[order]),
-                      y_extent=(float(y_new.min()), float(y_new.max())))
 
 
 def box_corners(lo, hi, d: int) -> np.ndarray:

@@ -458,12 +458,62 @@ def test_a_burgers_command_rejects_another_flux_at_its_line(case, tmp_path, monk
     command, cfg = CASES[case]
     cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
     path = tmp_path / "c.cfg"
-    path.write_text(cfg + f"flux.poly = [[0,1],[0,0,0,5]]\noutput.dir = {tmp_path / 'out'}\n")
+    path.write_text(cfg + f"flux.poly = [[0,0,1],[0,0,0,5]]\noutput.dir = {tmp_path / 'out'}\n")
     code, out, err = run_cli([command, "--config", str(path)])
     assert (code, out) == (2, "")
     assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.poly: "
                    f"{command} is built for the multi-D Burgers flux\n")
     assert not (tmp_path / "out" / "verdict.txt").exists()
+
+
+# fluxes that the paper's non-degeneracy excludes, with the unit (tau, xi) at
+# which tau + f'(s) . xi is 0 for every s: a linear flux, two equal
+# components, a linear and a quadratic one, and three multiples of s^2
+DEGENERATE = {
+    "[[0,1],[0,2]]": "(-0.894427, (0, 0.447214))",
+    "[[0,0,1],[0,0,1]]": "(0, (-0.707107, 0.707107))",
+    "[[0,1],[0,0,1]]": "(0.707107, (-0.707107, 0))",
+    "[[0,0,1],[0,0,2],[0,0,3]]": "(0, (-0.897726, -0.164295, 0.408772))",
+}
+
+
+def _refuses_a_degenerate_flux(case, flux, tmp_path):
+    from test_cli_digests import CASES
+
+    command, cfg = CASES[case]
+    cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"flux.poly = {flux}\noutput.dir = {tmp_path / 'out'}\n")
+    code, out, err = run_cli([command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.poly: the flux is "
+                   f"degenerate: tau + f'(s) . xi is 0 for every s at the unit (tau, xi) = "
+                   f"{DEGENERATE[flux]}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flux", sorted(DEGENERATE))
+def test_cone_refuses_a_degenerate_flux_at_its_line(flux, tmp_path):
+    _refuses_a_degenerate_flux("cone", flux, tmp_path)
+
+
+@pytest.mark.parametrize("case", ["profile", "simulate", "stability", "overhead"])
+def test_a_command_that_builds_a_pair_refuses_a_linear_flux_at_its_line(case, tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    _refuses_a_degenerate_flux(case, "[[0,1],[0,2]]", tmp_path)
+
+
+def test_support_runs_on_a_linear_flux(tmp_path):
+    # support builds no shock pair: a linear flux transports its data
+    from test_cli_digests import CASES
+
+    _, cfg = CASES["support"]
+    cfg = cfg.replace("flux.burgers_d = 2", "flux.poly = [[0,1],[0,2]]")
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"output.dir = {tmp_path / 'out'}\n")
+    code, _, err = run_cli(["support", "--config", str(path)])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("case, d", [("normalize-check-poly-1d", 1), ("normalize-check-poly-4d", 4)])

@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 import shocklab as sl
 from shocklab import cones
 from shocklab.cones import sector_cone
-from shocklab.errors import TrivialCone
+from shocklab.errors import DegenerateFlux, TrivialCone
 from shocklab.hulls import hull_indices
 
 
@@ -15,6 +15,14 @@ def test_admissible_sector_symmetric_pair(pair11):
     assert not cone.trivial
     assert abs(cone.sector[0] + np.pi / 4) <= 1e-4
     assert abs(cone.sector[1] - np.pi / 4) <= 1e-4
+
+
+def test_a_linear_flux_is_degenerate():
+    # every direction passes the chord test, which the paper's non-degeneracy
+    # excludes
+    pair = sl.make_shock_pair(sl.Flux(((0.0, 1.0), (0.0, 2.0))), 1.0, -1.0)
+    with pytest.raises(DegenerateFlux, match="every sampled direction is admissible"):
+        sl.admissible_cone(pair, 1e-4)
 
 
 def test_admissible_sector_one_zero(burgers2):
@@ -133,12 +141,20 @@ def test_gauge_lipschitz_bound(dual11, rng):
     assert np.all(dual11.gauge(ys) <= c * np.abs(ys) + 1e-12)
 
 
+def _margin(cone, nu):
+    """The angle of unit nu to the nearest facet plane of the cone."""
+    return float(np.arcsin(min(np.min(cone.dual_generators @ nu), 1.0)))
+
+
 def test_cone_contains_margins(cone11):
-    assert sl.cone_contains(cone11, [1.0, 0.0], 0.5)
-    assert not sl.cone_contains(cone11, np.array([1.0, 1.0]) / np.sqrt(2), 0.1)
-    assert not sl.cone_contains(cone11, [0.0, 1.0], 0.0)
-    # boundary direction is inside the closed cone at zero margin
-    assert sl.cone_contains(cone11, [np.cos(np.pi / 4 - 1e-6), np.sin(np.pi / 4 - 1e-6)], 0.0)
+    assert sl.cone_contains(cone11, [1.0, 0.0])
+    assert _margin(cone11, [1.0, 0.0]) >= 0.5
+    # the edge pi/4, up to the sector's resolution: 0.1 rad is out of reach
+    assert _margin(cone11, np.array([1.0, 1.0]) / np.sqrt(2)) < 0.1
+    assert not sl.cone_contains(cone11, [0.0, 1.0])
+    # a direction just inside the boundary is inside the closed cone
+    assert sl.cone_contains(cone11, [np.cos(np.pi / 4 - 1e-6), np.sin(np.pi / 4 - 1e-6)])
+    assert not sl.cone_contains(cone11, [np.nan, 0.0])
 
 
 def _angle_to_nearer_edge(sector, nu):
@@ -159,7 +175,9 @@ def test_cone_contains_reads_the_angle_to_the_nearer_edge(theta1, width, turn, m
     # within rounding of an edge, or of the margin, either answer is right
     assume(min(abs(rel), abs(rel - width)) > 1e-9)
     assume(dist is None or abs(dist - margin) > 1e-9)
-    assert sl.cone_contains(cone, nu, margin) == (dist is not None and dist >= margin)
+    assert sl.cone_contains(cone, nu) == (dist is not None)
+    if dist is not None:
+        assert (_margin(cone, nu) >= margin) == (dist >= margin)
 
 
 def test_frame_soundness(pair11, dual11):
@@ -194,7 +212,8 @@ def test_three_dimensional_cone():
     # frame axis is interior to the dual cone
     assert np.all(cone.generators @ dual.W > 0)
     # e1 is strictly admissible for this pair
-    assert sl.cone_contains(cone, [1.0, 0.0, 0.0], 0.05)
+    assert sl.cone_contains(cone, [1.0, 0.0, 0.0])
+    assert _margin(cone, [1.0, 0.0, 0.0]) >= 0.05
     # gauge positive homogeneity and subadditivity on the 2-plane H
     rng = np.random.default_rng(3)
     ys = rng.uniform(-2, 2, (40, 2))

@@ -39,6 +39,18 @@ def test_tiny_leading_coefficient_is_a_typed_error(coeffs):
             sl.numerical_flux(coeffs, 1.0, 0.5, kind)
 
 
+def test_critical_points_of_a_derivative_that_overflows_are_a_typed_error(pair11):
+    # p' = [-1e308, 0, inf]: the companion matrix would divide by inf and
+    # give the roots [0, 0], where p / 1e308 has -+0.577
+    with np.errstate(over="ignore"), pytest.raises(DegenerateFlux, match="overflows"):
+        critical_points([0.0, -1e308, 0.0, 1e308])
+    # and the exact chord test would miss the interior maximum that refuses
+    # the direction (0, 1)
+    assert not sl.oleinik_admissible(pair11, [0.0, 1.0], exact=True).admissible
+    with np.errstate(over="ignore"), pytest.raises(DegenerateFlux):
+        sl.oleinik_admissible(pair11, [0.0, 1e308], exact=True)
+
+
 def test_make_shock_pair_symmetric(burgers2):
     p = sl.make_shock_pair(burgers2, 1.0, -1.0)
     assert np.allclose(p.velocity, [0.0, 1.0])
@@ -73,9 +85,11 @@ def test_pair_invariants_random(burgers2, rng):
 
 
 def test_normal_speed(pair11):
-    assert sl.normal_speed(pair11, [1.0, 0.0]) == 0.0
-    assert sl.normal_speed(pair11, [0.0, 1.0]) == 1.0
-    assert sl.normal_speed(pair11, [0.0, 0.0]) == 0.0
+    # the chord test's Rankine-Hugoniot normal speed sigma = xi . v, extended
+    # to any xi, read back from its second Lax margin xi . f'(u_minus) - sigma
+    for xi, sigma in (([1.0, 0.0], 0.0), ([0.0, 1.0], 1.0), ([0.0, 0.0], 0.0)):
+        res = sl.oleinik_admissible(pair11, xi)
+        assert np.dot(xi, pair11.flux.value(pair11.u_minus, 1)) - res.lax_margins[1] == sigma
 
 
 def test_oleinik_admissible_direction(pair11):
@@ -124,7 +138,7 @@ def test_oleinik_exact_mode_matches_dense_sampling(pair11, rng):
     for _ in range(20):
         xi = rng.normal(size=2)
         fast = sl.oleinik_admissible(pair11, xi, exact=True)
-        sigma = sl.normal_speed(pair11, xi)
+        sigma = float(xi @ pair11.velocity)
         vals = xi @ pair11.flux.value(s) - sigma * s
         ref = float(xi @ pair11.flux.value(pair11.u_minus)) - sigma * pair11.u_minus
         worst = max(float(np.max(vals - ref)), 0.0)
@@ -239,6 +253,24 @@ def test_nondegeneracy_affine_flux_fails():
     # the certificate must annihilate tau + f'(s).xi identically
     coeffs = np.array([tau + xi[0] + xi[1]])
     assert np.max(np.abs(coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("coeffs, passed", [
+    (((0.0, 0.0, 1e10), (0.0, 0.0, 0.0, 1e-5)), True),
+    (((1e300, 1e300, 1e300), (0.0, 0.0, 0.0, 1e-300)), True),
+    (((0.0, 0.0, 1e10), (0.0, 0.0, 2e-10)), False),
+    (((0.0, 1e300), (0.0, 0.0, 1.0)), False),
+])
+def test_nondegeneracy_is_blind_to_each_component_scale(coeffs, passed):
+    # f_i -> c f_i maps a kernel direction xi to one with xi_i / c
+    res = sl.check_nondegeneracy(sl.Flux(coeffs))
+    assert res.passed is passed
+    if not passed:
+        tau, xi = res.failures[0]
+        assert np.isclose(np.linalg.norm([tau, *xi]), 1.0)
+        fp = sl.Flux(coeffs).value(np.linspace(-2.0, 2.0, 9), 1)
+        scale = np.maximum(1.0, np.abs(xi) @ np.abs(fp))
+        assert np.all(np.abs(tau + np.array(xi) @ fp) <= 1e-12 * scale)
 
 
 def test_nondegeneracy_classic_burgers_1d():

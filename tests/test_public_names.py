@@ -1,13 +1,24 @@
-"""Each module's `__all__` names only what the module defines, each name once."""
+"""Each module's `__all__` names only what the module defines, each name once,
+and every name the package exports serves a command or an acceptance test."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import shocklab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(shocklab.__path__, "shocklab."))
+PACKAGE = Path(shocklab.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+# exported names that no other module of the package and no acceptance test
+# refers to, and why each one stays
+UNREFERENCED = {
+    "read_snapshot": "the reader of the files that simulate and stability write",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +27,24 @@ def test_every_exported_name_resolves_once(name):
     exported = list(getattr(module, "__all__", ()))
     assert sorted(n for n in set(exported) if exported.count(n) > 1) == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _references(path):
+    """The names that the code of a file loads, as names or attributes; its
+    docstrings and comments do not count."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_every_exported_name_is_used():
+    exported = [alias.asname or alias.name
+                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set().union(_references(ACCEPTANCE), *(
+        _references(p) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+    assert sorted(n for n in exported if n not in used) == sorted(UNREFERENCED)
