@@ -1,10 +1,12 @@
 """Command-line surface: batch runs driven by flat config files.
 
 Exit codes: 0 all checks passed, 1 at least one failed invariant,
-2 usage or configuration error.  A flux that the paper's non-degeneracy
-excludes (tau + f'(s) . xi = 0 for all s at some unit (tau, xi)) is a config
-error at the flux key's line in every command that builds a shock pair; support
-builds none, and dispersion and normalize-check take only the Burgers flux.
+2 usage or configuration error.  A flux within a relative 1e-12 of a
+degenerate flux (each component scaled to unit max), one that the paper's
+non-degeneracy excludes (tau + f'(s) . xi = 0 for all s at some unit
+(tau, xi)), is a config error at the flux key's line in every command that
+builds a shock pair; support builds none, and dispersion and normalize-check
+take only the Burgers flux.
 
 A config past the work ceiling is a config error at its key's line, raised
 before any work:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFlux, TrivialCone
-from .fluxes import ShockPair, oleinik_admissible, oleinik_admissible_many
+from .fluxes import ShockPair, oleinik_admissible_many
 from .hulls import hull_indices
 
 __all__ = [
@@ -130,14 +130,16 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
 
     d = 2: circular scan of 1024 directions for an admissible seed, then
     bisection of the two boundary angles down to `resolution` radians, or
-    to adjacent floats if that comes first.
+    to adjacent floats if that comes first.  The scan is one exact chord-test
+    call, and each further call advances both bisections by BISECT_LEVELS
+    levels (`_bisect`): six calls for the resolution 1e-8.
     d = 3: admissibility test on a quasi-uniform direction grid sized from
     `resolution` as an angular spacing (`direction_count`), so a resolution
     below about 0.0554 rad gives the same cone; the admitted directions span
     a polyhedral cone (`_cone_rays`).
 
     In 2-D a resolution below about 1e-7 rad buys no accuracy: the exact test,
-    `oleinik_admissible(exact=True)`, admits directions up to about 8.4e-8
+    `oleinik_admissible_many(exact=True)`, admits directions up to about 8.4e-8
     rad outside the cone (for the 2-D Burgers pair (1, -1)), since its
     violation grows quadratically in the angle past the boundary and only
     exceeds its rounding tolerance beyond that.
@@ -149,12 +151,61 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
     return _admissible_cone_nd(pair, resolution)
 
 
+# bisection levels that one chord-test call advances both 2-D boundaries by:
+# it tests the 2**4 - 1 = 15 midpoints each boundary's next four levels can
+# reach, 30 rows, whose exact test costs little more than the call itself
+BISECT_LEVELS = 4
+
+
+def _midpoint(theta_in: float, theta_out: float, resolution: float) -> float | None:
+    """The angle that bisection tests next in a bracket, or None where it
+    stops: at width <= resolution, or at adjacent floats, where no
+    resolution closes the gap further."""
+    if not abs(theta_out - theta_in) > resolution:
+        return None
+    mid = 0.5 * (theta_in + theta_out)
+    return None if mid == theta_in or mid == theta_out else mid
+
+
+def _bisect(pair: ShockPair, brackets: list, resolution: float) -> list:
+    """Bisect each bracket (theta_in, theta_out) of the admissibility
+    boundary; returns the midpoint of each final bracket.
+
+    Each round tests, in one exact chord-test call, every midpoint that the
+    next BISECT_LEVELS levels of every open bracket can reach: a tree whose
+    node k holds a bracket, with the bracket after an admissible midpoint at
+    2k + 1 and after an inadmissible one at 2k + 2.  Walking each tree by the
+    results gives the brackets and stops of one midpoint per call, bit for
+    bit.
+    """
+    inner = 2**BISECT_LEVELS - 1
+    brackets, final = list(brackets), [None] * len(brackets)
+    while None in final:
+        trees = {}
+        for j in (j for j, f in enumerate(final) if f is None):
+            nodes, mids = [brackets[j]], []
+            for k in range(inner):
+                mid = None if nodes[k] is None else _midpoint(*nodes[k], resolution)
+                mids.append(mid)
+                nodes += [None, None] if mid is None else [(mid, nodes[k][1]), (nodes[k][0], mid)]
+            trees[j] = nodes, mids
+        tested = [_unit(m) for _, mids in trees.values() for m in mids if m is not None]
+        results = iter(oleinik_admissible_many(pair, np.array(tested), exact=True).admissible
+                       if tested else ())
+        for j, (nodes, mids) in trees.items():
+            admissible = [m is not None and next(results) for m in mids]
+            k = 0
+            while k < inner and mids[k] is not None:
+                k = 2 * k + 1 if admissible[k] else 2 * k + 2
+            brackets[j] = nodes[k]
+            if k < inner:
+                final[j] = 0.5 * (nodes[k][0] + nodes[k][1])
+    return final
+
+
 def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     n_scan = 1024
     # exact excess maximization keeps the predicate sharp enough for deep bisection
-    def adm(theta: float) -> bool:
-        return oleinik_admissible(pair, _unit(theta), exact=True).admissible
-
     thetas = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
     mask = oleinik_admissible_many(pair, [_unit(t) for t in thetas], exact=True).admissible
     if not mask.any():
@@ -175,22 +226,10 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
             in_run = False
     start, end = max(runs, key=lambda r: (r[1] - r[0]) % n_scan)
 
-    def bisect(theta_in: float, theta_out: float) -> float:
-        while abs(theta_out - theta_in) > resolution:
-            mid = 0.5 * (theta_in + theta_out)
-            if mid == theta_in or mid == theta_out:
-                break  # adjacent floats: no resolution closes the gap further
-            if adm(mid):
-                theta_in = mid
-            else:
-                theta_out = mid
-        return 0.5 * (theta_in + theta_out)
-
     step = TWO_PI / n_scan
     lo_in = thetas[start % n_scan]
     hi_in = lo_in + step * ((end - 1 - start) % n_scan)
-    theta1 = bisect(lo_in, lo_in - step)
-    theta2 = bisect(hi_in, hi_in + step)
+    theta1, theta2 = _bisect(pair, [(lo_in, lo_in - step), (hi_in, hi_in + step)], resolution)
     if theta2 < theta1:
         theta2 += TWO_PI
     theta2 = theta1 + min(theta2 - theta1, np.pi * (1 - 1e-12))

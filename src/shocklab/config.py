@@ -275,15 +275,18 @@ class RunConfig:
         return u
 
     def build_pair(self):
-        """The shock pair.  A flux that the paper's non-degeneracy excludes is
-        an error at the flux key's line, naming a kernel direction; a state at
+        """The shock pair.  A flux within a relative 1e-12 of one that the
+        paper's non-degeneracy excludes (`check_nondegeneracy`) is an error at
+        the flux key's line, naming that flux's kernel direction; a state at
         which a flux value overflows is an error at that state's line."""
         flux = self.build_flux()
         nondegeneracy = check_nondegeneracy(flux)
         if not nondegeneracy.passed:
             tau, *xi = (f"{v + 0.0:.6g}" for v in np.hstack(nondegeneracy.failures[0]))
-            raise self.error(self.flux_key(), "the flux is degenerate: tau + f'(s) . xi is "
-                             f"0 for every s at the unit (tau, xi) = ({tau}, ({', '.join(xi)}))")
+            raise self.error(self.flux_key(), "the flux is within a relative 1e-12 of a "
+                             "degenerate flux (each component scaled to unit max), whose "
+                             "tau + f'(s) . xi is 0 for every s at the unit (tau, xi) = "
+                             f"({tau}, ({', '.join(xi)}))")
         self.require("pair.u_minus", "pair.u_plus")
         return make_shock_pair(flux, self.state("pair.u_minus", flux),
                                self.state("pair.u_plus", flux))

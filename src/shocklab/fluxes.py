@@ -8,7 +8,7 @@ non-degeneracy test decidable by linear algebra on the coefficient matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -84,7 +84,8 @@ def _key(coeffs) -> bytes:
 
 
 def critical_points(coeffs) -> np.ndarray:
-    """Sorted real roots of p' for p with ascending coefficients (read-only).
+    """Sorted real roots of p' for p with ascending coefficients (read-only):
+    `_derivative_roots` of the one row p, cached.
 
     Raises DegenerateFlux when p' or its roots overflow: the companion matrix
     of p' divides by its leading coefficient, so a tiny one makes it infinite.
@@ -94,19 +95,81 @@ def critical_points(coeffs) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _critical_points(key: bytes) -> np.ndarray:
-    # polyroots trims trailing zero coefficients itself
-    dc = P.polyder(np.frombuffer(key))
-    if not np.isfinite(dc).all():
-        raise DegenerateFlux(f"the derivative {dc.tolist()} overflows: a coefficient is too large")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = P.polyroots(dc)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateFlux(f"the roots of the derivative {dc.tolist()} overflow: "
-                             "its leading coefficient is too small") from e
-    r = np.sort(r[np.abs(r.imag) < 1e-9].real)
+    roots, counts = _derivative_roots(np.frombuffer(key)[None])
+    r = roots[0, : counts[0]]
     r.flags.writeable = False
     return r
+
+
+def _derivative_roots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted real roots of p' for every row p of ascending coefficients,
+    shape (m, n): an (m, k) array whose row i holds its counts[i] roots
+    first and NaN after them, and the counts.
+
+    Every row gets the floating-point operations of `P.polyroots(P.polyder(p))`
+    on p alone.  `P.polyder` runs on the whole array; each row is trimmed of
+    trailing zeros as polyroots trims it, and the rows of one trimmed length
+    stack their companion matrices into one `np.linalg.eigvals` call, which
+    runs LAPACK's geev on each matrix as on that matrix alone.  A row's
+    eigenvalues are sorted as reals when all of them are real (eigvals then
+    returns reals for that matrix alone), as complex numbers otherwise, and
+    the real ones among them are sorted again; a 2-D `np.sort` sorts each row
+    as it sorts that row alone.
+
+    Raises DegenerateFlux for the first row whose derivative or roots
+    overflow, as a loop over the rows would.
+    """
+    dc = P.polyder(rows, axis=1)
+    finite = np.isfinite(dc).all(axis=1)
+    # the lengths polyroots trims the rows to, at least 1
+    nonzero = dc != 0
+    length = np.where(nonzero.any(axis=1), dc.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    roots = np.full((len(dc), max(int(length.max(initial=1)) - 1, 0)), np.nan)
+    counts = np.zeros(len(dc), dtype=int)
+    failed = np.flatnonzero(~finite).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sets, not np.unique, whose first call imports numpy.ma (2.7 MiB, 25 ms)
+        for n in sorted(set(length[finite & (length > 1)].tolist())):
+            idx = np.flatnonzero(finite & (length == n))
+            c = dc[idx, :n]
+            if n == 2:
+                roots[idx, 0] = -c[:, 0] / c[:, 1]
+                counts[idx] = 1
+                continue
+            # `P.polycompanion` of each row: ones below the diagonal, and the
+            # last column 0 - c[:-1] / c[-1]
+            mats = np.zeros((len(idx), n - 1, n - 1))
+            mats[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+            mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            try:
+                w = np.linalg.eigvals(mats)
+            except np.linalg.LinAlgError:
+                # a matrix overflowed or did not converge: find which, one by one
+                for i, mat in zip(idx, mats):
+                    try:
+                        np.linalg.eigvals(mat)
+                    except np.linalg.LinAlgError:
+                        failed.append(i)
+                continue
+            real = np.all(w.imag == 0, axis=1)
+            roots[idx[real], : n - 1] = np.sort(np.sort(w.real[real], axis=1), axis=1)
+            counts[idx[real]] = n - 1
+            cplx = np.sort(w[~real], axis=1)
+            keep = np.abs(cplx.imag) < 1e-9
+            kept = keep.sum(axis=1)
+            for k in set(kept.tolist()):
+                sel = kept == k
+                vals = cplx.real[sel][keep[sel]].reshape(np.count_nonzero(sel), k)
+                roots[idx[~real][sel], :k] = np.sort(vals, axis=1)
+                counts[idx[~real][sel]] = k
+    if failed:
+        first = min(failed)
+        if not finite[first]:
+            raise DegenerateFlux(f"the derivative {dc[first].tolist()} overflows: "
+                                 "a coefficient is too large")
+        raise DegenerateFlux(f"the roots of the derivative {dc[first].tolist()} overflow: "
+                             "its leading coefficient is too small")
+    return roots, counts
 
 
 def poly_abs_max(coeffs, lo, hi):
@@ -147,6 +210,15 @@ class ShockPair:
     @property
     def jump(self) -> float:
         return self.u_minus - self.u_plus
+
+    @cached_property
+    def end_speeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The characteristic speeds f'(u_plus) and f'(u_minus), shape (d,)
+        each (read-only)."""
+        speeds = self.flux.value(self.u_plus, 1), self.flux.value(self.u_minus, 1)
+        for s in speeds:
+            s.flags.writeable = False
+        return speeds
 
     def chebyshev_nodes(self, n: int) -> np.ndarray:
         """The n Chebyshev nodes on (u_plus, u_minus), clustered toward both ends."""
@@ -205,6 +277,20 @@ SETUP_BLOCK = 1 << 18
 CHORD_SAMPLES = 1024
 
 
+def _exact_points(pair: ShockPair, e: np.ndarray) -> np.ndarray:
+    """The points at which the exact chord test evaluates each excess
+    polynomial, one row of coefficients of e each: its critical points
+    inside (u_plus, u_minus) in order, u_minus in the columns after them,
+    and (u_plus, u_minus) last."""
+    roots, _ = _derivative_roots(e)
+    inside = (roots > pair.u_plus) & (roots < pair.u_minus)  # NaN pads fail
+    n_in = inside.sum(axis=1)
+    pts = np.full((len(e), n_in.max(initial=0) + 2), pair.u_minus)
+    pts[np.arange(pts.shape[1]) < n_in[:, None]] = roots[inside]
+    pts[:, -2] = pair.u_plus
+    return pts
+
+
 def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> OleinikBatch:
     """Chord admissibility of every row of xis, shape (n, d).
 
@@ -217,13 +303,16 @@ def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> Oleini
     nonnegative whenever the chord condition holds.
 
     Every row gets the same floating-point operations as a test of that row
-    alone: `np.vecdot` is `np.dot` per row, each row has its own
-    `critical_points` call, and ragged sets are padded with u_minus, a
-    candidate already.  Each block of at most SETUP_BLOCK values v is one
-    buffer, where `P.polyval`'s recurrence runs in place (IEEE addition
-    commutes).  Rounding is monotone, so max(v - ref) = max(v) - ref in rows
-    where neither max(v) - ref nor min(v) - ref is NaN; other rows reduce
-    v - ref, whose NaN's sign numpy takes from where it lies.  max|v| =
+    alone: `np.vecdot` is `np.dot` per row; the exact critical points of all
+    rows come from one `_derivative_roots` call, whose stacked companion
+    matrices share one `np.linalg.eigvals` call per degree and give each row
+    the roots that `critical_points` gives it; ragged sets are padded with
+    u_minus, a candidate already; and f'(u_pm) are the pair's cached
+    `end_speeds`.  Each block of at most SETUP_BLOCK values v is one buffer,
+    where `P.polyval`'s recurrence runs in place (IEEE addition commutes).
+    Rounding is monotone, so max(v - ref) = max(v) - ref in rows where
+    neither max(v) - ref nor min(v) - ref is NaN; other rows reduce v - ref,
+    whose NaN's sign numpy takes from where it lies.  max|v| =
     max(max v, -min v) but for the signs of zeros and NaNs, which fmax hides.
     """
     xis = np.asarray(xis, dtype=float)
@@ -237,11 +326,7 @@ def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> Oleini
     e[:, 1] -= sigma
     ref = P.polyval(pair.u_minus, e.T)
     if exact:
-        crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(critical_points, e)]
-        pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
-        for row, crit in zip(pts, crits):
-            row[: len(crit)] = crit
-        pts[:, -2] = pair.u_plus
+        pts = _exact_points(pair, e)
     else:
         pts = np.broadcast_to(pair.chebyshev_nodes(CHORD_SAMPLES), (len(e), CHORD_SAMPLES))
     worst, peak = np.empty(len(e)), np.empty(len(e))
@@ -264,8 +349,9 @@ def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> Oleini
     # critical-point evaluation carries only rounding noise, so the slack can
     # sit just above machine precision
     tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
-    lax = np.stack([sigma - np.vecdot(xis, pair.flux.value(pair.u_plus, 1)),
-                    np.vecdot(xis, pair.flux.value(pair.u_minus, 1)) - sigma], axis=1)
+    speed_plus, speed_minus = pair.end_speeds
+    lax = np.stack([sigma - np.vecdot(xis, speed_plus),
+                    np.vecdot(xis, speed_minus) - sigma], axis=1)
     return OleinikBatch(worst <= tol, worst, lax)
 
 
@@ -285,10 +371,14 @@ class NondegeneracyResult:
 def check_nondegeneracy(flux: Flux) -> NondegeneracyResult:
     """Certify that tau + f'(s).xi is never the zero polynomial for (tau, xi) != 0.
 
-    The test is exact: it asks whether any real xi annihilates every
-    non-constant coefficient of f', and the coefficient matrix has full column
-    rank exactly when no such xi exists.  A failure reports the unit (tau, xi)
-    of a kernel direction.
+    It asks whether any real xi annihilates every non-constant coefficient of
+    f': with each component scaled to unit max, the coefficient matrix must
+    have full column rank, every singular value above 1e-12 times the
+    largest.  So a failure means that the flux is within a relative 1e-12 of
+    a degenerate flux (each component scaled to unit max), which it need not
+    be itself, and reports the unit (tau, xi) at which tau + f'(s).xi is
+    the zero polynomial for that degenerate flux: the singular direction of
+    the least singular value.
     """
     d = flux.d
     ncols = max(len(flux.component(i, 1)) for i in range(d))

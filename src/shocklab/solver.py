@@ -1351,12 +1351,31 @@ def sample_function(fn, grid: Grid) -> Field:
     return Field(grid, out)
 
 
+def _cut_cells(r_at: np.ndarray, r_lo: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which cells (r_lo rows x r_at columns) the front can cut, and which lie
+    wholly below it along the axis, where every ordinate's fraction
+    clip((r_at - r_lo) / dx, 0, 1) is 1.
+
+    Subtraction of a fixed r_lo and division by dx > 0 round monotonically,
+    so a column's least and largest r_at bound every ordinate's fraction
+    before the clip: a least one of at least 1 makes every fraction 1, a
+    largest one below 0 makes every fraction 0.  NaN proves nothing.
+    """
+    lo = (r_at.min(axis=1) - r_lo[:, None]) / dx
+    hi = (r_at.max(axis=1) - r_lo[:, None]) / dx
+    full = lo >= 1.0
+    return ~(full | (hi < 0.0)), full
+
+
 def sample_profile(profile: ShockProfile, grid: Grid) -> Field:
     """Cell averages of a two-valued shock, exact in the frame-axis direction.
 
     For d = 2 with the frame axis grid-aligned, each cell gets the exact area
     fraction cut by the front at 16 quadrature ordinates, which keeps the
-    mass of a front displacement accurate to O(dx^2 / 16).
+    mass of a front displacement accurate to O(dx^2 / 16).  The fractions
+    are computed only in the cells the front can cut (`_cut_cells`); every
+    other cell is proved 1 or 0 at all 16 ordinates, the mean the
+    computation would give there.
     """
     dual = profile.dual
     aligned = dual.grid_axis
@@ -1370,15 +1389,16 @@ def sample_profile(profile: ShockProfile, grid: Grid) -> Field:
     psi = profile.front.value(y_world * h_col)          # front in r-coordinate
     r_at = psi * sgn                                     # front in world coordinate
     r_lo = grid.lo[axis] + np.arange(grid.counts[axis]) * grid.dx
-    # fraction of the cell on the D_minus side (r < psi)
-    # one (cells x 16) array, updated in place: the same operations as
-    # clip((r_at - r_lo) / dx, 0, 1) without three fresh arrays of that size
-    frac = np.subtract(r_at[None, :, :], r_lo[:, None, None])
-    frac /= grid.dx
-    np.clip(frac, 0.0, 1.0, out=frac)
+    # fraction of the cell on the D_minus side (r < psi), (axis cells, other cells)
+    cut, full = _cut_cells(r_at, r_lo, grid.dx)
+    frac = (full if sgn > 0 else ~full).astype(float)
+    rows, cols = np.nonzero(cut)
+    part = np.subtract(r_at[cols], r_lo[rows, None])
+    part /= grid.dx
+    np.clip(part, 0.0, 1.0, out=part)
     if sgn < 0:
-        np.subtract(1.0, frac, out=frac)
-    frac = frac.mean(axis=2)
+        np.subtract(1.0, part, out=part)
+    frac[rows, cols] = part.mean(axis=1)
     vals = profile.pair.u_plus + (profile.pair.u_minus - profile.pair.u_plus) * frac
     if axis == 1:
         vals = vals.T

@@ -466,14 +466,16 @@ def test_a_burgers_command_rejects_another_flux_at_its_line(case, tmp_path, monk
     assert not (tmp_path / "out" / "verdict.txt").exists()
 
 
-# fluxes that the paper's non-degeneracy excludes, with the unit (tau, xi) at
-# which tau + f'(s) . xi is 0 for every s: a linear flux, two equal
-# components, a linear and a quadratic one, and three multiples of s^2
+# fluxes that the paper's non-degeneracy excludes, or within a relative 1e-12
+# of one, with the unit (tau, xi) at which tau + f'(s) . xi is 0 for every s
+# for that degenerate flux: a linear flux, two equal components, a linear and
+# a quadratic one, three multiples of s^2, and s^2 beside s^2 + 1e-13 s^3
 DEGENERATE = {
     "[[0,1],[0,2]]": "(-0.894427, (0, 0.447214))",
     "[[0,0,1],[0,0,1]]": "(0, (-0.707107, 0.707107))",
     "[[0,1],[0,0,1]]": "(0.707107, (-0.707107, 0))",
     "[[0,0,1],[0,0,2],[0,0,3]]": "(0, (-0.897726, -0.164295, 0.408772))",
+    "[[0,0,1],[0,0,1,1e-13]]": "(0, (-0.707107, 0.707107))",
 }
 
 
@@ -487,7 +489,8 @@ def _refuses_a_degenerate_flux(case, flux, tmp_path):
     code, out, err = run_cli([command, "--config", str(path)])
     assert (code, out) == (2, "")
     assert err == (f"config error: line {len(cfg.splitlines()) + 1}: flux.poly: the flux is "
-                   f"degenerate: tau + f'(s) . xi is 0 for every s at the unit (tau, xi) = "
+                   "within a relative 1e-12 of a degenerate flux (each component scaled to "
+                   "unit max), whose tau + f'(s) . xi is 0 for every s at the unit (tau, xi) = "
                    f"{DEGENERATE[flux]}\n")
     assert not (tmp_path / "out").exists()
 
@@ -495,6 +498,20 @@ def _refuses_a_degenerate_flux(case, flux, tmp_path):
 @pytest.mark.parametrize("flux", sorted(DEGENERATE))
 def test_cone_refuses_a_degenerate_flux_at_its_line(flux, tmp_path):
     _refuses_a_degenerate_flux("cone", flux, tmp_path)
+
+
+def test_cone_accepts_a_flux_further_than_1e_12_from_a_degenerate_one(tmp_path):
+    # s^2 + 1e-9 s^3 beside s^2: its scaled coefficient matrix has a least
+    # singular value of about 1e-9 of its largest; 1e-13 s^3 is refused above
+    from test_cli_digests import CASES
+
+    _, cfg = CASES["cone"]
+    cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"flux.poly = [[0,0,1],[0,0,1,1e-9]]\noutput.dir = {tmp_path / 'out'}\n")
+    code, _, err = run_cli(["cone", "--config", str(path)])
+    assert code == 0, err
+    assert (tmp_path / "out" / "verdict.txt").read_text().endswith("overall: pass\n")
 
 
 @pytest.mark.parametrize("case", ["profile", "simulate", "stability", "overhead"])

@@ -47,16 +47,17 @@ def test_trivial_cone():
 
 def test_admissible_cone_below_one_ulp_returns(pair11, monkeypatch):
     # the bisection stops at adjacent floats: from the scan's step of 2 pi /
-    # 1024 that is about 45 halvings per boundary angle
+    # 1024 that is about 45 halvings per boundary angle, BISECT_LEVELS of
+    # them per chord-test call
     calls = []
-    real = cones.oleinik_admissible
+    real = cones.oleinik_admissible_many
 
     def counted(*args, **kwargs):
         calls.append(1)
         assert len(calls) <= 200, "the bisection does not stop"
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cones, "oleinik_admissible", counted)
+    monkeypatch.setattr(cones, "oleinik_admissible_many", counted)
     fine = sl.admissible_cone(pair11, 1e-300)
     monkeypatch.undo()
     coarse = sl.admissible_cone(pair11, 1e-8)

@@ -5,7 +5,11 @@ test per direction with its own `P.polyval` and `np.dot` calls, cell
 averages from one subsample mesh over the whole grid, and a 2-D dual cone
 whose rays are rebuilt from the sector's angles.  The batched
 `oleinik_admissible_many`, the slab-wise `sample_function` and `dual_cone`,
-which reads the rays stored in the cone, must reproduce their bytes.
+which reads the rays stored in the cone, must reproduce their bytes.  So
+must the stacked derivative roots against one `P.polyroots` per row, the
+2-D cone's bisection trees against one midpoint per chord test, and the
+2-D `sample_profile`, which computes fractions only in the cells the front
+can cut, against the fractions of every cell.
 """
 
 import functools
@@ -17,8 +21,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import shocklab as sl
-from shocklab import cones, solver
-from shocklab.errors import TrivialCone
+from shocklab import cones, experiments, fluxes, solver
+from shocklab.errors import DegenerateFlux, TrivialCone
 from shocklab.fluxes import OleinikResult
 
 # -0.0 coefficients, a constant term, a component that loses its top degree
@@ -407,3 +411,341 @@ def test_dual_cone_2d_matches_rays_rebuilt_from_the_sector(t1, width, as_numpy):
                                           (CUBIC2, (0.8, -1.3))])
 def test_dual_cone_2d_of_computed_cones_matches_rays_rebuilt_from_the_sector(flux, states):
     _assert_same_dual(sl.admissible_cone(sl.make_shock_pair(flux, *states), 1e-8))
+
+
+# -- stacked derivative roots, bisection trees and cut-cell sampling ---------------
+
+def _ref_critical_points(coeffs):
+    """`critical_points` with one `P.polyroots` call per row."""
+    dc = P.polyder(np.asarray(coeffs, dtype=float))
+    if not np.isfinite(dc).all():
+        raise DegenerateFlux(f"the derivative {dc.tolist()} overflows: a coefficient is too large")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = P.polyroots(dc)
+    except np.linalg.LinAlgError as e:
+        raise DegenerateFlux(f"the roots of the derivative {dc.tolist()} overflow: "
+                             "its leading coefficient is too small") from e
+    return np.sort(r[np.abs(r.imag) < 1e-9].real)
+
+
+def _ref_exact_points(pair, e):
+    """The exact chord test's points, one `critical_points` call per row."""
+    crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(_ref_critical_points, e)]
+    pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
+    for row, crit in zip(pts, crits):
+        row[: len(crit)] = crit
+    pts[:, -2] = pair.u_plus
+    return pts
+
+
+def _excess_rows(pair, xis):
+    """The coefficients of xi . f(s) - sigma s, one row per direction."""
+    sigma = np.vecdot(xis, pair.velocity)
+    e = np.zeros((len(xis), max(max(len(c) for c in pair.flux.coeffs), 2)))
+    for i, c in enumerate(pair.flux.coeffs):
+        e[:, : len(c)] += xis[:, i : i + 1] * np.asarray(c)
+    e[:, 1] -= sigma
+    return e
+
+
+def _assert_same_roots(rows):
+    """`_derivative_roots` of the rows against one reference call per row:
+    the same roots, or the same error for the same first row."""
+    want, error = [], None
+    for row in rows:
+        try:
+            want.append(_ref_critical_points(row))
+        except DegenerateFlux as e:
+            error = str(e)
+            break
+    if error is not None:
+        with pytest.raises(DegenerateFlux) as got:
+            fluxes._derivative_roots(rows)
+        assert str(got.value) == error
+        return
+    roots, counts = fluxes._derivative_roots(rows)
+    assert counts.tolist() == [len(w) for w in want]
+    for r, n, w in zip(roots, counts, want):
+        assert r[:n].tobytes() == w.tobytes()
+        assert np.isnan(r[n:]).all()
+
+
+COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
+                   st.floats(-3.0, 3.0).map(lambda x: round(x, 3)))
+
+
+@st.composite
+def polynomial_fluxes(draw):
+    """A 2-D flux with polynomial components of degree 2 to 5, non-degenerate,
+    and a shock pair of it."""
+    comps = []
+    for _ in range(2):
+        degree = draw(st.integers(2, 5))
+        c = draw(st.lists(COEFFS, min_size=degree, max_size=degree))
+        comps.append(tuple(c) + (draw(st.sampled_from([1.0, -1.0, 0.25, 2.0])),))
+    flux = sl.Flux(tuple(comps))
+    assume(sl.check_nondegeneracy(flux).passed)
+    u_plus = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.3]))
+    return sl.make_shock_pair(flux, u_plus + draw(st.sampled_from([0.4, 1.0, 2.0])), u_plus)
+
+
+def _scan_directions():
+    thetas = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
+    # theta = 0 and +-pi/2 zero a component, which may drop the top degree
+    return _with_axes(np.stack([cones._unit(t) for t in thetas]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=polynomial_fluxes())
+def test_stacked_roots_and_points_match_one_polyroots_per_row(pair):
+    e = _excess_rows(pair, _scan_directions())
+    _assert_same_roots(e)
+    got, want = fluxes._exact_points(pair, e), _ref_exact_points(pair, e)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_stacked_roots_keep_complex_and_repeated_roots():
+    # p' = 1 + s^2 (complex), s^2 (a double root at 0), (s - 1)^2 (s + 2),
+    # a constant, a linear one and rows of trailing zeros
+    rows = np.array([[0.0, 1.0, 0.0, 1 / 3, 0.0], [0.0, 0.0, 0.0, 1 / 3, 0.0],
+                     [0.0, 2.0, -1.5, 0.0, 0.25], [0.0, 0.0, 0.0, 0.0, 0.0],
+                     [3.0, 1.0, 0.0, 0.0, 0.0], [0.0, -2.0, 1.0, 0.0, 0.0],
+                     [0.0, -0.0, -0.0, 0.0, -0.0], [0.0, 0.5, -0.5, 0.3, -0.1]])
+    _assert_same_roots(rows)
+    _assert_same_roots(rows[[2, 0, 7, 1]])
+    _assert_same_roots(rows[:0])
+
+
+ROWS = st.sampled_from([
+    (0.0, 1.0, -1.0, 0.5, 0.2), (0.0, 1.0, 0.0, 1 / 3, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, -1.0, 0.0, 1.0, 0.0), (0.0, 0.3, 1.0, 0.0, 0.0),
+    # the derivative overflows; its companion matrix overflows
+    (0.0, 0.0, 0.0, 1e308, 0.0), (0.0, -1e308, 0.0, 1e308, 0.0),
+    (0.0, 0.0, 1.0, 1e-310, 0.0), (0.0, 0.0, 1e10, 0.0, 1e-300),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(ROWS, min_size=1, max_size=8))
+def test_stacked_roots_raise_for_the_first_row_that_overflows(rows):
+    with np.errstate(over="ignore"):
+        _assert_same_roots(np.array(rows))
+
+
+def _ref_cone_2d(pair, resolution):
+    """`cones._admissible_cone_2d` with one chord test per bisection midpoint."""
+    n_scan = 1024
+
+    def adm(theta):
+        return sl.oleinik_admissible(pair, cones._unit(theta), exact=True).admissible
+
+    thetas = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
+    mask = sl.oleinik_admissible_many(pair, [cones._unit(t) for t in thetas],
+                                      exact=True).admissible
+    if not mask.any():
+        return sl.AdmissibleCone(2, pair, trivial=True)
+    if mask.all():
+        raise DegenerateFlux("every sampled direction is admissible; flux violates non-degeneracy")
+    idx = np.arange(n_scan)
+    runs = []
+    in_run = False
+    for i in np.concatenate([idx, idx]):
+        if mask[i] and not in_run:
+            start = i
+            in_run = True
+        elif not mask[i] and in_run:
+            runs.append((start, i))
+            in_run = False
+    start, end = max(runs, key=lambda r: (r[1] - r[0]) % n_scan)
+
+    def bisect(theta_in, theta_out):
+        while abs(theta_out - theta_in) > resolution:
+            mid = 0.5 * (theta_in + theta_out)
+            if mid == theta_in or mid == theta_out:
+                break
+            if adm(mid):
+                theta_in = mid
+            else:
+                theta_out = mid
+        return 0.5 * (theta_in + theta_out)
+
+    step = cones.TWO_PI / n_scan
+    lo_in = thetas[start % n_scan]
+    hi_in = lo_in + step * ((end - 1 - start) % n_scan)
+    theta1 = bisect(lo_in, lo_in - step)
+    theta2 = bisect(hi_in, hi_in + step)
+    if theta2 < theta1:
+        theta2 += cones.TWO_PI
+    theta2 = theta1 + min(theta2 - theta1, np.pi * (1 - 1e-12))
+    return sl.sector_cone(theta1, theta2, pair)
+
+
+# the first two end on adjacent floats
+RESOLUTIONS = [5e-324, 1e-300, 1e-12, 1e-8, 1e-4, 1e-2, 0.5]
+
+
+def _cone_or_error(build, pair, resolution):
+    try:
+        return build(pair, resolution)
+    except DegenerateFlux as e:
+        return str(e)
+
+
+def _assert_same_cone(pair, resolution):
+    want = _cone_or_error(_ref_cone_2d, pair, resolution)
+    calls = []
+    inner = cones.oleinik_admissible_many
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        # a bisection that never stops trips this
+        assert len(calls) <= 40
+        return inner(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "oleinik_admissible_many", counted)
+        got = _cone_or_error(cones._admissible_cone_2d, pair, resolution)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.trivial == want.trivial
+    if not want.trivial:
+        assert np.array(got.sector).tobytes() == np.array(want.sector).tobytes()
+        assert got.generators.tobytes() == want.generators.tobytes()
+        assert got.dual_generators.tobytes() == want.dual_generators.tobytes()
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("flux, states", [(sl.burgers_flux(2), (1.0, -1.0)),
+                                          (sl.burgers_flux(2), (1.5, 0.5)),
+                                          (CUBIC2, (0.7, -1.1)), (CUBIC2, (0.8, -1.3))])
+def test_bisection_trees_match_one_midpoint_per_chord_test(flux, states, resolution):
+    _assert_same_cone(sl.make_shock_pair(flux, *states), resolution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=polynomial_fluxes(), resolution=st.sampled_from(RESOLUTIONS))
+def test_bisection_trees_match_on_polynomial_fluxes(pair, resolution):
+    _assert_same_cone(pair, resolution)
+
+
+def _ref_sample_profile(profile, grid):
+    """The 2-D exact branch of `sample_profile`, with the fractions of every cell."""
+    dual = profile.dual
+    axis, sgn = dual.grid_axis
+    other = 1 - axis
+    h_col = dual.H[other, 0]
+    offs = (np.arange(16) + 0.5) / 16 * grid.dx
+    y_world = grid.lo[other] + np.add.outer(np.arange(grid.counts[other]) * grid.dx, offs)
+    psi = profile.front.value(y_world * h_col)
+    r_at = psi * sgn
+    r_lo = grid.lo[axis] + np.arange(grid.counts[axis]) * grid.dx
+    frac = np.subtract(r_at[None, :, :], r_lo[:, None, None])
+    frac /= grid.dx
+    np.clip(frac, 0.0, 1.0, out=frac)
+    if sgn < 0:
+        np.subtract(1.0, frac, out=frac)
+    frac = frac.mean(axis=2)
+    vals = profile.pair.u_plus + (profile.pair.u_minus - profile.pair.u_plus) * frac
+    if axis == 1:
+        vals = vals.T
+    return vals
+
+
+def _r_at(profile, grid):
+    """The front's world coordinate at `sample_profile`'s ordinates."""
+    dual = profile.dual
+    axis, sgn = dual.grid_axis
+    other = 1 - axis
+    offs = (np.arange(16) + 0.5) / 16 * grid.dx
+    y_world = grid.lo[other] + np.add.outer(np.arange(grid.counts[other]) * grid.dx, offs)
+    return profile.front.value(y_world * dual.H[other, 0]) * sgn
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(phi):
+    """The Burgers pair (1, -1) with the dual of a right-angled sector about
+    phi: its frame axis is a grid axis for phi a multiple of pi/2; None is the
+    pair's own computed cone."""
+    pair, dual = _dual(2)
+    if phi is None:
+        return pair, dual
+    return pair, sl.dual_cone(sl.sector_cone(phi - np.pi / 4, phi + np.pi / 4, pair))
+
+
+FRAMES = [None, 0.0, np.pi / 2, np.pi, -np.pi / 2]
+
+
+@st.composite
+def profiles_on_grids(draw):
+    """A grid-aligned 2-D profile and a grid on which its front may lie on a
+    cell face: then r_at - r_lo is exactly 0 or dx at some ordinate."""
+    pair, dual = _frame(draw(st.sampled_from(FRAMES)))
+    axis, sgn = dual.grid_axis
+    kind = draw(st.sampled_from(["planar", "tilted", "abs_scaled", "pwl", "lower", "upper",
+                                 "tent"]))
+    offset = draw(st.sampled_from([0.0, 0.5, -0.75, 0.3]))
+    if kind == "planar":
+        prof = sl.make_planar(pair, dual, dual.W, offset)
+    elif kind == "tilted":
+        prof = sl.make_planar(pair, dual, dual.W + draw(st.sampled_from([0.3, -0.5])) * dual.H[:, 0],
+                              offset)
+    elif kind == "pwl":
+        nodes = np.sort(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5, unique=True)))
+        assume(np.all(np.diff(nodes) > 1e-3))
+        values = np.cumsum([offset] + [draw(st.floats(-0.9, 0.9)) * h for h in np.diff(nodes)])
+        prof = sl.make_graph(pair, dual, (nodes, values))
+    else:
+        prof = sl.make_scaled_gauge(pair, dual, draw(st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+                                    offset)
+        if kind in ("lower", "upper"):
+            box = (np.array([-0.5, -0.7]), np.array([0.4, 0.6]))
+            prof = sl.sandwich_bounds(prof, box, pad=0.1)[kind == "upper"]
+        elif kind == "tent":
+            prof = experiments.default_comparison_profiles(prof)[draw(st.integers(0, 4))]
+    dx = draw(st.sampled_from([0.1, 0.25, 0.3, 0.5]))
+    counts = [draw(st.integers(4, 12)) for _ in range(2)]
+    lo = [draw(st.floats(-3.0, 0.0).map(lambda x: round(x, 2))) for _ in range(2)]
+    grid = sl.Grid(tuple(counts), tuple(lo), dx)
+    # a face through the front at one of its ordinates, or one cell below it
+    where = draw(st.sampled_from(["random", "face", "face below"]))
+    if where != "random":
+        r = _r_at(prof, grid)
+        v = float(r[draw(st.integers(0, r.shape[0] - 1)), draw(st.integers(0, 15))])
+        lo[axis] = v if where == "face" else v - dx
+        grid = sl.Grid(tuple(counts), tuple(lo), dx)
+    return prof, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=profiles_on_grids())
+@example(case=(sl.make_planar(*_frame(None), [1.0, 0.0], 0.5), sl.Grid((8, 5), (-1.0, -1.0), 0.25)))
+def test_sample_profile_matches_every_cells_fractions(case):
+    prof, grid = case
+    got = solver.sample_profile(prof, grid).values
+    assert got.tobytes() == _ref_sample_profile(prof, grid).tobytes()
+
+
+@pytest.mark.parametrize("phi", FRAMES)
+def test_a_front_on_a_cell_face_cuts_one_cell_per_column(phi):
+    # the cell below the face holds the front's ordinates at exactly dx above
+    # its lower face: proved full; the one above, at exactly 0, is computed
+    pair, dual = _frame(phi)
+    axis, sgn = dual.grid_axis
+    prof = sl.make_planar(pair, dual, dual.W, 0.5)
+    grid = sl.Grid((6, 7), (0.0, 0.0), 0.25)
+    r_at = _r_at(prof, grid)
+    v = float(r_at[0, 0])
+    assert (r_at == v).all()                        # h_dot = W . H is exactly 0
+    lo = [0.0, 0.0]
+    lo[axis] = v - 3 * 0.25
+    grid = sl.Grid((6, 7), tuple(lo), 0.25)
+    r_lo = grid.lo[axis] + np.arange(grid.counts[axis]) * grid.dx
+    assert (v - r_lo[2], v - r_lo[3]) == (0.25, 0.0)
+    cut, full = solver._cut_cells(r_at, r_lo, grid.dx)
+    assert cut.sum() == grid.counts[1 - axis] and cut[3].all()
+    assert full[:3].all() and not full[3:].any()
+    got = solver.sample_profile(prof, grid).values
+    assert got.tobytes() == _ref_sample_profile(prof, grid).tobytes()
+    assert len(np.unique(got)) == 2
