@@ -3,13 +3,14 @@
 A cone of admissible directions keeps its unit extreme rays and the unit
 inward normals of its facets, which generate its dual; membership reads the
 normals alone.  For d = 2 the cone is an exact angular sector located by
-bisection on the chord admissibility predicate.  For d = 3 it is the cone of
-a quasi-uniform sample of admissible directions: its extreme rays are the
-vertices of the sample's hull on a slice plane, and the cross products of
-consecutive rays are the normals.  The dual cone carries the working frame:
-an interior axis W, a supporting functional lam in the primal cone, an
-orthonormal basis H of the complement of W, and the piecewise-linear gauge
-whose epigraph is the dual cone in the (y, r) coordinates of R^d = H + R*W.
+bisection on the exact chord admissibility test.  For d = 3 it is the hull
+of the directions that the exact test admits among a quasi-uniform sample:
+its extreme rays are the vertices of that hull on a slice plane, and the
+cross products of consecutive rays are the normals.  The dual cone carries
+the working frame: an interior axis W, a supporting functional lam in the
+primal cone, an orthonormal basis H of the complement of W, and the
+piecewise-linear gauge whose epigraph is the dual cone in the (y, r)
+coordinates of R^d = H + R*W.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ TWO_PI = 2.0 * np.pi
 
 
 def _unit(theta):
-    return np.array([np.cos(theta), np.sin(theta)])
+    """(cos, sin) of each angle along a last axis, bit for bit a scalar call's."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def _wrap(a):
@@ -133,13 +135,13 @@ def admissible_cone(pair: ShockPair, resolution: float = 1e-4) -> AdmissibleCone
     to adjacent floats if that comes first.  The scan is one exact chord-test
     call, and each further call advances both bisections by BISECT_LEVELS
     levels (`_bisect`): six calls for the resolution 1e-8.
-    d = 3: admissibility test on a quasi-uniform direction grid sized from
+    d = 3: the exact test on a quasi-uniform direction grid sized from
     `resolution` as an angular spacing (`direction_count`), so a resolution
-    below about 0.0554 rad gives the same cone; the admitted directions span
-    a polyhedral cone (`_cone_rays`).
+    below about 0.0554 rad gives the same cone; the cone is the hull of the
+    admitted directions (`_cone_rays`).
 
     In 2-D a resolution below about 1e-7 rad buys no accuracy: the exact test,
-    `oleinik_admissible_many(exact=True)`, admits directions up to about 8.4e-8
+    `oleinik_admissible_many`, admits directions up to about 8.4e-8
     rad outside the cone (for the 2-D Burgers pair (1, -1)), since its
     violation grows quadratically in the angle past the boundary and only
     exceeds its rounding tolerance beyond that.
@@ -189,8 +191,8 @@ def _bisect(pair: ShockPair, brackets: list, resolution: float) -> list:
                 mids.append(mid)
                 nodes += [None, None] if mid is None else [(mid, nodes[k][1]), (nodes[k][0], mid)]
             trees[j] = nodes, mids
-        tested = [_unit(m) for _, mids in trees.values() for m in mids if m is not None]
-        results = iter(oleinik_admissible_many(pair, np.array(tested), exact=True).admissible
+        tested = [m for _, mids in trees.values() for m in mids if m is not None]
+        results = iter(oleinik_admissible_many(pair, _unit(np.array(tested))).admissible
                        if tested else ())
         for j, (nodes, mids) in trees.items():
             admissible = [m is not None and next(results) for m in mids]
@@ -207,7 +209,7 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     n_scan = 1024
     # exact excess maximization keeps the predicate sharp enough for deep bisection
     thetas = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
-    mask = oleinik_admissible_many(pair, [_unit(t) for t in thetas], exact=True).admissible
+    mask = oleinik_admissible_many(pair, _unit(thetas)).admissible
     if not mask.any():
         return AdmissibleCone(2, pair, trivial=True)
     if mask.all():

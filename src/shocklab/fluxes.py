@@ -266,17 +266,6 @@ class OleinikBatch:
     lax: np.ndarray          # (n, 2) endpoint characteristic margins
 
 
-# float64 values that a set-up pass holds in one block: 2 MiB, the chord
-# test's directions x points and `solver.sample_function`'s subsample
-# coordinates.  Below the 4 MiB at which numpy asks for huge pages, so the
-# set-up leaves no huge-page heap behind for the steps (see
-# `cli._fix_malloc_thresholds`).
-SETUP_BLOCK = 1 << 18
-
-# Chebyshev sample points of the chord test when it does not run exactly
-CHORD_SAMPLES = 1024
-
-
 def _exact_points(pair: ShockPair, e: np.ndarray) -> np.ndarray:
     """The points at which the exact chord test evaluates each excess
     polynomial, one row of coefficients of e each: its critical points
@@ -291,29 +280,24 @@ def _exact_points(pair: ShockPair, e: np.ndarray) -> np.ndarray:
     return pts
 
 
-def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> OleinikBatch:
+def oleinik_admissible_many(pair: ShockPair, xis) -> OleinikBatch:
     """Chord admissibility of every row of xis, shape (n, d).
 
-    Checks xi.f(s) - sigma*s <= xi.f(u_pm) - sigma*u_pm on (u_plus, u_minus) at
-    CHORD_SAMPLES Chebyshev points, or exactly via the critical points of the
-    excess polynomial when exact=True, up to a slack of 1e-12 (1e-14 when
-    exact) times max(1, |xi.f(u_pm) - sigma*u_pm|, the largest |excess
-    polynomial| at the points).  Also returns the endpoint characteristic
-    margins (sigma - xi.f'(u_plus), xi.f'(u_minus) - sigma), which are
-    nonnegative whenever the chord condition holds.
+    Checks xi.f(s) - sigma*s <= xi.f(u_pm) - sigma*u_pm on (u_plus, u_minus)
+    exactly, at the critical points of the excess polynomial and the end
+    states, up to a slack of 1e-14 times max(1, |xi.f(u_pm) - sigma*u_pm|,
+    the largest |excess polynomial| at those points).  Also returns the
+    endpoint characteristic margins (sigma - xi.f'(u_plus), xi.f'(u_minus) -
+    sigma), which are nonnegative whenever the chord condition holds.
 
     Every row gets the same floating-point operations as a test of that row
-    alone: `np.vecdot` is `np.dot` per row; the exact critical points of all
-    rows come from one `_derivative_roots` call, whose stacked companion
-    matrices share one `np.linalg.eigvals` call per degree and give each row
-    the roots that `critical_points` gives it; ragged sets are padded with
+    alone: `np.vecdot` is `np.dot` per row; the critical points of all rows
+    come from one `_derivative_roots` call, whose stacked companion matrices
+    share one `np.linalg.eigvals` call per degree and give each row the
+    roots that `critical_points` gives it; ragged sets are padded with
     u_minus, a candidate already; and f'(u_pm) are the pair's cached
-    `end_speeds`.  Each block of at most SETUP_BLOCK values v is one buffer,
-    where `P.polyval`'s recurrence runs in place (IEEE addition commutes).
-    Rounding is monotone, so max(v - ref) = max(v) - ref in rows where
-    neither max(v) - ref nor min(v) - ref is NaN; other rows reduce v - ref,
-    whose NaN's sign numpy takes from where it lies.  max|v| =
-    max(max v, -min v) but for the signs of zeros and NaNs, which fmax hides.
+    `end_speeds`.  A row holds at most degree + 1 points, so all rows are
+    evaluated at once.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != pair.d:
@@ -325,39 +309,22 @@ def oleinik_admissible_many(pair: ShockPair, xis, exact: bool = False) -> Oleini
         e[:, : len(c)] += xis[:, i : i + 1] * np.asarray(c)
     e[:, 1] -= sigma
     ref = P.polyval(pair.u_minus, e.T)
-    if exact:
-        pts = _exact_points(pair, e)
-    else:
-        pts = np.broadcast_to(pair.chebyshev_nodes(CHORD_SAMPLES), (len(e), CHORD_SAMPLES))
-    worst, peak = np.empty(len(e)), np.empty(len(e))
-    rows = max(1, SETUP_BLOCK // pts.shape[1])
-    buf = np.empty((min(rows, len(e)), pts.shape[1]))
-    for a in range(0, len(e), rows):
-        x, r = pts[a : a + rows], ref[a : a + rows]
-        vals = np.multiply(x, 0.0, out=buf[: len(x)])
-        vals += e[a : a + rows, -1:]
-        for c in e[a : a + rows, -2::-1].T[..., None]:
-            vals *= x
-            vals += c
-        hi, lo = vals.max(axis=1), vals.min(axis=1)
-        top = hi - r
-        nan = np.isnan(top) | np.isnan(lo - r)  # only where values overflow
-        top[nan] = np.max(vals[nan] - r[nan, None], axis=1)
-        worst[a : a + rows] = np.maximum(top, 0.0)
-        peak[a : a + rows] = np.maximum(hi, -lo)
+    vals = P.polyval(_exact_points(pair, e), e.T[..., None], tensor=False)
+    worst = np.maximum(np.max(vals - ref[:, None], axis=1), 0.0)
+    peak = np.max(np.abs(vals), axis=1)
     # max(1, |ref|, peak), ignoring NaN like the builtin max does here; exact
     # critical-point evaluation carries only rounding noise, so the slack can
     # sit just above machine precision
-    tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
+    tol = 1e-14 * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
     speed_plus, speed_minus = pair.end_speeds
     lax = np.stack([sigma - np.vecdot(xis, speed_plus),
                     np.vecdot(xis, speed_minus) - sigma], axis=1)
     return OleinikBatch(worst <= tol, worst, lax)
 
 
-def oleinik_admissible(pair: ShockPair, xi, exact: bool = False) -> OleinikResult:
+def oleinik_admissible(pair: ShockPair, xi) -> OleinikResult:
     """Chord admissibility of one direction xi; see `oleinik_admissible_many`."""
-    res = oleinik_admissible_many(pair, np.asarray(xi, dtype=float).reshape(1, -1), exact)
+    res = oleinik_admissible_many(pair, np.asarray(xi, dtype=float).reshape(1, -1))
     return OleinikResult(bool(res.admissible[0]), float(res.worst[0]),
                          (float(res.lax[0, 0]), float(res.lax[0, 1])))
 

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
-from .fluxes import SETUP_BLOCK, Flux, _key, critical_points, poly_abs_max
+from .fluxes import Flux, _key, critical_points, poly_abs_max
 from .profiles import Front, PerturbationSpec, ShockProfile
 
 __all__ = [
@@ -1216,6 +1216,13 @@ def run(
 
 # midpoint subsamples per cell and axis of `sample_function`
 SUBSAMPLES = 4
+
+# float64 subsample coordinates that `sample_function` holds in one block:
+# 2 MiB, below the 4 MiB at which numpy asks for huge pages, so the set-up
+# leaves no huge-page heap behind for the steps (see
+# `cli._fix_malloc_thresholds`).  The chord test holds at most degree + 1
+# points per direction and needs no blocks.
+SETUP_BLOCK = 1 << 18
 
 
 def _cell_means(vals: np.ndarray) -> np.ndarray:

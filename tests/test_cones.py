@@ -64,6 +64,17 @@ def test_admissible_cone_below_one_ulp_returns(pair11, monkeypatch):
     assert np.allclose(fine.sector, coarse.sector, rtol=0.0, atol=1e-8)
 
 
+def test_unit_of_an_array_keeps_the_bits_of_one_call_per_angle():
+    # the 2-D cone builds its scan and each round's midpoints in one call,
+    # and the scan's directions decide the cone's bits: a build whose array
+    # loops round otherwise than its scalar calls fails here
+    thetas = np.concatenate([np.linspace(-np.pi, np.pi, 1024, endpoint=False),
+                             np.random.default_rng(0).uniform(-np.pi, np.pi, 4096)])
+    want = np.array([[np.cos(t), np.sin(t)] for t in thetas])
+    assert cones._unit(thetas).tobytes() == want.tobytes()
+    assert cones._unit(thetas[5]).tobytes() == want[5].tobytes()
+
+
 def test_dual_cone_self_dual(cone11, dual11):
     angles = np.sort(np.arctan2(dual11.generators[:, 1], dual11.generators[:, 0]))
     assert np.allclose(angles, [-np.pi / 4, np.pi / 4], atol=1e-6)

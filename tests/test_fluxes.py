@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.polynomial import polynomial as P
 import shocklab as sl
 from shocklab.cones import _fibonacci_sphere
 from shocklab.errors import DegenerateFlux, EqualStates, WrongOrder
-from shocklab.fluxes import CHORD_SAMPLES, critical_points, is_burgers
+from shocklab.fluxes import critical_points, is_burgers
 
 
 def test_eval_flux_burgers_values(burgers2):
@@ -46,9 +47,14 @@ def test_critical_points_of_a_derivative_that_overflows_are_a_typed_error(pair11
         critical_points([0.0, -1e308, 0.0, 1e308])
     # and the exact chord test would miss the interior maximum that refuses
     # the direction (0, 1)
-    assert not sl.oleinik_admissible(pair11, [0.0, 1.0], exact=True).admissible
+    assert not sl.oleinik_admissible(pair11, [0.0, 1.0]).admissible
     with np.errstate(over="ignore"), pytest.raises(DegenerateFlux):
-        sl.oleinik_admissible(pair11, [0.0, 1e308], exact=True)
+        sl.oleinik_admissible(pair11, [0.0, 1e308])
+    # a chord test sampled at Chebyshev points admitted this one with worst
+    # inf, since its slack was inf too
+    with np.errstate(over="ignore"), pytest.raises(
+            DegenerateFlux, match=r"the derivative \[1e\+308, inf, -inf\] overflows"):
+        sl.oleinik_admissible(pair11, [1e308, -1e308])
 
 
 def test_make_shock_pair_symmetric(burgers2):
@@ -137,7 +143,7 @@ def test_oleinik_exact_mode_matches_dense_sampling(pair11, rng):
     s = pair11.chebyshev_nodes(20000)
     for _ in range(20):
         xi = rng.normal(size=2)
-        fast = sl.oleinik_admissible(pair11, xi, exact=True)
+        fast = sl.oleinik_admissible(pair11, xi)
         sigma = float(xi @ pair11.velocity)
         vals = xi @ pair11.flux.value(s) - sigma * s
         ref = float(xi @ pair11.flux.value(pair11.u_minus)) - sigma * pair11.u_minus
@@ -147,32 +153,24 @@ def test_oleinik_exact_mode_matches_dense_sampling(pair11, rng):
         assert abs(fast.worst_violation - worst) <= 1e-6
 
 
-def _polyval_chord_test(pair, xis, exact):
-    """`oleinik_admissible_many` as it was written with `P.polyval` and
-    whole-block temporaries, in blocks of 2**20 values."""
+def _polyval_chord_test(pair, xis):
+    """`oleinik_admissible_many` with one `critical_points` call per row in
+    place of the stacked root solve."""
     sigma = np.vecdot(xis, pair.velocity)
     e = np.zeros((len(xis), max(max(len(c) for c in pair.flux.coeffs), 2)))
     for i, c in enumerate(pair.flux.coeffs):
         e[:, : len(c)] += xis[:, i : i + 1] * np.asarray(c)
     e[:, 1] -= sigma
     ref = P.polyval(pair.u_minus, e.T)
-    if exact:
-        crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(critical_points, e)]
-        pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
-        for row, crit in zip(pts, crits):
-            row[: len(crit)] = crit
-        pts[:, -2] = pair.u_plus
-    else:
-        pts = np.broadcast_to(pair.chebyshev_nodes(CHORD_SAMPLES), (len(e), CHORD_SAMPLES))
-    worst = np.empty(len(e))
-    peak = np.empty(len(e))
-    rows = max(1, (1 << 20) // pts.shape[1])
-    for a in range(0, len(e), rows):
-        b = a + rows
-        vals = P.polyval(pts[a:b], e[a:b].T[..., None], tensor=False)
-        worst[a:b] = np.maximum(np.max(vals - ref[a:b, None], axis=1), 0.0)
-        peak[a:b] = np.max(np.abs(vals), axis=1)
-    tol = (1e-14 if exact else 1e-12) * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
+    crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(critical_points, e)]
+    pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
+    for row, crit in zip(pts, crits):
+        row[: len(crit)] = crit
+    pts[:, -2] = pair.u_plus
+    vals = P.polyval(pts, e.T[..., None], tensor=False)
+    worst = np.maximum(np.max(vals - ref[:, None], axis=1), 0.0)
+    peak = np.max(np.abs(vals), axis=1)
+    tol = 1e-14 * np.fmax(np.fmax(1.0, np.abs(ref)), peak)
     lax = np.stack([sigma - np.vecdot(xis, pair.flux.value(pair.u_plus, 1)),
                     np.vecdot(xis, pair.flux.value(pair.u_minus, 1)) - sigma], axis=1)
     return worst <= tol, worst, lax
@@ -188,15 +186,14 @@ CHORD_FLUXES = {
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(CHORD_FLUXES)), states=st.sampled_from([(1.0, -1.0), (2.0, 0.5)]),
-       n=st.sampled_from([1, 255, 256, 257, 4096]), exact=st.booleans(),
-       overflow=st.booleans(), seed=st.integers(0, 2**32 - 1))
-# max(v - ref) is NaN where ref = -inf and some v too, while max(v) is finite
-@example(name="burgers-2", states=(1.0, -1.0), n=1, exact=False, overflow=True, seed=-1)
-def test_chord_test_keeps_the_bits_of_polyval_blocks(name, states, n, exact, overflow, seed):
-    """Every admissibility bit, worst and lax equals the `P.polyval` block
-    loop's, also in rows whose values overflow to inf or NaN; each row's
-    scale is 1, 1e150, 1e300 or, with overflow, 1.7e308, so one block mixes
-    them.  An exact test whose critical points overflow raises on both."""
+       n=st.sampled_from([1, 2, 17, 257]), overflow=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the derivative of the excess polynomial overflows: both raise
+@example(name="burgers-2", states=(1.0, -1.0), n=1, overflow=True, seed=-1)
+def test_chord_test_keeps_the_bits_of_polyval_blocks(name, states, n, overflow, seed):
+    """Every admissibility bit, worst and lax equals the per-row reference's,
+    also in rows whose values overflow to inf or NaN; each row's scale is
+    1, 1e150, 1e300 or, with overflow, 1.7e308, so one call mixes them.  A
+    test whose critical points overflow raises the same error on both."""
     pair = sl.make_shock_pair(CHORD_FLUXES[name], *states)
     with np.errstate(all="ignore"):
         if seed < 0:
@@ -205,22 +202,20 @@ def test_chord_test_keeps_the_bits_of_polyval_blocks(name, states, n, exact, ove
             rng = np.random.default_rng(seed)
             scale = rng.choice([1.0, 1e150, 1e300, 1.7e308][: 3 + overflow], size=(n, 1))
             xis = rng.standard_normal((n, pair.d)) * scale
-        if exact:
-            xis = xis[:257]  # a critical-point solve per row
         try:
-            want = _polyval_chord_test(pair, xis, exact)
-        except DegenerateFlux:
-            with pytest.raises(DegenerateFlux):
-                sl.oleinik_admissible_many(pair, xis, exact)
+            want = _polyval_chord_test(pair, xis)
+        except DegenerateFlux as err:
+            with pytest.raises(DegenerateFlux, match=re.escape(str(err))):
+                sl.oleinik_admissible_many(pair, xis)
             return
-        got = sl.oleinik_admissible_many(pair, xis, exact)
+        got = sl.oleinik_admissible_many(pair, xis)
     assert got.admissible.tobytes() == want[0].tobytes()
     assert got.worst.tobytes() == want[1].tobytes()
     assert got.lax.tobytes() == want[2].tobytes()
 
 
 def test_chord_test_holds_one_block_at_a_time():
-    # the 3-D cone's call: 4,096 directions at CHORD_SAMPLES points each
+    # the 3-D cone's call: 4,096 directions
     pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
     dirs = _fibonacci_sphere(4096)
     tracemalloc.start()

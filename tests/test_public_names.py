@@ -18,7 +18,7 @@ ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 # refers to, and why each one stays
 UNREFERENCED = {
     "read_snapshot": "the reader of the files that simulate and stability write",
-    "oleinik_admissible": "the one-direction chord test; the 2-D cone tests its "
+    "oleinik_admissible": "the one-direction chord test; both cones test their "
                           "directions in batches, and the benchmark's tracer counts it by name",
 }
 

@@ -1,10 +1,11 @@
-"""The 2-D cone's set-up work: chord-test calls and eigenvalue solves.
+"""The cones' set-up work: chord-test calls and eigenvalue solves.
 
-The cone scans 1,024 directions with the exact chord test and then bisects
-both boundary angles.  Rooting each scan direction's derivative with its own
-companion-matrix eigenvalue solve cost 1,024 `np.linalg.eigvals` calls, and
-one chord test per bisection midpoint 40 more calls at the resolution 1e-8:
-together about 60 ms of a `stability` run's set-up.
+The 2-D cone scans 1,024 directions with the exact chord test and then
+bisects both boundary angles.  Rooting each scan direction's derivative with
+its own companion-matrix eigenvalue solve cost 1,024 `np.linalg.eigvals`
+calls, and one chord test per bisection midpoint 40 more calls at the
+resolution 1e-8: together about 60 ms of a `stability` run's set-up.  The
+3-D cone tests its 4,096 directions in one exact chord test.
 """
 
 import numpy as np
@@ -38,3 +39,25 @@ def test_the_burgers_cone_takes_few_chord_tests_and_eigenvalue_calls(monkeypatch
     scan_calls = chord_tests[1] if len(chord_tests) > 1 else len(eigvals_calls)
     assert scan_calls <= 1
     assert len(eigvals_calls) <= len(chord_tests)
+
+
+def test_the_3d_burgers_cone_roots_its_directions_in_one_call(monkeypatch):
+    pair = sl.make_shock_pair(sl.burgers_flux(3), 1, -1)
+    rows, eigvals_calls = [], []
+    inner_points, inner_eigvals = fluxes._exact_points, np.linalg.eigvals
+
+    def exact_points(pair, e):
+        rows.append(len(e))
+        return inner_points(pair, e)
+
+    def eigvals(*args, **kwargs):
+        eigvals_calls.append(1)
+        return inner_eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(fluxes, "_exact_points", exact_points)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    cone = sl.admissible_cone(pair, 0.05)
+    assert not cone.trivial
+    # every Fibonacci direction has a nonzero s^4 term: one degree, one solve
+    assert rows == [4096]
+    assert len(eigvals_calls) == 1
