@@ -56,6 +56,11 @@ class Flux:
     def d(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def keys(self) -> tuple[bytes, ...]:
+        """The cache key of each component (see `_key`), made once per flux."""
+        return tuple(_key(c) for c in self.coeffs)
+
     def component(self, axis: int, order: int = 0) -> np.ndarray:
         """Coefficient array of the axis-th component, differentiated `order` times."""
         c = np.asarray(self.coeffs[axis], dtype=float)

@@ -13,7 +13,8 @@ Every update goes through the module-level name `step`; `evolve` is the one
 time loop.  Near a steady shock most cells are already at their discrete
 fixed point, so `evolve` hands `step` a `Band` per field, and a step runs
 only the cells that the last step's changes can reach: the rows along axis
-0 in 2-D, and in 3-D a box along the other axes in each slab of rows.  The
+0 in 2-D, and in 3-D a box along the other axes in each slab of rows, the
+boxes of a step's slabs found at once from the band's per-row extents.  The
 skip is exact (the band contract is stated once, in `step`).
 
 Dirichlet ghost layers are cached per background and grid with a horizon
@@ -433,6 +434,9 @@ def _rusanov(g_a, g_b, a, b, lam):
     return f
 
 
+_clip = np._core.umath.clip  # the ufunc that np.clip ends in
+
+
 def _eo_part(data: dict, side: str, x):
     """integral from 0 to x of the positive (or negative) part of g', or
     None for a side without pieces.
@@ -446,11 +450,13 @@ def _eo_part(data: dict, side: str, x):
     plan never gives and a full plan's sum, started from +0.0, no longer
     holds.  Pieces that meet at any other root of g' shift by different
     values, and the sum of their parts rounds unlike one piece's, so they
-    stay apart.
+    stay apart.  The clip is the ufunc that np.clip ends in, called
+    directly: the same bits without np.clip's Python dispatch, which cost
+    about 3 us a call, four calls per slab of a 3-D step.
     """
     total = None
     for l, r, g_c0 in data[side]:
-        part = _horner(data["plan"], x if l == -np.inf and r == np.inf else np.clip(x, l, r))
+        part = _horner(data["plan"], x if l == -np.inf and r == np.inf else _clip(x, l, r))
         if g_c0 is not None:
             part -= g_c0
         if total is None:
@@ -702,7 +708,7 @@ def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
 def wave_speed(flux: Flux, grid: Grid, lo: float, hi: float) -> float:
     """The bound lambda: max |f_i'| over [lo, hi] and the grid's axes i, exact;
     the per-axis bounds are those `step` uses."""
-    return float(np.max([_lambda_bound(_key(flux.coeffs[ax]), float(lo), float(hi))
+    return float(np.max([_lambda_bound(flux.keys[ax], float(lo), float(hi))
                          for ax in range(grid.d)]))
 
 
@@ -776,11 +782,11 @@ def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, 
 def _mark(proj: list, marked: np.ndarray, at: tuple) -> None:
     """Record a boolean block of cells, which sits at the slices `at` of the
     grid (rows first), in per-row projections: proj[t - 1][i, j] is True when
-    a marked cell of row i has index j along axis t."""
-    trailing = range(1, marked.ndim)
-    for t in trailing:
-        hit = np.logical_or.reduce(marked, axis=tuple(i for i in trailing if i != t))
-        proj[t - 1][at[0], at[t]] |= hit
+    a marked cell of row i has index j along axis t.  Only 3-D steps mark:
+    each slab marks its own rows once, into projections that start False, so
+    one reduction per projection writes its block of proj."""
+    np.logical_or.reduce(marked, axis=2, out=proj[0][at[0], at[1]])
+    np.logical_or.reduce(marked, axis=1, out=proj[1][at[0], at[2]])
 
 
 def _extents(proj: list) -> tuple[np.ndarray, np.ndarray]:
@@ -788,19 +794,17 @@ def _extents(proj: list) -> tuple[np.ndarray, np.ndarray]:
     recorded in per-row projections (see `_mark`): float arrays lo, hi of
     shape (d - 1, rows).  A row without any is (inf, -inf), the identities
     of min and max, so that extents join by np.minimum and np.maximum and
-    stay empty (lo >= hi) when widened."""
-    lo, hi = [], []
-    for hit in proj:
-        first = hit.argmax(axis=1)
-        some = hit[np.arange(len(hit)), first]
-        lo.append(np.where(some, first, np.inf))
-        hi.append(np.where(some, hit.shape[1] - hit[:, ::-1].argmax(axis=1), -np.inf))
-    return np.array(lo), np.array(hi)
+    stay empty (lo >= hi) when widened.  A marked cell shows in every
+    projection, so a row's extents are empty along every axis or along none."""
+    first = [hit.argmax(axis=1) for hit in proj]
+    last = [hit.shape[1] - hit[:, ::-1].argmax(axis=1) for hit in proj]
+    some = proj[0][np.arange(len(proj[0])), first[0]]
+    return np.where(some, first, np.inf), np.where(some, last, -np.inf)
 
 
 def _row_hull(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int]:
     """The rows [a, b) from the first to the last row with a non-empty extent."""
-    rows = np.flatnonzero((lo < hi).all(axis=0))
+    rows = np.flatnonzero(lo[0] < hi[0])
     return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
 
@@ -808,12 +812,13 @@ def _widen(lo: np.ndarray, hi: np.ndarray, counts) -> tuple[np.ndarray, np.ndarr
     """The cells a step can change, given the extents of the cells that
     changed in the last one: each row's extents widened by one along axes
     1..d-1 and joined with those of the rows next to it, within the grid."""
-    wlo, whi = lo - 1, hi + 1
-    wlo[:, 1:] = np.minimum(wlo[:, 1:], lo[:, :-1])
-    wlo[:, :-1] = np.minimum(wlo[:, :-1], lo[:, 1:])
-    whi[:, 1:] = np.maximum(whi[:, 1:], hi[:, :-1])
-    whi[:, :-1] = np.maximum(whi[:, :-1], hi[:, 1:])
-    return np.maximum(wlo, 0), np.minimum(whi, np.array(counts[1:])[:, None])
+    wlo, whi = lo - 1.0, hi + 1.0
+    for w, v, join in ((wlo, lo, np.minimum), (whi, hi, np.maximum)):
+        join(w[:, 1:], v[:, :-1], out=w[:, 1:])
+        join(w[:, :-1], v[:, 1:], out=w[:, :-1])
+    np.maximum(wlo, 0.0, out=wlo)
+    np.minimum(whi, np.array(counts[1:], dtype=float)[:, None], out=whi)
+    return wlo, whi
 
 
 def _exact_reciprocal(dx: float) -> float | None:
@@ -823,8 +828,15 @@ def _exact_reciprocal(dx: float) -> float | None:
     return 1.0 / dx if mantissa == 0.5 and exponent >= -1022 else None
 
 
-# cells per slab of a 3-D step, so that the arrays of one slab stay in cache
-# (4,096 was slower); 2-D steps gained nothing from slabs and run whole
+# per axis ax of a d-D grid, the transposes of np.moveaxis(x, ax, 0) and of
+# its inverse, without its checks
+_PERMS = {d: [((ax, *range(ax), *range(ax + 1, d)), (*range(1, ax + 1), 0, *range(ax + 1, d)))
+              for ax in range(d)] for d in (2, 3)}
+
+# cells per slab of a 3-D step, so that the arrays of one slab stay in cache;
+# each step finds the boxes of all its slabs at once (see `step`).  4,096 and
+# 8,192 were slower, 32,768 no faster; 2-D steps gained nothing from slabs
+# and run whole
 SLAB_CELLS = 16384
 
 
@@ -875,7 +887,9 @@ def step(
     (at least one row each; a 2-D band is one slab), and each slab runs a
     box of its rows: each box is padded by the cells next to it or the ghost
     layers, and writes its part of each outer face into the whole-face
-    buffers.  The bits do not depend on the slab size or the boxes.
+    buffers.  A step finds the boxes of all its slabs at once, by
+    np.minimum.reduceat and np.maximum.reduceat over the band's per-row
+    extents.  The bits do not depend on the slab size or the boxes.
     Dirichlet ghost layers are cached read-only per background and grid with
     a horizon (see `Background` and `_evaluate_layers`): for ever at rest,
     while no ghost cell can cross the front for a moving ShockProfile; any
@@ -926,11 +940,12 @@ def step(
         dt = stable_dt(flux, g, scheme, lo, hi)
     # Rusanov dissipation uses one range-wide bound per step: a constant
     # coefficient keeps the unsplit update order-preserving under the CFL
-    keys = [_key(flux.coeffs[ax]) for ax in range(g.d)]
+    d = g.d
+    keys = [flux.keys[ax] for ax in range(d)]
     lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
     lam_used = max(0.0, *lams)
     inv_dx = _exact_reciprocal(g.dx)
-    boxed = g.d > 2  # 3-D steps run in slabs, each the box of its cells that can change
+    boxed = d > 2  # 3-D steps run in slabs, each the box of its cells that can change
     a, b, box = 0, n0, None
     # cached layers are the same dict; re-evaluated ones are compared as int64
     same_ghosts = band.ghosts is None or band.ghosts is ghosts or all(
@@ -948,33 +963,37 @@ def step(
         new_values[:a] = values[:a]
         new_values[b:] = values[b:]
         if not band.faces:  # the first step runs every row
-            for ax in range(g.d):
+            for ax in range(d):
                 face = g.counts[:ax] + g.counts[ax + 1:]
                 band.faces[ax] = (np.empty(face), np.empty(face))
         size = max(1, SLAB_CELLS // (values.size // n0)) if boxed else b - a
         whole = tuple(slice(0, n) for n in g.counts[1:])
-        for s in range(a, b, size):
+        starts = range(a, b, size)
+        spans = [whole] * len(starts)
+        if box is not None:
+            # every slab's box at once: the join of its rows' boxes, and None
+            # where they are all empty (no cell of the slab's rows can change)
+            at = np.arange(0, b - a, size)
+            blo = np.minimum.reduceat(box[0][:, a:b], at, axis=1)
+            bhi = np.maximum.reduceat(box[1][:, a:b], at, axis=1)
+            live = blo[0] < bhi[0]
+            ends = np.where(live, (blo, bhi), 0.0).astype(int).transpose(2, 0, 1).tolist()
+            spans = [tuple(map(slice, *e)) if ok else None for e, ok in zip(ends, live.tolist())]
+        datas = [_compiled(key) for key in keys]
+        for s, span in zip(starts, spans):
             e = min(s + size, b)
-            span = whole
-            if box is not None:
-                blo, bhi = box[0][:, s:e].min(axis=1), box[1][:, s:e].max(axis=1)
-                if not np.all(blo < bhi):  # no cell of these rows can change
-                    new_values[s:e] = values[s:e]
+            if span != whole:
+                new_values[s:e] = values[s:e]  # the cells outside the box
+                if span is None:
                     continue
-                span = tuple(slice(int(l), int(h)) for l, h in zip(blo, bhi))
-                if span != whole:
-                    new_values[s:e] = values[s:e]  # the cells outside the box
             sub = (slice(s, e), *span)
             rows = values[sub]
             cells += rows.size
-            for ax in range(g.d):
+            for ax, (front, back) in enumerate(_PERMS[d]):
                 # the padded copy puts the interface axis first, so both states
                 # of every interface and every flux jump are contiguous blocks;
                 # the elementwise results do not depend on the layout.  The
                 # pads are the cells next to the box, or the ghosts.
-                # np.moveaxis(rows, ax, 0) and its inverse, without its checks
-                front = (ax, *range(ax), *range(ax + 1, g.d))
-                back = (*range(1, ax + 1), 0, *range(ax + 1, g.d))
                 inner = rows.transpose(front)
                 ext = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
                 ext[1:-1] = inner
@@ -984,7 +1003,7 @@ def step(
                     values[sub[:ax] + (sub[ax].start - 1,) + sub[ax + 1:]]
                 ext[-1] = ghosts[(ax, 1)][part] if hi_end else \
                     values[sub[:ax] + (sub[ax].stop,) + sub[ax + 1:]]
-                data = _compiled(keys[ax])
+                data = datas[ax]
                 if scheme.numerical_flux == "rusanov":
                     g_ext = _horner(data["plan"], ext)
                     f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lams[ax])
@@ -1013,7 +1032,7 @@ def step(
             if boxed:
                 _mark(changed, rows.view(np.int64) != out.view(np.int64), sub)
         inflow = 0.0
-        area = g.dx ** (g.d - 1)
+        area = g.dx ** (d - 1)
         for face_lo, face_hi in band.faces.values():
             inflow += (float(face_lo.sum()) - float(face_hi.sum())) * area
         vmin, vmax = new_values.min(), new_values.max()
@@ -1029,11 +1048,11 @@ def step(
         extents = _extents(changed)
         moved = _row_hull(*extents)
         band.box = _widen(*extents, g.counts)
-        band.rows = _row_hull(*band.box)
     else:
         hit = _moved_rows(values, new_values, a, b) if a < b else None
         moved = (0, 0) if hit is None else (hit[0], hit[1] + 1)
-        band.rows = (0, 0) if hit is None else (max(hit[0] - 1, 0), min(hit[1] + 2, n0))
+    # a row next to a changed row can change, in 3-D in the rows of band.box
+    band.rows = (max(moved[0] - 1, 0), min(moved[1] + 1, n0)) if moved[0] < moved[1] else (0, 0)
     band.key = (dt, *lams)
     band.ghosts = ghosts if _dirichlet(scheme, background) else None
     band.values, band.vmin, band.vmax, band.inflow = new_values, vmin, vmax, inflow

@@ -25,6 +25,16 @@ def test_flux_requires_coefficients():
         sl.Flux(())
 
 
+def test_flux_keys_are_made_once_and_leave_equality_alone():
+    unsigned, signed = sl.Flux(((0.0, -1.0), (0.5,))), sl.Flux(((-0.0, -1.0), (0.5,)))
+    assert unsigned.keys is unsigned.keys  # made once per flux
+    assert unsigned.keys == tuple(np.asarray(c, dtype=float).tobytes() for c in unsigned.coeffs)
+    assert unsigned.keys[0] != signed.keys[0] and unsigned.keys[1] == signed.keys[1]
+    # equality and hashing read the coefficients alone, as before
+    assert unsigned == signed and hash(unsigned) == hash(signed)
+    assert unsigned == sl.Flux(unsigned.coeffs) and "keys" not in repr(unsigned)
+
+
 def test_derivative_of_constant_component_is_zero():
     f = sl.Flux(((5.0,), (1.0, 2.0)))
     assert np.allclose(f.value(3.0, order=2), [0.0, 0.0])

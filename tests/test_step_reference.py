@@ -529,6 +529,66 @@ def test_slabbed_3d_steps_match_reference(slab_cells, kind, background, rng, mon
         assert rows == 1 or any(c // 24 % rows for c in cells), cells
 
 
+@pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
+def test_a_slab_with_an_empty_box_runs_no_cell(kind, rng, monkeypatch):
+    # two bumps far apart along axis 0: the band's rows run from one to the
+    # other, and the two-row slabs between them have empty boxes
+    g = sl.Grid.from_box((-3.2, 3.2, -0.6, 0.6, -0.4, 0.4), (32, 6, 4))  # 24-cell rows
+    monkeypatch.setattr(solver, "SLAB_CELLS", 2 * 24)
+    bg = sl.constant_background(0.5, 3)
+    v = np.full(g.counts, 0.5)
+    for bump in (slice(3, 5), slice(27, 29)):
+        v[bump] = rng.uniform(0.5, 0.9, (2,) + g.counts[1:])
+    scheme = sl.SchemeConfig(numerical_flux=kind)
+    flux = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0).flux
+    guard = (-1.0, 1.0)  # one lambda for every step, so the band's cells are skipped
+    dt = stable_dt(flux, g, scheme, *guard)
+    u0 = sl.Field(g, v)
+    want, moved, skipped = u0, None, 0
+    for k, t, fields, stats in solver.evolve([(u0, bg)], scheme, flux, dt, 6, guard):
+        before = want.values
+        want, want_stats = _ref_step(want, scheme, flux, bg, (k - 1) * dt, dt, guard)
+        assert fields[0].values.tobytes() == want.values.tobytes(), k
+        assert _bits(stats[0]) == _bits(want_stats), k
+        if moved is None:
+            assert stats[0].cells == g.ncells  # the first step runs every cell
+        else:
+            # every changed row changes across its whole width, so a slab with
+            # a row next to a row that changed in the last step runs its whole
+            # rows, and a slab without one runs no cell
+            near = {r + i for r in moved for i in (-1, 0, 1) if 0 <= r + i < g.counts[0]}
+            a, b = min(near), max(near) + 1
+            live = [s for s in range(a, b, 2) if near & {s, s + 1}]
+            skipped += len(range(a, b, 2)) - len(live)
+            assert stats[0].cells == 24 * sum(min(s + 2, b) - s for s in live), (k, stats[0].cells)
+        changed = before.view(np.int64) != want.values.view(np.int64)
+        moved = set(np.flatnonzero(changed.any(axis=(1, 2))).tolist())
+    assert skipped, "no slab inside the band had an empty box"
+
+
+def test_the_slab_loop_calls_no_numpy_wrapper(monkeypatch):
+    # np.clip, np.all and np.moveaxis dispatch in Python before the ufunc or
+    # transpose they end in, at about 3 us a call; a 3-D step calls those
+    # directly.  The set-up of simulate-3d, with steps that skip cells
+    pair = sl.make_shock_pair(sl.burgers_flux(3), 1.0, -1.0)
+    prof = sl.make_planar(pair, sl.dual_cone(sl.admissible_cone(pair, 0.05)), [0.58, 0.0, 0.81])
+    bg = sl.profile_background(prof, moving=True)
+    g = sl.Grid.from_box((-1.6, 1.6, -0.6, 0.6, -1.6, 1.6), (16, 6, 16))
+    scheme = sl.SchemeConfig(numerical_flux="engquist-osher", frame="original")
+    u0 = sl.Field(g, solver.sample_profile(prof, g).values + solver.sample_function(
+        sl.PerturbationSpec("bump", (0.0, 0.0, 0.0), 0.4, 0.3), g).values)
+    guard = solver.field_range(u0, scheme, bg)
+    dt = stable_dt(pair.flux, g, scheme, *guard)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Python wrapper was called")
+
+    for name in ("clip", "all", "moveaxis"):
+        monkeypatch.setattr(np, name, refuse)
+    cells = [s[0].cells for *_, s in solver.evolve([(u0, bg)], scheme, pair.flux, dt, 8, guard)]
+    assert cells[0] == g.ncells and all(0 < c < g.ncells for c in cells[1:]), cells
+
+
 # -- the band of moving backgrounds and the box of each 3-D slab ----------------------
 
 MOVING_GRIDS = {2: sl.Grid.from_box((-1.2, 1.2, -0.8, 0.8), (12, 8)), 3: SLAB_GRID}
