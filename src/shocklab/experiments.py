@@ -286,9 +286,7 @@ def support_experiment(
     lam = wave_speed(flux, g, j_lo, j_hi)
 
     mesh = g.center_mesh()
-    k_lo, k_hi = cell_box(mesh, np.abs(diff0) > threshold * amp, g.dx)
-    k_corners = np.array([[k_lo[0], k_lo[1]], [k_hi[0], k_lo[1]],
-                          [k_hi[0], k_hi[1]], [k_lo[0], k_hi[1]]])
+    k_corners = box_corners(*cell_box(mesh, np.abs(diff0) > threshold * amp, g.dx), g.d)
 
     # identical far field; the difference is compactly supported
     bg = constant_background(float(b1.values[0, 0]), g.d)

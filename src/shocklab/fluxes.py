@@ -25,7 +25,6 @@ __all__ = [
     "NondegeneracyResult",
     "burgers_flux",
     "critical_points",
-    "poly_abs_max",
     "component_abs_max",
     "make_shock_pair",
     "oleinik_admissible",
@@ -65,6 +64,15 @@ class Flux:
         """Coefficient array of the axis-th component, differentiated `order` times."""
         c = np.asarray(self.coeffs[axis], dtype=float)
         return P.polyder(c, order) if order > 0 else c
+
+    def padded(self, order: int = 0) -> np.ndarray:
+        """The coefficients of every f_i^(order) (`component`), one row each,
+        padded with zeros to one width of at least 2 columns."""
+        rows = [self.component(i, order) for i in range(self.d)]
+        out = np.zeros((self.d, max(2, *map(len, rows))))
+        for row, c in zip(out, rows):
+            row[: len(c)] = c
+        return out
 
     def value(self, s, order: int = 0) -> np.ndarray:
         """Evaluate f, f', or f'' at s; scalar s gives shape (d,), arrays give (d, ...)."""
@@ -177,20 +185,27 @@ def _derivative_roots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, counts
 
 
-def poly_abs_max(coeffs, lo, hi):
-    """Exact max of |p| over [lo, hi] via the critical points of p; elementwise for arrays."""
-    c = np.asarray(coeffs, dtype=float)
-    cand = np.maximum(np.abs(P.polyval(lo, c)), np.abs(P.polyval(hi, c)))
-    for r in critical_points(c):
-        inside = (lo <= r) & (r <= hi)
-        if np.any(inside):
-            cand = np.where(inside, np.maximum(cand, abs(float(P.polyval(r, c)))), cand)
-    return cand
+def _extremal_values(rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The values of every row p of ascending coefficients, shape (m, n), at
+    its critical points inside (lo, hi) in order, hi in the columns after
+    them (a candidate pads ragged sets), and lo and hi last: shape (m, k + 2).
+
+    One `_derivative_roots` call gives each row the roots that
+    `critical_points` gives it, and each value is P.polyval's; zeros that pad
+    a row past its degree change only the sign of a zero value.
+    """
+    roots, _ = _derivative_roots(rows)
+    inside = (roots > lo) & (roots < hi)  # NaN pads fail
+    n_in = inside.sum(axis=1)
+    pts = np.full((len(rows), n_in.max(initial=0) + 2), float(hi))
+    pts[np.arange(pts.shape[1]) < n_in[:, None]] = roots[inside]
+    pts[:, -2] = lo
+    return P.polyval(pts, rows.T[..., None], tensor=False)
 
 
-def component_abs_max(flux: Flux, order: int, lo, hi) -> np.ndarray:
+def component_abs_max(flux: Flux, order: int, lo: float, hi: float) -> np.ndarray:
     """Exact max |f_i^(order)| over [lo, hi] of every component i, shape (d,)."""
-    return np.array([poly_abs_max(flux.component(i, order), lo, hi) for i in range(flux.d)])
+    return np.max(np.abs(_extremal_values(flux.padded(order), lo, hi)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -271,50 +286,36 @@ class OleinikBatch:
     lax: np.ndarray          # (n, 2) endpoint characteristic margins
 
 
-def _exact_points(pair: ShockPair, e: np.ndarray) -> np.ndarray:
-    """The points at which the exact chord test evaluates each excess
-    polynomial, one row of coefficients of e each: its critical points
-    inside (u_plus, u_minus) in order, u_minus in the columns after them,
-    and (u_plus, u_minus) last."""
-    roots, _ = _derivative_roots(e)
-    inside = (roots > pair.u_plus) & (roots < pair.u_minus)  # NaN pads fail
-    n_in = inside.sum(axis=1)
-    pts = np.full((len(e), n_in.max(initial=0) + 2), pair.u_minus)
-    pts[np.arange(pts.shape[1]) < n_in[:, None]] = roots[inside]
-    pts[:, -2] = pair.u_plus
-    return pts
-
-
 def oleinik_admissible_many(pair: ShockPair, xis) -> OleinikBatch:
     """Chord admissibility of every row of xis, shape (n, d).
 
     Checks xi.f(s) - sigma*s <= xi.f(u_pm) - sigma*u_pm on (u_plus, u_minus)
     exactly, at the critical points of the excess polynomial and the end
-    states, up to a slack of 1e-14 times max(1, |xi.f(u_pm) - sigma*u_pm|,
-    the largest |excess polynomial| at those points).  Also returns the
-    endpoint characteristic margins (sigma - xi.f'(u_plus), xi.f'(u_minus) -
-    sigma), which are nonnegative whenever the chord condition holds.
+    states (`_extremal_values`), up to a slack of 1e-14 times max(1,
+    |xi.f(u_pm) - sigma*u_pm|, the largest |excess polynomial| at those
+    points).  Also returns the endpoint characteristic margins (sigma -
+    xi.f'(u_plus), xi.f'(u_minus) - sigma), nonnegative whenever the chord
+    condition holds.
 
     Every row gets the same floating-point operations as a test of that row
-    alone: `np.vecdot` is `np.dot` per row; the critical points of all rows
-    come from one `_derivative_roots` call, whose stacked companion matrices
-    share one `np.linalg.eigvals` call per degree and give each row the
-    roots that `critical_points` gives it; ragged sets are padded with
-    u_minus, a candidate already; and f'(u_pm) are the pair's cached
-    `end_speeds`.  A row holds at most degree + 1 points, so all rows are
-    evaluated at once.
+    alone: `np.vecdot` is `np.dot` per row; the stacked companion matrices
+    of `_derivative_roots` share one `np.linalg.eigvals` call per degree and
+    give each row the roots that `critical_points` gives it; and f'(u_pm)
+    are the pair's cached `end_speeds`.  e sums each component's own slice
+    of coefficients, as a zero that pads a component times an overflowed
+    direction would be NaN.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != pair.d:
         raise ValueError(f"directions must have shape (n, {pair.d}), got {xis.shape}")
     sigma = np.vecdot(xis, pair.velocity)
     # coefficients of s -> xi.f(s) - sigma*s and the common end value
-    e = np.zeros((len(xis), max(max(len(c) for c in pair.flux.coeffs), 2)))
+    e = np.zeros((len(xis), pair.flux.padded().shape[1]))
     for i, c in enumerate(pair.flux.coeffs):
         e[:, : len(c)] += xis[:, i : i + 1] * np.asarray(c)
     e[:, 1] -= sigma
-    ref = P.polyval(pair.u_minus, e.T)
-    vals = P.polyval(_exact_points(pair, e), e.T[..., None], tensor=False)
+    vals = _extremal_values(e, pair.u_plus, pair.u_minus)
+    ref = vals[:, -1]
     worst = np.maximum(np.max(vals - ref[:, None], axis=1), 0.0)
     peak = np.max(np.abs(vals), axis=1)
     # max(1, |ref|, peak), ignoring NaN like the builtin max does here; exact
@@ -353,21 +354,15 @@ def check_nondegeneracy(flux: Flux) -> NondegeneracyResult:
     the least singular value.
     """
     d = flux.d
-    ncols = max(len(flux.component(i, 1)) for i in range(d))
-    mat = np.zeros((d, ncols))
-    for i in range(d):
-        c = flux.component(i, 1)
-        mat[i, : len(c)] = c
+    mat = flux.padded(1)
     higher = mat[:, 1:]
-    if higher.size == 0:
-        higher = np.zeros((d, 1))
     # xi annihilates all non-constant coefficients iff xi is in the kernel of
     # higher^T; rows of unit max make the rank blind to each component's
     # scale, as the question is (xi_i -> xi_i / c for f_i -> c f_i)
     size = np.abs(higher).max(axis=1)
     size[size == 0] = 1.0
     _, sv, vh = np.linalg.svd((higher / size[:, None]).T, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
+    rank = int(np.sum(sv > 1e-12 * sv[0]))
     if rank == d:
         return NondegeneracyResult(True, ())
     xi = vh[-1] / size

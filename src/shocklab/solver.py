@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import CFLViolation, GridMismatch
-from .fluxes import Flux, _key, critical_points, poly_abs_max
+from .fluxes import Flux, _key, component_abs_max, critical_points
 from .profiles import Front, PerturbationSpec, ShockProfile
 
 __all__ = [
@@ -345,13 +345,6 @@ def _plan(c: np.ndarray, full: bool) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _derivative(key: bytes) -> np.ndarray:
-    """g' of the coefficient key; the wave-speed bound needs no more of it
-    than this, and none of the Engquist-Osher pieces of `_compiled`."""
-    return P.polyder(np.frombuffer(key))
-
-
-@lru_cache(maxsize=256)
 def _compiled(key: bytes) -> dict:
     """The Horner plan of c (`_plan`) and the Engquist-Osher pieces of g'.
 
@@ -363,7 +356,7 @@ def _compiled(key: bytes) -> dict:
     is None.
     """
     c = np.frombuffer(key)
-    dc = _derivative(key)
+    dc = P.polyder(c)
     full = len(c) == 1 or bool(np.any(np.signbit(c) & (c == 0.0)))
 
     def shift(v):
@@ -419,19 +412,12 @@ def _horner(plan: tuple, x):
 
 
 @lru_cache(maxsize=1024)
-def _lambda_bound(key: bytes, lo: float, hi: float) -> float:
-    """float(max |g'|) over [lo, hi]; the same range recurs step after step."""
-    return float(np.max(poly_abs_max(_derivative(key), lo, hi)))
-
-
-def _rusanov(g_a, g_b, a, b, lam):
-    """0.5*(g(a) + g(b)) - (0.5*lam)*(b - a), given g(a) and g(b)."""
-    f = g_a + g_b
-    f *= 0.5
-    diss = b - a
-    diss *= 0.5 * lam
-    f -= diss
-    return f
+def _lambdas(keys: tuple[bytes, ...], lo: float, hi: float) -> tuple[float, ...]:
+    """max |g'| over [lo, hi], exact (`component_abs_max`), of the component
+    of each key; the same range recurs step after step.  The keys are
+    `Flux.keys`, so -0.0 and 0.0 coefficients never share an entry."""
+    flux = Flux(tuple(map(np.frombuffer, keys)))
+    return tuple(component_abs_max(flux, 1, lo, hi).tolist())
 
 
 _clip = np._core.umath.clip  # the ufunc that np.clip ends in
@@ -485,29 +471,46 @@ def _engquist_osher(data: dict, a, b):
     return f
 
 
+def _interface_flux(kind: str, data: dict, ext, lam):
+    """The fluxes between consecutive states a = ext[:-1] and b = ext[1:]
+    along axis 0, for g compiled to data (`_compiled`).  Rusanov is
+    0.5*(g(a) + g(b)) - (0.5*lam)*(b - a), with g evaluated once per state
+    by its Horner plan; Engquist-Osher is `_engquist_osher`.  Every
+    operation is elementwise, so the bits do not depend on the layout."""
+    if kind == "rusanov":
+        g = _horner(data["plan"], ext)
+        f = g[:-1] + g[1:]
+        f *= 0.5
+        diss = ext[1:] - ext[:-1]
+        diss *= 0.5 * lam
+        f -= diss
+        return f
+    if kind == "engquist-osher":
+        return _engquist_osher(data, ext[:-1], ext[1:])
+    raise ValueError(f"unknown numerical flux {kind!r}")
+
+
 def numerical_flux(flux_component, a, b, kind: str = "rusanov", lam=None):
     """Monotone consistent interface flux for one scalar flux component.
 
-    flux_component is a coefficient sequence (ascending).  Rusanov uses the
-    interval-exact wave speed bound by default (lam overrides it with a fixed
-    per-step bound, which is what keeps the full update order-preserving);
-    Engquist-Osher integrates the sign decomposition of g' exactly between its
-    real roots, one piece per sign run (see `_compiled`).  For finite states
-    both equal the plain formulas evaluated with P.polyval, and Engquist-Osher
-    the sum over every sign interval of g', bit for bit (see `_plan` and
-    `_eo_part`).  Both are consistent (H(s, s) = g(s)), nondecreasing in a,
-    and nonincreasing in b.
+    flux_component is a coefficient sequence (ascending).  Rusanov's lam
+    defaults to max |g'| over the whole range [min(a, b), max(a, b)] of all
+    the states, exact: one bound for every interface, as `step` takes one
+    per step, which is what keeps the full update order-preserving.
+    Engquist-Osher integrates the sign decomposition of g' exactly between
+    its real roots, one piece per sign run (see `_compiled`).  Both come
+    from the kernel that `step` calls (`_interface_flux`): for finite
+    states both equal the plain formulas evaluated with P.polyval, and
+    Engquist-Osher the sum over every sign interval of g', bit for bit (see
+    `_plan` and `_eo_part`).  Both are consistent (H(s, s) = g(s)),
+    nondecreasing in a, and nonincreasing in b.
     """
     key = _key(flux_component)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    data = _compiled(key)
-    if kind == "rusanov":
-        if lam is None:
-            lam = poly_abs_max(_derivative(key), np.minimum(a, b), np.maximum(a, b))
-        return _rusanov(_horner(data["plan"], a), _horner(data["plan"], b), a, b, lam)
-    if kind == "engquist-osher":
-        return _engquist_osher(data, a, b)
-    raise ValueError(f"unknown numerical flux {kind!r}")
+    if kind == "rusanov" and lam is None:
+        lo, hi = (min(a.min(), b.min()), max(a.max(), b.max())) if a.size else (0.0, 0.0)
+        lam = _lambdas((key,), float(lo), float(hi))[0]
+    return _interface_flux(kind, _compiled(key), np.stack([a, b]), lam)[0]
 
 
 # -- boundaries ----------------------------------------------------------------
@@ -708,8 +711,7 @@ def check_range(vmin, vmax, guard: tuple[float, float]) -> None:
 def wave_speed(flux: Flux, grid: Grid, lo: float, hi: float) -> float:
     """The bound lambda: max |f_i'| over [lo, hi] and the grid's axes i, exact;
     the per-axis bounds are those `step` uses."""
-    return float(np.max([_lambda_bound(flux.keys[ax], float(lo), float(hi))
-                         for ax in range(grid.d)]))
+    return float(np.max(_lambdas(flux.keys[: grid.d], float(lo), float(hi))))
 
 
 def stable_dt(flux: Flux, grid: Grid, scheme: SchemeConfig, lo: float, hi: float) -> float:
@@ -859,19 +861,9 @@ def step(
 
     The result is bit-identical to the plain formula, so the order of the
     floating-point operations is part of the contract:
-    - per axis, g is evaluated once per cell of the ghost-padded array by
-      the Horner plan of its coefficients, cached per coefficient key: the
-      steps of P.polyval (c[-1] + x*0, then c[-i] + c0*x) less those that
-      cannot change a bit of a finite x.  Without a -0.0 coefficient,
-      c[-1] + x*0 then *x is x*c[-1], *1.0 goes, and an inner + 0.0 goes,
-      since the last step, + c[0], leaves no -0.0; the last + 0.0 of an
-      even monomial c*x^(2m), c > 0, goes too, as that product is never
-      -0.0; a -0.0 coefficient keeps every step (see `_plan`).  Rusanov is
-      0.5*(g(a) + g(b)) - (0.5*lam)*(b - a) with one range-wide lam,
-      Engquist-Osher (g(0) + Pos(a)) + Neg(b), each part summed from +0.0
-      over the sign intervals of g', where adding or subtracting a zero that
-      cannot change a bit is left out by the same rule, and two intervals
-      of one sign that meet at 0 are one piece (see `_eo_part`);
+    - per axis, the interface fluxes of the ghost-padded array come from
+      the kernel of `numerical_flux` (`_interface_flux`, whose bits that
+      docstring states), with Rusanov's range-wide lam of the axis;
     - div is 0.0 + ((F_hi - F_lo) / dx) of axis 0, and then adds that of
       each other axis in turn; the result is u - dt*div.  div starts as axis
       0's jump plus 0.0, in place: IEEE addition commutes, so those are the
@@ -941,8 +933,8 @@ def step(
     # Rusanov dissipation uses one range-wide bound per step: a constant
     # coefficient keeps the unsplit update order-preserving under the CFL
     d = g.d
-    keys = [flux.keys[ax] for ax in range(d)]
-    lams = [_lambda_bound(key, float(lo), float(hi)) for key in keys]
+    keys = flux.keys[:d]
+    lams = _lambdas(keys, float(lo), float(hi))
     lam_used = max(0.0, *lams)
     inv_dx = _exact_reciprocal(g.dx)
     boxed = d > 2  # 3-D steps run in slabs, each the box of its cells that can change
@@ -1003,12 +995,7 @@ def step(
                     values[sub[:ax] + (sub[ax].start - 1,) + sub[ax + 1:]]
                 ext[-1] = ghosts[(ax, 1)][part] if hi_end else \
                     values[sub[:ax] + (sub[ax].stop,) + sub[ax + 1:]]
-                data = datas[ax]
-                if scheme.numerical_flux == "rusanov":
-                    g_ext = _horner(data["plan"], ext)
-                    f = _rusanov(g_ext[:-1], g_ext[1:], ext[:-1], ext[1:], lams[ax])
-                else:
-                    f = _engquist_osher(data, ext[:-1], ext[1:])
+                f = _interface_flux(scheme.numerical_flux, datas[ax], ext, lams[ax])
                 jump = f[1:] - f[:-1]
                 if inv_dx is None:
                     jump /= g.dx

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,38 @@ def test_support_runs_on_a_linear_flux(tmp_path):
     path.write_text(cfg + f"output.dir = {tmp_path / 'out'}\n")
     code, _, err = run_cli(["support", "--config", str(path)])
     assert code == 0, err
+
+
+def test_support_refuses_a_flux_whose_third_derivative_overflows(tmp_path, monkeypatch):
+    # the flux key checks the companion matrices of f, f' and f'' only; the
+    # curvature bound of support's hull roots f''' = (4.8e308 s^2, 0), which
+    # overflows.  Other commands never root f''', so the key itself is fine.
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    monkeypatch.setattr(cli, "sample_function", _no_evolution)
+    poly = "[[0,0,0,0,0,8e306],[0,0,1]]"
+    assert config.KEYS["flux.poly"][0](poly)
+    path = tmp_path / "c.cfg"
+    path.write_text(f"flux.poly = {poly}\npair.u_minus = 1e-100\nperturbation.shape = bump\n"
+                    "perturbation.center = 0,0\nperturbation.radius = 1\n"
+                    "perturbation.amplitude = 1e-100\ngrid.counts = 32,32\n"
+                    "grid.box = -5,15,-5,15\nexperiment.horizon = 2.5\n"
+                    f"output.dir = {tmp_path / 'out'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no raw numpy warning either
+        code, _, err = run_cli(["support", "--config", str(path)])
+    assert code == 2
+    assert err.startswith("config error: line 1: flux.poly: ") and "f'''" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_cli_module_runs_main(tmp_path):
+    # `python -m shocklab.cli` once imported the module and exited 0
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "shocklab.cli", "stability", "--config", str(tmp_path / "absent.cfg")],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 2, proc.stderr
+    assert "absent.cfg" in proc.stderr
 
 
 @pytest.mark.parametrize("case, d", [("normalize-check-poly-1d", 1), ("normalize-check-poly-4d", 4)])

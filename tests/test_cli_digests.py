@@ -63,6 +63,13 @@ CASES = {
                   + BUMP.format(c="2.7,0.0", r=1.6, a=1.9)
                   + "experiment.horizon = 1.0\nexperiment.settle_steps = 200\n"
                   "experiment.snapshot_interval = 0.5\n"),
+    # a front normal off the grid axes: W is not grid-aligned, so the front
+    # is read along sampled lines (`extract_front`, `Field.sample`)
+    "stability-oblique": ("stability", "flux.burgers_d = 2\npair.u_minus = 1.0\n"
+                          "pair.u_plus = -0.5\nprofile.front = planar\nprofile.nu = 1,0.3\n"
+                          "grid.counts = 32,48\ngrid.box = -2.5,1.5,-3,3\n"
+                          + BUMP.format(c="-1.0,0.0", r=0.6, a=-0.4)
+                          + "experiment.horizon = 1.0\nexperiment.settle_steps = 120\n"),
     "overhead": ("overhead", OVERHEAD),
     # settle against a moving background
     "overhead-original": ("overhead", OVERHEAD + "scheme.frame = original\n"),

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as P
 import shocklab as sl
 from shocklab.cones import _fibonacci_sphere
 from shocklab.errors import DegenerateFlux, EqualStates, WrongOrder
-from shocklab.fluxes import critical_points, is_burgers
+from shocklab.fluxes import NondegeneracyResult, component_abs_max, critical_points, is_burgers
 
 
 def test_eval_flux_burgers_values(burgers2):
@@ -281,6 +281,72 @@ def test_nondegeneracy_is_blind_to_each_component_scale(coeffs, passed):
 def test_nondegeneracy_classic_burgers_1d():
     f = sl.Flux(((0.0, 0.0, 0.5),))
     assert sl.check_nondegeneracy(f).passed
+
+
+def _old_check_nondegeneracy(flux):
+    """`check_nondegeneracy` as it was, with its own matrix of f' and the
+    special case of a flux whose components are all linear."""
+    d = flux.d
+    mat = np.zeros((d, max(len(flux.component(i, 1)) for i in range(d))))
+    for i in range(d):
+        mat[i, : len(flux.component(i, 1))] = flux.component(i, 1)
+    higher = mat[:, 1:]
+    if higher.size == 0:
+        higher = np.zeros((d, 1))
+    size = np.abs(higher).max(axis=1)
+    size[size == 0] = 1.0
+    _, sv, vh = np.linalg.svd((higher / size[:, None]).T, full_matrices=True)
+    if int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0))) == d:
+        return NondegeneracyResult(True, ())
+    xi = vh[-1] / size
+    vec = np.concatenate([[-float(np.dot(xi, mat[:, 0]))], xi])
+    vec = vec / np.abs(vec).max()
+    vec = vec / np.linalg.norm(vec)
+    return NondegeneracyResult(False, ((float(vec[0]), tuple(float(x) for x in vec[1:])),))
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((0.0, 1.0), (0.0, 1.0)),
+    ((1.0, -2.0), (-0.0, 0.5)),
+    ((-3.0,), (0.0, 1.0)),
+    ((2.0, 1.0), (0.0, -1.0), (-0.5, 4.0)),
+    ((-0.0, 1.0, -0.0), (0.0, -0.0)),
+])
+def test_nondegeneracy_of_linear_components_is_unchanged(coeffs):
+    # repr tells -0.0 from 0.0
+    flux = sl.Flux(coeffs)
+    assert repr(sl.check_nondegeneracy(flux)) == repr(_old_check_nondegeneracy(flux))
+
+
+def _old_poly_abs_max(coeffs, lo, hi):
+    """`poly_abs_max` as it was: one component, its critical points one by one."""
+    c = np.asarray(coeffs, dtype=float)
+    cand = np.maximum(np.abs(P.polyval(lo, c)), np.abs(P.polyval(hi, c)))
+    for r in critical_points(c):
+        inside = (lo <= r) & (r <= hi)
+        if np.any(inside):
+            cand = np.where(inside, np.maximum(cand, abs(float(P.polyval(r, c)))), cand)
+    return cand
+
+
+# components of mixed degree, constant and linear ones among them, with signed zeros
+COMPONENTS = st.lists(st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 1e-3)), min_size=1, max_size=6),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=COMPONENTS, order=st.integers(0, 3),
+       ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+@example(coeffs=[[-0.0, 2.0], [0.0, 0.0, -1.0, 0.5], [-1.0]], order=1, ends=(-1.5, 2.0))
+@example(coeffs=[[0.0, -0.0], [-0.0, 0.0, 0.0, -1.0]], order=0, ends=(-0.0, 0.0))
+def test_component_abs_max_keeps_the_bits_of_one_call_per_component(coeffs, order, ends):
+    flux = sl.Flux(tuple(map(tuple, coeffs)))
+    lo, hi = sorted(ends)
+    want = np.array([_old_poly_abs_max(flux.component(i, order), lo, hi)
+                     for i in range(flux.d)])
+    assert component_abs_max(flux, order, lo, hi).tobytes() == want.tobytes()
 
 
 def test_normalization_at_zero():

@@ -430,14 +430,18 @@ def _ref_critical_points(coeffs):
     return np.sort(r[np.abs(r.imag) < 1e-9].real)
 
 
-def _ref_exact_points(pair, e):
-    """The exact chord test's points, one `critical_points` call per row."""
-    crits = [c[(c > pair.u_plus) & (c < pair.u_minus)] for c in map(_ref_critical_points, e)]
-    pts = np.full((len(e), max(map(len, crits), default=0) + 2), pair.u_minus)
-    for row, crit in zip(pts, crits):
-        row[: len(crit)] = crit
-    pts[:, -2] = pair.u_plus
-    return pts
+def _ref_extremal_values(rows, lo, hi):
+    """`_extremal_values`: one `critical_points` call and one P.polyval call
+    per row, at its critical points inside (lo, hi), hi as padding, lo, hi."""
+    crits = [c[(c > lo) & (c < hi)] for c in map(_ref_critical_points, rows)]
+    width = max(map(len, crits), default=0) + 2
+    out = np.empty((len(rows), width))
+    for k, (row, crit) in enumerate(zip(rows, crits)):
+        pts = np.full(width, hi)
+        pts[: len(crit)] = crit
+        pts[-2] = lo
+        out[k] = P.polyval(pts, row)
+    return out
 
 
 def _excess_rows(pair, xis):
@@ -502,7 +506,8 @@ def _scan_directions():
 def test_stacked_roots_and_points_match_one_polyroots_per_row(pair):
     e = _excess_rows(pair, _scan_directions())
     _assert_same_roots(e)
-    got, want = fluxes._exact_points(pair, e), _ref_exact_points(pair, e)
+    got = fluxes._extremal_values(e, pair.u_plus, pair.u_minus)
+    want = _ref_extremal_values(e, pair.u_plus, pair.u_minus)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

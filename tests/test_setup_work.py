@@ -44,17 +44,17 @@ def test_the_burgers_cone_takes_few_chord_tests_and_eigenvalue_calls(monkeypatch
 def test_the_3d_burgers_cone_roots_its_directions_in_one_call(monkeypatch):
     pair = sl.make_shock_pair(sl.burgers_flux(3), 1, -1)
     rows, eigvals_calls = [], []
-    inner_points, inner_eigvals = fluxes._exact_points, np.linalg.eigvals
+    inner_values, inner_eigvals = fluxes._extremal_values, np.linalg.eigvals
 
-    def exact_points(pair, e):
+    def extremal_values(e, lo, hi):
         rows.append(len(e))
-        return inner_points(pair, e)
+        return inner_values(e, lo, hi)
 
     def eigvals(*args, **kwargs):
         eigvals_calls.append(1)
         return inner_eigvals(*args, **kwargs)
 
-    monkeypatch.setattr(fluxes, "_exact_points", exact_points)
+    monkeypatch.setattr(fluxes, "_extremal_values", extremal_values)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     cone = sl.admissible_cone(pair, 0.05)
     assert not cone.trivial

@@ -16,6 +16,8 @@ def test_numerical_flux_reference_values():
     assert sl.numerical_flux((0, 0, 1), 1.0, -1.0) == 3.0
     assert sl.numerical_flux((0, 0, 1), 2.0, 2.0) == 4.0
     assert sl.numerical_flux((0, 0, 1), -1.0, 1.0, "engquist-osher") == 0.0
+    for kind in ("rusanov", "engquist-osher"):  # no states, no interfaces
+        assert sl.numerical_flux((0, 0, 1), np.empty(0), np.empty(0), kind).shape == (0,)
 
 
 @settings(deadline=None, max_examples=60)

@@ -41,6 +41,13 @@ def _ref_lambda_max(c, lo, hi):
     return cand
 
 
+def _range_lam(coeffs, a, b):
+    """max |g'| over the whole range of the states a and b: the bound that
+    `step` takes per step, and `numerical_flux`'s default."""
+    lo, hi = min(np.min(a), np.min(b)), max(np.max(a), np.max(b))
+    return float(np.max(_ref_lambda_max(np.asarray(coeffs, dtype=float), lo, hi)))
+
+
 def _ref_eo_split(c, x, positive):
     dc = P.polyder(c)
     edges = np.concatenate([[-np.inf], _real_roots(dc), [np.inf]])
@@ -178,7 +185,7 @@ def test_numerical_flux_is_bit_identical_to_reference(kind, rng):
                    (0.0, 1.0), (-0.0, 1.0)]:
         a = _data(rng, (7, 5))
         b = _data(rng, (7, 5))
-        for lam in (None, 2.5):
+        for lam in (_range_lam(coeffs, a, b), 2.5):
             lam = None if kind != "rusanov" else lam
             got = np.asarray(sl.numerical_flux(coeffs, a, b, kind, lam=lam))
             want = np.asarray(_ref_flux(coeffs, a, b, kind, lam=lam))
@@ -213,10 +220,22 @@ def test_horner_plan_and_fluxes_match_polyval_bit_for_bit(coeffs, states):
         for x in (a, b, a[0]):
             assert np.asarray(solver._horner(plan, x)).tobytes() == \
                 np.asarray(P.polyval(x, c)).tobytes(), (coeffs, x)
-        for kind, lam in (("rusanov", None), ("rusanov", 2.5), ("engquist-osher", None)):
+        for kind, lam in (("rusanov", _range_lam(c, a, b)), ("rusanov", 2.5),
+                          ("engquist-osher", None)):
             got = np.asarray(sl.numerical_flux(coeffs, a, b, kind, lam=lam))
             want = np.asarray(_ref_flux(coeffs, a, b, kind, lam=lam))
             assert got.tobytes() == want.tobytes(), (coeffs, kind, lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=COEFFICIENTS, states=STATES)
+@example(coeffs=[0.0, 0.0, 0.0, 1.0], states=[(-2.0, 0.5), (0.25, 1.0)])  # g' peaks at -2
+def test_rusanov_default_lam_is_the_range_wide_bound(coeffs, states):
+    a, b = np.array(states).T
+    with np.errstate(all="ignore"):
+        got = np.asarray(sl.numerical_flux(coeffs, a, b))
+        want = np.asarray(_ref_flux(coeffs, a, b, "rusanov", lam=_range_lam(coeffs, a, b)))
+    assert got.tobytes() == want.tobytes(), coeffs
 
 
 # -- the fast paths ---------------------------------------------------------------
