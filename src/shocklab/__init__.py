@@ -61,7 +61,6 @@ from .solver import (
     SchemeConfig,
     constant_background,
     l1_distance,
-    numerical_flux,
     profile_background,
     run,
     sample_function,

@@ -17,8 +17,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .cones import admissible_cone, dual_cone
-from .errors import ConfigError, ShockLabError
-from .fluxes import Flux, burgers_flux, check_nondegeneracy, make_shock_pair
+from .errors import ConfigError, DegenerateFlux, ShockLabError
+from .fluxes import (Flux, burgers_flux, check_nondegeneracy, critical_points,
+                     make_shock_pair)
 from .profiles import PerturbationSpec, ShockProfile, make_graph, make_planar, make_scaled_gauge
 from .solver import Grid, SchemeConfig, stable_dt, wave_speed
 
@@ -146,18 +147,15 @@ def _parse_poly(s: str) -> tuple[tuple[float, ...], ...]:
     coeffs = tuple(tuple(float(c) for c in comp) for comp in val)
     if not np.all(np.isfinite(np.concatenate(coeffs))):
         raise ValueError(f"coefficients must be finite, got {list(map(list, coeffs))}")
-    # the roots of a component and of its first two derivatives come from a
-    # companion matrix, which divides by the leading coefficient
+    # the program roots f_i' (`critical_points` of f_i) and f_i'' (of f_i'),
+    # and no other polynomial of a component
     with np.errstate(over="ignore", invalid="ignore"):
         for i, comp in enumerate(coeffs):
-            c = np.trim_zeros(np.array(comp), "b")
-            for order in range(3):
-                if len(c) < 2:
-                    break
-                if not np.all(np.isfinite(np.concatenate([c, c[:-1] / c[-1]]))):
-                    raise ValueError(f"component {i}: the companion matrix of its derivative "
-                                     f"of order {order} overflows")
-                c = np.trim_zeros(P.polyder(c), "b")
+            for order in range(2):
+                try:
+                    critical_points(P.polyder(comp, order))
+                except DegenerateFlux as exc:
+                    raise ValueError(f"component {i}: {exc}") from None
     return coeffs
 
 

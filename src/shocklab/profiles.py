@@ -215,9 +215,10 @@ def _slope_ratio(dual: DualCone, slopes: np.ndarray) -> float:
     return float(np.max(slopes @ verts[finite].T, initial=0.0))
 
 
-def _finish_profile(pair, dual, front, y_extent, rho_tol) -> ShockProfile:
+def _finish_profile(pair, dual, front, y_extent) -> ShockProfile:
+    """The profile of front; NotLipschitzInGauge when its ratio exceeds 1 + 1e-6."""
     rho = _slope_ratio(dual, front.slopes)
-    if rho > 1.0 + rho_tol:
+    if rho > 1.0 + 1e-6:
         raise NotLipschitzInGauge(f"front ratio {rho:.6g} exceeds 1; normals leave the cone")
     return ShockProfile(pair, dual, front, rho=rho, y_extent=y_extent)
 
@@ -245,12 +246,11 @@ def make_graph(
     dual: DualCone,
     psi,
     y_extent: tuple[float, float] = (-8.0, 8.0),
-    rho_tol: float = 1e-6,
 ) -> ShockProfile:
     """Graph-front shock from samples (nodes, values), or from a callable psi
     sampled at FRONT_NODES points across y_extent; the front interpolates them.
 
-    Rejects fronts whose gauge-Lipschitz ratio exceeds 1 (+ rho_tol): their
+    Rejects fronts whose gauge-Lipschitz ratio exceeds 1 (+ 1e-6): their
     normals would leave the admissibility cone.
     """
     if callable(psi):
@@ -261,7 +261,7 @@ def make_graph(
     if not np.all(np.isfinite(values)):
         raise ValueError("front values must be finite on the sample grid")
     front = _pwl_front(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
-    return _finish_profile(pair, dual, front, y_extent, rho_tol)
+    return _finish_profile(pair, dual, front, y_extent)
 
 
 def make_scaled_gauge(
@@ -273,7 +273,7 @@ def make_scaled_gauge(
 ) -> ShockProfile:
     """Front psi(y) = slope * gauge(y) + offset (a cone-shaped shock)."""
     front = _scaled_gauge_front(dual, slope, offset)
-    return _finish_profile(pair, dual, front, y_extent, 1e-6)
+    return _finish_profile(pair, dual, front, y_extent)
 
 
 def box_corners(lo, hi, d: int) -> np.ndarray:
@@ -318,7 +318,7 @@ def sandwich_bounds(
     upper_cone = Front("cone", lambda y: r1 - dual.gauge(-y), dual.facet_slopes, {"r1": r1})
     return tuple(
         _finish_profile(profile.pair, dual, _combine_front(op, (profile.front, cone)),
-                        profile.y_extent, 1e-6)
+                        profile.y_extent)
         for op, cone in (("min", lower_cone), ("max", upper_cone)))
 
 
@@ -337,8 +337,8 @@ def front_surgery(
     b, h, k = base.front, first.front, second.front
     h_hat = _combine_front("min", (h, _combine_front("max", (b, k))))
     k_hat = _combine_front("max", (k, _combine_front("min", (b, h))))
-    lo = _finish_profile(base.pair, base.dual, h_hat, base.y_extent, 1e-6)
-    hi = _finish_profile(base.pair, base.dual, k_hat, base.y_extent, 1e-6)
+    lo = _finish_profile(base.pair, base.dual, h_hat, base.y_extent)
+    hi = _finish_profile(base.pair, base.dual, k_hat, base.y_extent)
     return lo, hi
 
 
@@ -453,10 +453,13 @@ class PerturbationSpec:
 def extract_front(field, pair: ShockPair, dual: DualCone):
     """Recover the front of a near-two-valued field as samples over H.
 
-    Walks each grid column along the frame axis and takes the last crossing of
+    Reads each grid column along the frame axis and takes the last crossing of
     the mid level by linear interpolation; columns entirely on one side get the
     domain boundary value.  Values may stray 5% of the jump past the end
-    states, and the front ratio 0.1 past 1.  Returns (nodes, samples, profile).
+    states.  Returns (nodes, samples, profile): the profile's front
+    interpolates the samples, and its ratio rho is the one measured, which
+    may exceed 1; a caller that needs a steady shock's front checks it.
+    NoCrossing when no column crosses the mid level.
     """
     grid = field.grid
     if pair.d != 2 or grid.d != 2:
@@ -479,41 +482,37 @@ def extract_front(field, pair: ShockPair, dual: DualCone):
             u_cols = u_cols[::-1, :]
         nodes_raw = grid.centers(other) * dual.H[other, 0]
     else:
-        # sample the field bilinearly along lines parallel to the frame axis
+        # sample the field bilinearly along lines parallel to the frame axis,
+        # one column of points per offset along H
         lo = np.array(grid.lo)
         hi = lo + np.array(grid.counts) * grid.dx
         diam = float(np.linalg.norm(hi - lo))
         s = np.arange(-0.5 * diam, 0.5 * diam, 0.5 * grid.dx)
         mid = 0.5 * (lo + hi)
-        n_cols = max(grid.counts)
         span = float(np.max(hi - lo))
-        offsets = np.linspace(-0.5 * span, 0.5 * span, n_cols)
+        offsets = np.linspace(-0.5 * span, 0.5 * span, max(grid.counts))
         r_centers = s + float(mid @ w)
-        u_cols = np.empty((len(s), n_cols))
-        for j, yj in enumerate(offsets):
-            pts = mid + np.multiply.outer(s, w) + yj * dual.H[:, 0]
-            u_cols[:, j] = field.sample(pts)
+        pts = ((mid + np.multiply.outer(s, w))[:, None, :]
+               + np.multiply.outer(offsets, dual.H[:, 0]))
+        u_cols = field.sample(pts)
         nodes_raw = offsets + float(mid @ dual.H[:, 0])
 
     order = np.argsort(nodes_raw)
     nodes = nodes_raw[order]
     u_cols = u_cols[:, order]
-    psi = np.empty(len(nodes))
-    any_crossing = False
-    for j in range(len(nodes)):
-        col = u_cols[:, j]
-        du = col - level
-        prod = du[:-1] * du[1:]
-        cross = np.where((prod <= 0) & (col[:-1] != col[1:]))[0]
-        if len(cross) == 0:
-            psi[j] = r_centers[-1] if np.all(du > 0) else r_centers[0]
-            continue
-        any_crossing = True
-        i = int(cross[-1])
-        frac = du[i] / (col[i] - col[i + 1])
-        psi[j] = r_centers[i] + frac * (r_centers[i + 1] - r_centers[i])
-    if not any_crossing:
+    du = u_cols - level
+    cross = (du[:-1] * du[1:] <= 0) & (u_cols[:-1] != u_cols[1:])
+    crossed = cross.any(axis=0)
+    if not crossed.any():
         raise NoCrossing("no column of the field crosses the mid level")
-    profile = make_graph(pair, dual, (nodes, psi),
-                         y_extent=(float(nodes[0]), float(nodes[-1])), rho_tol=0.1)
+    # a column without a crossing lies on one side: past the front's far end
+    # when it is all above the level
+    psi = np.where(np.all(du > 0, axis=0), r_centers[-1], r_centers[0])
+    cols = np.flatnonzero(crossed)
+    i = len(cross) - 1 - np.argmax(cross[::-1, cols], axis=0)  # the last crossing
+    frac = du[i, cols] / (u_cols[i, cols] - u_cols[i + 1, cols])
+    psi[cols] = r_centers[i] + frac * (r_centers[i + 1] - r_centers[i])
+    front = _pwl_front(nodes, psi)
+    profile = ShockProfile(pair, dual, front, rho=_slope_ratio(dual, front.slopes),
+                           y_extent=(float(nodes[0]), float(nodes[-1])))
     return nodes, psi, profile

@@ -48,7 +48,6 @@ __all__ = [
     "Field",
     "SchemeConfig",
     "Background",
-    "numerical_flux",
     "step",
     "evolve",
     "run",

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
 from shocklab import cli, config, solver
+from shocklab import experiments as xp
+from shocklab.errors import NoCrossing
 from shocklab.cli import main
 
 CONE_CFG = """\
@@ -534,26 +536,67 @@ def test_support_runs_on_a_linear_flux(tmp_path):
     assert code == 0, err
 
 
-def test_support_refuses_a_flux_whose_third_derivative_overflows(tmp_path, monkeypatch):
-    # the flux key checks the companion matrices of f, f' and f'' only; the
-    # curvature bound of support's hull roots f''' = (4.8e308 s^2, 0), which
-    # overflows.  Other commands never root f''', so the key itself is fine.
-    monkeypatch.setattr(solver, "step", _no_evolution)
-    monkeypatch.setattr(cli, "sample_function", _no_evolution)
+def test_support_runs_a_flux_whose_third_derivative_overflows(tmp_path):
+    # f''' = (4.8e308 s^2, 0) overflows, and no path of support roots it: the
+    # flux key checks f' and f'', the roots the program takes
     poly = "[[0,0,0,0,0,8e306],[0,0,1]]"
-    assert config.KEYS["flux.poly"][0](poly)
     path = tmp_path / "c.cfg"
-    path.write_text(f"flux.poly = {poly}\npair.u_minus = 1e-100\nperturbation.shape = bump\n"
+    path.write_text(f"flux.poly = {poly}\npair.u_minus = 0\nperturbation.shape = bump\n"
                     "perturbation.center = 0,0\nperturbation.radius = 1\n"
-                    "perturbation.amplitude = 1e-100\ngrid.counts = 32,32\n"
+                    "perturbation.amplitude = 1e-80\ngrid.counts = 32,32\n"
                     "grid.box = -5,15,-5,15\nexperiment.horizon = 2.5\n"
                     f"output.dir = {tmp_path / 'out'}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no raw numpy warning either
         code, _, err = run_cli(["support", "--config", str(path)])
-    assert code == 2
-    assert err.startswith("config error: line 1: flux.poly: ") and "f'''" in err, err
-    assert not (tmp_path / "out").exists()
+    assert code == 0, err
+    assert (tmp_path / "out" / "verdict.txt").read_text().endswith("overall: pass\n")
+
+
+STABILITY_CHECKS = [f"lyapunov_cmp{i}" for i in range(5)] + [
+    "confinement", "convergence", "mass_identity"]
+
+
+def _run_stability_short(tmp_path):
+    """Run the stability-short digest case; its exit code and verdict lines."""
+    from test_cli_digests import CASES
+
+    _, cfg = CASES["stability-short"]
+    out = tmp_path / "out"
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg + f"output.dir = {out}\n")
+    code, _, err = run_cli(["stability", "--config", str(path)])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "final.shkw", "probes.csv", "snap_00000.050000.shkw", "snap_00000.100000.shkw",
+        "verdict.txt"], err
+    lines = (out / "verdict.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in lines[1:-1]] == STABILITY_CHECKS
+    return code, lines
+
+
+def test_stability_writes_its_verdict_when_the_front_is_no_steady_shocks(tmp_path):
+    # at horizon 0.1 the bump still bends u(T)'s front, whose ratio is far
+    # above 1: the run's checks and outputs stand, and the two checks that
+    # read the limit shock fail
+    code, lines = _run_stability_short(tmp_path)
+    assert code == 1
+    assert all(" pass " in ln for ln in lines[1:-3])
+    for name, line in zip(("convergence", "mass_identity"), lines[-3:-1]):
+        assert line.startswith(f"{name}: fail measured=nan ")
+        assert line.endswith("note=no limit shock: the front of u(T) has ratio 10.7711, "
+                             "above 1.1"), line
+
+
+def test_stability_fails_both_limit_checks_when_no_column_crosses(tmp_path, monkeypatch):
+    def no_crossing(*args):
+        raise NoCrossing("no column of the field crosses the mid level")
+
+    monkeypatch.setattr(xp, "extract_front", no_crossing)
+    code, lines = _run_stability_short(tmp_path)
+    assert code == 1
+    for name, line in zip(("convergence", "mass_identity"), lines[-3:-1]):
+        assert line.startswith(f"{name}: fail measured=nan ")
+        assert line.endswith("note=no limit shock: u(T) has no crossing of the mid level")
 
 
 def test_the_cli_module_runs_main(tmp_path):

@@ -4,12 +4,13 @@ Each case runs one command in-process and hashes its exit code, its standard
 output and every output file that carries results: verdict.txt (every
 measured value and tolerance, so check margins are pinned too), probes.csv,
 front.csv, final.shkw and each snap_*.shkw.  A refactor must leave every
-digest in the table, cli_digests.json, unchanged.  A change that is meant to
-move an output regenerates the table and says which outputs changed and why;
-run as a script, this file prints which cases and files changed against the
-committed table before it rewrites it:
+digest in the table, cli_digests.json, unchanged.  Run as a script, this
+file lists the new, changed and removed cases and files against the
+committed table, and exits 1 if there is any; with --write it also rewrites
+the table.  A change that is meant to move an output lists the moves, says
+which outputs changed and why, and then writes the table:
 
-    PYTHONPATH=src python tests/test_cli_digests.py
+    PYTHONPATH=src python tests/test_cli_digests.py [--write]
 
 Digests depend on the numpy build (its SIMD kernels for exp, tanh and sums),
 so the table records the numpy version that generated it.
@@ -37,6 +38,11 @@ PLANAR = "profile.front = planar\nprofile.nu = 1,0\n"
 OVERHEAD = (BURGERS2 + PLANAR + "grid.counts = 32,48\ngrid.box = -2.5,1.5,-3,3\n"
             + BUMP.format(c="-1.2,-0.8", r=0.7, a=0.5)
             + "experiment.horizon = 2.0\nexperiment.settle_steps = 120\n")
+STABILITY = (BURGERS2 + "cone.resolution = 1e-8\nprofile.front = abs_scaled\n"
+             "profile.slope = 0.5\ngrid.counts = 32,64\ngrid.box = -3,5,-8,8\n"
+             + BUMP.format(c="2.7,0.0", r=1.6, a=1.9)
+             + "experiment.horizon = {horizon}\nexperiment.settle_steps = 200\n"
+             "experiment.snapshot_interval = {interval}\n")
 
 # name -> (command, config without output.dir)
 CASES = {
@@ -58,11 +64,7 @@ CASES = {
                     + "scheme.numerical_flux = engquist-osher\nscheme.frame = original\n"
                     "experiment.horizon = 0.3\nexperiment.snapshot_interval = 0.1\n"),
     # a cap well past the settle's plateau window, so its stop rule ends it
-    "stability": ("stability", BURGERS2 + "cone.resolution = 1e-8\nprofile.front = abs_scaled\n"
-                  "profile.slope = 0.5\ngrid.counts = 32,64\ngrid.box = -3,5,-8,8\n"
-                  + BUMP.format(c="2.7,0.0", r=1.6, a=1.9)
-                  + "experiment.horizon = 1.0\nexperiment.settle_steps = 200\n"
-                  "experiment.snapshot_interval = 0.5\n"),
+    "stability": ("stability", STABILITY.format(horizon=1.0, interval=0.5)),
     # a front normal off the grid axes: W is not grid-aligned, so the front
     # is read along sampled lines (`extract_front`, `Field.sample`)
     "stability-oblique": ("stability", "flux.burgers_d = 2\npair.u_minus = 1.0\n"
@@ -70,6 +72,11 @@ CASES = {
                           "grid.counts = 32,48\ngrid.box = -2.5,1.5,-3,3\n"
                           + BUMP.format(c="-1.0,0.0", r=0.6, a=-0.4)
                           + "experiment.horizon = 1.0\nexperiment.settle_steps = 120\n"),
+    # the stability case stopped while the bump still bends u(T)'s front, with
+    # a snapshot every 0.05: the front's ratio is above stability_experiment's
+    # LIMIT_RHO, so convergence and mass_identity fail, and every output is
+    # still written
+    "stability-short": ("stability", STABILITY.format(horizon=0.1, interval=0.05)),
     "overhead": ("overhead", OVERHEAD),
     # settle against a moving background
     "overhead-original": ("overhead", OVERHEAD + "scheme.frame = original\n"),
@@ -127,9 +134,12 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    # name every change against the committed table before rewriting it
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit(f"usage: {sys.argv[0]} [--write]")
+    # name every change against the committed table; rewrite it only when asked
     old = json.loads(TABLE.read_text()) if TABLE.exists() else {"numpy": None, "cases": {}}
-    if old["numpy"] != np.__version__:
+    changed = old["numpy"] != np.__version__
+    if changed:
         print(f"numpy {old['numpy']} -> {np.__version__}", file=sys.stderr)
     cases = {}
     for name in sorted(CASES):
@@ -140,7 +150,11 @@ if __name__ == "__main__":
         else:
             differ = differing(old["cases"][name], cases[name])
             status = "changed: " + ", ".join(differ) if differ else "unchanged"
+        changed |= status != "unchanged"
         print(f"{name} (exit {cases[name]['exit_code']}): {status}", file=sys.stderr)
     for name in sorted(set(old["cases"]) - set(CASES)):
+        changed = True
         print(f"{name}: removed", file=sys.stderr)
-    TABLE.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")
+    if sys.argv[1:] == ["--write"]:
+        TABLE.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")
+    sys.exit(1 if changed else 0)

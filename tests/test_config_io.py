@@ -2,11 +2,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 import shocklab as sl
 from shocklab.config import emit_config, parse_config
-from shocklab.errors import BadMagic, BadSnapshot, ConfigError, TruncatedFile
+from shocklab.errors import BadMagic, BadSnapshot, ConfigError, DegenerateFlux, TruncatedFile
+from shocklab.fluxes import critical_points
 
 MINIMAL = """\
 # Burgers pair with a planar front
@@ -38,6 +40,42 @@ def test_parse_minimal_and_defaults():
 def test_parse_poly_flux():
     cfg = parse_config("flux.poly = [[0,0,1],[0,0,0,1]]\n")
     assert cfg.build_flux().coeffs == sl.burgers_flux(2).coeffs
+
+
+def _roots_are_taken(coeffs) -> bool:
+    """Whether `critical_points` roots f_i' and f_i'' of every component."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for comp in coeffs:
+                critical_points(comp)
+                critical_points(P.polyder(comp))
+    except DegenerateFlux:
+        return False
+    return True
+
+
+# coefficients of every scale, tiny and huge ones beside each other
+COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e-310, 2.2e-313, 1e-300, 1e10, 8e306]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(COEFFS, min_size=1, max_size=6), min_size=1, max_size=3))
+# f_0 = 1 + 1e-310 s^3: the roots of f_0 itself would overflow, and no path
+# takes them; f_0' = 3e-310 s^2 and f_0'' = 6e-310 s root to 0
+@example([[1.0, 0.0, 0.0, 1e-310], [0.0, 0.0, 1.0]])
+# the roots of f_0' = 3e10 s^2 + 2.2e-313 s^3 overflow
+@example([[0.0, 0.0, 0.0, 1e10, 2.2e-313 / 4], [0.0, 0.0, 1.0]])
+def test_flux_poly_parses_exactly_when_its_roots_are_taken(coeffs):
+    text = "[" + ",".join("[" + ",".join(map(repr, c)) + "]" for c in coeffs) + "]"
+    try:
+        parse_config(f"flux.poly = {text}\n")
+    except ConfigError as exc:
+        (line, msg), = exc.diagnostics
+        assert line == 1 and msg.startswith("flux.poly: component "), msg
+        assert not _roots_are_taken(coeffs)
+    else:
+        assert _roots_are_taken(coeffs)
 
 
 def test_wrong_order_reports_line():

@@ -17,8 +17,6 @@ ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 # exported names that no other module of the package and no acceptance test
 # refers to, and why each one stays
 UNREFERENCED = {
-    "numerical_flux": "the interface flux of one component on its own; `step` calls "
-                      "its kernel, and tests and the benchmark's tracer call it",
     "read_snapshot": "the reader of the files that simulate and stability write",
     "oleinik_admissible": "the one-direction chord test; both cones test their "
                           "directions in batches, and the benchmark's tracer counts it by name",

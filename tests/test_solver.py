@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 import shocklab as sl
 from shocklab import solver
 from shocklab.errors import GridMismatch
-from shocklab.solver import Background, Companion, sample_function, sample_profile, stable_dt
+from shocklab.solver import (Background, Companion, numerical_flux, sample_function,
+                             sample_profile, stable_dt)
 
 VALUES = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 POLYS = st.sampled_from([(0.0, 0.0, 1.0), (0.0, -1.0, 0.0, 1.0), (0.0, 2.0, 0.5, -0.25)])
@@ -13,33 +14,33 @@ KINDS = st.sampled_from(["rusanov", "engquist-osher"])
 
 
 def test_numerical_flux_reference_values():
-    assert sl.numerical_flux((0, 0, 1), 1.0, -1.0) == 3.0
-    assert sl.numerical_flux((0, 0, 1), 2.0, 2.0) == 4.0
-    assert sl.numerical_flux((0, 0, 1), -1.0, 1.0, "engquist-osher") == 0.0
+    assert numerical_flux((0, 0, 1), 1.0, -1.0) == 3.0
+    assert numerical_flux((0, 0, 1), 2.0, 2.0) == 4.0
+    assert numerical_flux((0, 0, 1), -1.0, 1.0, "engquist-osher") == 0.0
     for kind in ("rusanov", "engquist-osher"):  # no states, no interfaces
-        assert sl.numerical_flux((0, 0, 1), np.empty(0), np.empty(0), kind).shape == (0,)
+        assert numerical_flux((0, 0, 1), np.empty(0), np.empty(0), kind).shape == (0,)
 
 
 @settings(deadline=None, max_examples=60)
 @given(POLYS, VALUES, KINDS)
 def test_numerical_flux_consistency(coeffs, s, kind):
     g = float(np.polynomial.polynomial.polyval(s, np.asarray(coeffs)))
-    assert sl.numerical_flux(coeffs, s, s, kind) == pytest.approx(g, abs=1e-12)
+    assert numerical_flux(coeffs, s, s, kind) == pytest.approx(g, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=80)
 @given(POLYS, VALUES, VALUES, st.floats(min_value=0.0, max_value=1.0), KINDS)
 def test_numerical_flux_monotone(coeffs, a, b, d, kind):
-    up_a = sl.numerical_flux(coeffs, a + d, b, kind)
-    base = sl.numerical_flux(coeffs, a, b, kind)
+    up_a = numerical_flux(coeffs, a + d, b, kind)
+    base = numerical_flux(coeffs, a, b, kind)
     assert up_a >= base - 1e-12
-    up_b = sl.numerical_flux(coeffs, a, b + d, kind)
+    up_b = numerical_flux(coeffs, a, b + d, kind)
     assert up_b <= base + 1e-12
 
 
 def test_numerical_flux_unknown_kind():
     with pytest.raises(ValueError):
-        sl.numerical_flux((0, 1), 0.0, 0.0, "roe")
+        numerical_flux((0, 1), 0.0, 0.0, "roe")
 
 
 def test_grid_validation():
