@@ -6,7 +6,9 @@ degenerate flux (each component scaled to unit max), one that the paper's
 non-degeneracy excludes (tau + f'(s) . xi = 0 for all s at some unit
 (tau, xi)), is a config error at the flux key's line in every command that
 builds a shock pair; support builds none, and dispersion and normalize-check
-take only the Burgers flux.
+take only the Burgers flux.  So is a flux whose chord test cannot root its
+excess polynomial (its leading coefficient is too small beside the others),
+in every command that builds the admissible cone.
 
 A config past the work ceiling is a config error at its key's line, raised
 before any work:
@@ -39,8 +41,7 @@ import numpy as np
 
 from . import experiments as xp
 from .config import KEYS, RunConfig, tokenize, validate
-from .cones import (admissible_cone, cone_contains, direction_count, dual_cone,
-                    dual_cone_from_flux)
+from .cones import cone_contains, direction_count, dual_cone, dual_cone_from_flux
 from .errors import ConfigError, ShockLabError, TrivialCone
 from .experiments import Check, ExperimentReport
 from .fluxes import burgers_flux, is_burgers
@@ -87,7 +88,7 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
 def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
     resolution = cfg.get("cone.resolution")
-    cone = admissible_cone(pair, resolution)
+    cone = cfg.build_cone(pair)
     if pair.d == 3:  # the spacing of the sampled directions
         resolution = np.sqrt(4.0 * np.pi / direction_count(resolution))
     tol = 2 * resolution + 1e-3
@@ -122,7 +123,7 @@ def cmd_cone(cfg: RunConfig, stdout, stderr) -> int:
 
 def cmd_profile(cfg: RunConfig, stdout, stderr) -> int:
     pair = cfg.build_pair()
-    cone = admissible_cone(pair, cfg.get("cone.resolution"))
+    cone = cfg.build_cone(pair)
     prof = cfg.build_profile(pair, dual_cone(cone))
     out = _outdir(cfg)
     ys = np.linspace(prof.y_extent[0], prof.y_extent[1], 257)

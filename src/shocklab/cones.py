@@ -6,11 +6,12 @@ normals alone.  For d = 2 the cone is an exact angular sector located by
 bisection on the exact chord admissibility test.  For d = 3 it is the hull
 of the directions that the exact test admits among a quasi-uniform sample:
 its extreme rays are the vertices of that hull on a slice plane, and the
-cross products of consecutive rays are the normals.  The dual cone carries
-the working frame: an interior axis W, a supporting functional lam in the
-primal cone, an orthonormal basis H of the complement of W, and the
-piecewise-linear gauge whose epigraph is the dual cone in the (y, r)
-coordinates of R^d = H + R*W.
+cross products of consecutive rays are the normals.  Every cone but {0} has
+an interior (a 2-D scan closing on one ray is TrivialCone), so its dual is
+pointed and carries the working frame: an interior axis W, a supporting
+functional lam in the primal cone, an orthonormal basis H of the complement
+of W, and the piecewise-linear gauge whose epigraph is the dual cone in the
+(y, r) coordinates of R^d = H + R*W.
 """
 
 from __future__ import annotations
@@ -52,33 +53,28 @@ class AdmissibleCone:
     """Closed convex cone of chord-admissible directions: its unit extreme
     rays (generators) and unit inward facet normals (dual_generators).
 
-    d = 2 also keeps the sector [theta1, theta2] in radians (width < pi);
+    d = 2 also keeps the sector [theta1, theta2] in radians (0 < width < pi);
     d = 3 the admitted unit directions, with the rays in cyclic order and
     the normal of the facet after each ray.
     """
 
     d: int
-    pair: ShockPair | None
     sector: tuple[float, float] | None = None
     directions: np.ndarray | None = None
     generators: np.ndarray | None = None
     dual_generators: np.ndarray | None = None
     trivial: bool = False
 
-    @property
-    def degenerate_ray(self) -> bool:
-        return self.sector is not None and self.sector[1] - self.sector[0] == 0.0
 
-
-def sector_cone(theta1: float, theta2: float, pair: ShockPair | None = None) -> AdmissibleCone:
-    """Directly specified planar sector; theta2 >= theta1, width < pi."""
-    if theta2 < theta1:
-        raise ValueError("need theta1 <= theta2")
+def sector_cone(theta1: float, theta2: float) -> AdmissibleCone:
+    """Directly specified planar sector; theta2 > theta1, width < pi."""
+    if not theta2 > theta1:
+        raise ValueError("need theta1 < theta2: a cone of admissible directions has an interior")
     if theta2 - theta1 >= np.pi:
         raise ValueError("a cone of admissible directions cannot contain a line")
     gens = np.stack([_unit(theta1), _unit(theta2)])
     dual = np.stack([_unit(theta2 - np.pi / 2), _unit(theta1 + np.pi / 2)])
-    return AdmissibleCone(2, pair, sector=(float(theta1), float(theta2)),
+    return AdmissibleCone(2, sector=(float(theta1), float(theta2)),
                           generators=gens, dual_generators=dual)
 
 
@@ -211,7 +207,7 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     thetas = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
     mask = oleinik_admissible_many(pair, _unit(thetas)).admissible
     if not mask.any():
-        return AdmissibleCone(2, pair, trivial=True)
+        return AdmissibleCone(2, trivial=True)
     if mask.all():
         raise DegenerateFlux("every sampled direction is admissible; flux violates non-degeneracy")
 
@@ -235,7 +231,11 @@ def _admissible_cone_2d(pair: ShockPair, resolution: float) -> AdmissibleCone:
     if theta2 < theta1:
         theta2 += TWO_PI
     theta2 = theta1 + min(theta2 - theta1, np.pi * (1 - 1e-12))
-    return sector_cone(theta1, theta2, pair)
+    if theta2 == theta1:
+        # one admitted scan direction, both bisections closing on it: a
+        # resolution below one ulp of the angle finds no interior
+        raise TrivialCone("the admitted directions close on one ray; the cone has no interior")
+    return sector_cone(theta1, theta2)
 
 
 def direction_count(resolution: float) -> int:
@@ -250,10 +250,10 @@ def _admissible_cone_nd(pair: ShockPair, resolution: float) -> AdmissibleCone:
     dirs = _fibonacci_sphere(direction_count(resolution))
     mask = oleinik_admissible_many(pair, dirs).admissible
     if not mask.any():
-        return AdmissibleCone(3, pair, trivial=True)
+        return AdmissibleCone(3, trivial=True)
     adm = dirs[mask]
     gens, dual_gens = _cone_rays(adm)
-    return AdmissibleCone(3, pair, directions=adm, generators=gens, dual_generators=dual_gens)
+    return AdmissibleCone(3, directions=adm, generators=gens, dual_generators=dual_gens)
 
 
 def _interior_direction(generators: np.ndarray) -> np.ndarray:
@@ -283,7 +283,6 @@ class DualCone:
     H: np.ndarray
     facet_slopes: np.ndarray
     primal_generators: np.ndarray
-    degenerate: bool = False
 
     def frame(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(r, y) = (x . W, x H) of world points x, shape (..., d); y has the
@@ -333,35 +332,28 @@ def _complement_basis(w: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _frame(dual_gens: np.ndarray, primal_gens: np.ndarray, lam: np.ndarray,
-           degenerate: bool = False, w: np.ndarray | None = None) -> DualCone:
-    d = dual_gens.shape[1]
-    if w is None:
-        w = dual_gens.sum(axis=0)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            raise TrivialCone("dual generators cancel; no interior axis")
-        w = w / norm
+def _frame(dual_gens: np.ndarray, primal_gens: np.ndarray, lam: np.ndarray) -> DualCone:
+    """The frame of a dual cone: the axis W is its unit summed generators,
+    which every primal generator must meet at an inner product above -1e-9."""
+    w = dual_gens.sum(axis=0)
+    norm = np.linalg.norm(w)
+    if norm == 0:
+        raise TrivialCone("dual generators cancel; no interior axis")
+    w = w / norm
     wg = primal_gens @ w
-    if not degenerate and np.any(wg <= -1e-9):
+    if np.any(wg <= -1e-9):
         raise TrivialCone("axis candidate is not interior to the dual cone")
     basis = _complement_basis(w)
     denom = np.where(np.abs(wg) <= 1e-12, 1.0, wg)
     slopes = -(primal_gens @ basis) / denom[:, None]
-    return DualCone(d, dual_gens, w, lam, basis, slopes, primal_gens, degenerate)
+    return DualCone(dual_gens.shape[1], dual_gens, w, lam, basis, slopes, primal_gens)
 
 
 def dual_cone(cone: AdmissibleCone) -> DualCone:
-    """Dual of the admissibility cone, with frame and gauge attached."""
+    """Dual of the admissibility cone, with frame and gauge attached; the cone
+    has an interior, so its dual is pointed: never a half-plane."""
     if cone.trivial:
         raise TrivialCone("admissible cone is {0}")
-    if cone.degenerate_ray:
-        # dual of a single ray is the halfspace {n . lam >= 0}; the only
-        # canonical axis is lam itself (flagged: no interior theory here)
-        t1 = cone.sector[0]
-        lam = _unit(t1)
-        gens = np.stack([_unit(t1 - np.pi / 2), _unit(t1 + np.pi / 2)])
-        return _frame(gens, lam[None, :], lam, degenerate=True, w=lam)
     if cone.d == 2:
         t1, t2 = cone.sector
         lam = _unit(0.5 * (t1 + t2))  # Chebyshev pick: bisector maximizes the margin

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .cones import admissible_cone, dual_cone
+from .cones import AdmissibleCone, admissible_cone, dual_cone
 from .errors import ConfigError, DegenerateFlux, ShockLabError
 from .fluxes import (Flux, burgers_flux, check_nondegeneracy, critical_points,
                      make_shock_pair)
@@ -301,6 +301,14 @@ class RunConfig:
             frame=self.get("scheme.frame"),
         )
 
+    def build_cone(self, pair) -> AdmissibleCone:
+        """The admissible cone of pair at cone.resolution; a flux whose chord
+        test cannot root its excess polynomial is an error at the flux key's line."""
+        try:
+            return admissible_cone(pair, self.get("cone.resolution"))
+        except DegenerateFlux as exc:
+            raise self.error(self.flux_key(), f"the chord test cannot be computed: {exc}") from None
+
     def build_profile(self, pair=None, dual=None) -> ShockProfile:
         """The profile of the profile.* keys; a profile that cannot exist (an
         inadmissible normal, a front ratio above 1, a bad front file) is an
@@ -308,7 +316,7 @@ class RunConfig:
         self._refuse_unread("profile.front")
         pair = pair or self.build_pair()
         if dual is None:
-            dual = dual_cone(admissible_cone(pair, self.get("cone.resolution")))
+            dual = dual_cone(self.build_cone(pair))
         y_extent = (-8.0, 8.0)
         if self.has("grid.box"):
             box = self.get("grid.box")

@@ -290,26 +290,19 @@ def cell_box(centers: np.ndarray, mask: np.ndarray, dx: float) -> tuple[np.ndarr
 
 def sandwich_bounds(
     profile: ShockProfile,
-    box: tuple[np.ndarray, np.ndarray] | None,
+    box: tuple[np.ndarray, np.ndarray],
     pad: float = 0.0,
 ) -> tuple[ShockProfile, ShockProfile]:
     """Steady shocks squeezing every range-respecting perturbation in a box.
 
-    Cone apexes are pushed along the frame axis until the box is swallowed:
+    Cone apexes are pushed along the frame axis until the box (lo, hi), which
+    is required, is swallowed:
     lower front = min(psi, gauge(y) - R0), upper front = max(psi, R1 - gauge(-y)).
     Returns (lower, upper) with lower <= U + phi <= upper for any phi supported
     in the box that keeps values in [u_plus, u_minus].
     """
-    if profile.dual.degenerate:
-        raise EmptyInterior("sandwich construction needs an interior frame axis")
-    if box is None:
-        return profile, profile
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    if np.any(hi < lo):
-        return profile, profile
     dual = profile.dual
-    r_c, y_c = dual.frame(box_corners(lo, hi, profile.d))
+    r_c, y_c = dual.frame(box_corners(*box, profile.d))
     r0 = float(np.max(dual.gauge(y_c) - r_c)) + pad
     r1 = float(np.max(dual.gauge(-y_c) + r_c)) + pad
     # gauge(y) - r0 and r1 - gauge(-y) = min_i (r1 + c_i . y) both have the

@@ -524,6 +524,30 @@ def test_a_command_that_builds_a_pair_refuses_a_linear_flux_at_its_line(case, tm
     _refuses_a_degenerate_flux(case, "[[0,1],[0,2]]", tmp_path)
 
 
+# fluxes whose excess polynomial the chord test cannot root in some direction:
+# its leading coefficient is too small beside the others, so its roots overflow
+UNROOTABLE = ["[[0,0,1],[0,0,0,1e-300]]", "[[1,0,0,1e-310],[0,0,1]]"]
+
+
+@pytest.mark.parametrize("flux", UNROOTABLE)
+@pytest.mark.parametrize("case", ["cone", "profile", "stability"])
+def test_a_flux_the_chord_test_cannot_root_is_refused_at_its_line(case, flux, tmp_path,
+                                                                  monkeypatch):
+    from test_cli_digests import CASES
+
+    monkeypatch.setattr(solver, "step", _no_evolution)
+    command, cfg = CASES[case]
+    cfg = "".join(ln for ln in cfg.splitlines(True) if not ln.startswith("flux.burgers_d"))
+    path = tmp_path / "c.cfg"
+    path.write_text(f"flux.poly = {flux}\n" + cfg + f"output.dir = {tmp_path / 'out'}\n")
+    code, out, err = run_cli([command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: line 1: flux.poly: the chord test cannot be "
+                          "computed: the roots of the derivative "), err
+    assert err.endswith(" overflow: its leading coefficient is too small\n"), err
+    assert not (tmp_path / "out" / "verdict.txt").exists()
+
+
 def test_support_runs_on_a_linear_flux(tmp_path):
     # support builds no shock pair: a linear flux transports its data
     from test_cli_digests import CASES

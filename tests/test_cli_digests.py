@@ -56,6 +56,12 @@ CASES = {
     "simulate": ("simulate", BURGERS2 + PLANAR + "grid.counts = 32,32\n"
                  "grid.box = -1.5,1.5,-1.5,1.5\n" + BUMP.format(c="0.4,0.2", r=0.5, a=0.3)
                  + "experiment.horizon = 0.4\nexperiment.snapshot_interval = 0.2\n"),
+    # a sum of two perturbations at outflow boundaries
+    "simulate-sum-outflow": ("simulate", BURGERS2 + PLANAR + "grid.counts = 32,32\n"
+                             "grid.box = -1.5,1.5,-1.5,1.5\nperturbation.shape = sum\n"
+                             "perturbation.terms = bump:0.4,0.2,0.5,0.3; "
+                             "indicator:-0.6,-0.5,0.3,-0.2\nscheme.boundary = outflow\n"
+                             "experiment.horizon = 0.4\nexperiment.snapshot_interval = 0.2\n"),
     # moving ghost cells, Engquist-Osher and snapshots in 3-D
     "simulate-3d": ("simulate", BURGERS3 + "cone.resolution = 0.05\nprofile.front = planar\n"
                     "profile.nu = 0.58,0.0,0.81\ngrid.counts = 12,12,12\n"

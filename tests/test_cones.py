@@ -90,16 +90,11 @@ def test_double_dual_identity():
     assert np.allclose(angles, [np.pi / 6 - np.pi / 4, np.pi / 6 + np.pi / 4], atol=1e-12)
 
 
-def test_degenerate_ray_dual_is_halfspace():
-    lam_angle = 0.3
-    ray = sector_cone(lam_angle, lam_angle)
-    assert ray.degenerate_ray
-    dual = sl.dual_cone(ray)
-    assert dual.degenerate
-    angles = np.sort(np.arctan2(dual.generators[:, 1], dual.generators[:, 0]))
-    assert np.allclose(angles, [lam_angle - np.pi / 2, lam_angle + np.pi / 2], atol=1e-12)
-    # gauge of a halfspace epigraph is identically zero
-    assert np.allclose(dual.gauge(np.linspace(-2, 2, 9)), 0.0)
+@pytest.mark.parametrize("theta1, theta2", [(0.3, 0.3), (0.0, -0.0), (0.3, 0.2)])
+def test_a_sector_without_interior_is_refused(theta1, theta2):
+    # every admissible cone has an interior: a single ray has none
+    with pytest.raises(ValueError, match="has an interior"):
+        sector_cone(theta1, theta2)
 
 
 def test_dual_from_flux_symmetric(pair11):
@@ -178,9 +173,10 @@ def _angle_to_nearer_edge(sector, nu):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.floats(-np.pi, np.pi), st.floats(0.0, np.pi * (1 - 1e-12)),
+@given(st.floats(-np.pi, np.pi), st.floats(0.0, np.pi * (1 - 1e-12), exclude_min=True),
        st.floats(-1.0, 4.0), st.floats(0.0, np.pi / 2))
 def test_cone_contains_reads_the_angle_to_the_nearer_edge(theta1, width, turn, margin):
+    assume(theta1 + width > theta1)  # a sector of positive width
     cone = sector_cone(theta1, theta1 + width)
     nu = np.array([np.cos(theta1 + turn), np.sin(theta1 + turn)])
     dist, rel = _angle_to_nearer_edge(cone.sector, nu)

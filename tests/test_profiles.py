@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shocklab as sl
-from shocklab.cones import sector_cone
+from shocklab import cones
 from shocklab.errors import (
     EmptyInterior,
     FrameMismatch,
@@ -64,13 +64,25 @@ def test_front_ratio_closed_forms(pair11, dual11):
     assert abs(sine.rho - 0.9) <= 1e-3
 
 
-def test_front_ratio_gauge_zero():
-    ray = sector_cone(0.0, 0.0)
-    dual = sl.dual_cone(ray)
-    f = sl.burgers_flux(2)
-    p = sl.make_shock_pair(f, 1.0, -1.0)
+def _flat_frame():
+    """A hand-built 3-D frame whose summed axis W = (0, 1, 1)/sqrt(2) is
+    orthogonal to its first dual generator e1 (1 - 0.5 - 0.5 = 0 exactly):
+    the gauge vanishes along H^T e1, so its unit ball is unbounded there.
+    The primal rays are the cross products of pairs of dual generators."""
+    h = np.sqrt(0.75)
+    gens = np.array([[1.0, 0.0, 0.0], [-0.5, h, 0.0], [-0.5, 0.0, h]])
+    primal = np.cross(gens[[1, 2, 0]], gens[[2, 0, 1]])
+    primal /= np.linalg.norm(primal, axis=1, keepdims=True)
+    lam = primal.sum(axis=0)
+    return cones._frame(gens, primal, lam / np.linalg.norm(lam))
+
+
+def test_front_ratio_gauge_zero(pair3):
+    dual = _flat_frame()
+    assert dual.generators[0] @ dual.W == 0.0
+    # a falling gauge front rises along H^T e1, where the gauge is 0
     with pytest.raises(GaugeZero):
-        sl.make_graph(p, dual, lambda y: 0.1 * y)
+        sl.make_scaled_gauge(pair3, dual, -0.5)
 
 
 def test_eval_two_valued(planar11, pair11, rng):
@@ -85,11 +97,6 @@ def test_front_normals_in_cone(pair11, dual11, cone11):
         assert sl.cone_contains(cone11, nu)
         # at least 0.1 rad from the nearest edge
         assert np.arcsin(np.min(cone11.dual_generators @ nu)) >= 0.1
-
-
-def test_sandwich_empty_box(planar11):
-    lo, up = sl.sandwich_bounds(planar11, None)
-    assert lo is planar11 and up is planar11
 
 
 def test_sandwich_orders_after_perturbation(planar11, pair11, dual11, rng):
@@ -113,14 +120,6 @@ def test_sandwich_orders_after_perturbation(planar11, pair11, dual11, rng):
     outside = (np.abs(mesh[..., 0]) > 3.8) & far
     assert np.array_equal(lo[outside], u[outside])
     assert np.array_equal(hi[outside], u[outside])
-
-
-def test_sandwich_needs_interior(pair11):
-    ray = sector_cone(0.0, 0.0)
-    dual = sl.dual_cone(ray)
-    prof = sl.make_planar(pair11, dual, [1.0, 0.0])
-    with pytest.raises(EmptyInterior):
-        sl.sandwich_bounds(prof, (np.zeros(2), np.ones(2)))
 
 
 def test_front_surgery_constants(pair11, dual11, planar11):
@@ -377,15 +376,15 @@ def test_a_3d_scaled_gauge_front_has_its_slope_as_ratio(pair3, dual3, slope):
     assert abs(sl.make_scaled_gauge(pair3, dual3, slope).rho - slope) <= 1e-12
 
 
-def test_an_unbounded_gauge_ball_is_reported(pair11):
-    # the dual of one ray is a halfplane: its generators are orthogonal to W
-    # up to rounding (g . W = 6e-17), so the gauge is 0 and its ball unbounded
-    dual = sl.dual_cone(sector_cone(0.0, 0.0))
-    assert not _gauge_ball(dual)[1].any()
-    assert _slope_ratio(dual, np.zeros((1, 1))) == 0.0
+def test_an_unbounded_gauge_ball_is_reported(pair3):
+    dual = _flat_frame()
+    verts, finite = _gauge_ball(dual)
+    assert finite.tolist() == [False, True, True]
+    assert _slope_ratio(dual, np.zeros((1, 2))) == 0.0
     with pytest.raises(GaugeZero):
-        _slope_ratio(dual, np.array([[0.1]]))
-    prof = sl.make_planar(pair11, dual, [1.0, 0.0])
+        _slope_ratio(dual, 0.1 * verts[:1])
+    prof = sl.make_planar(pair3, dual, dual.W)
+    assert prof.rho <= 1e-15  # a flat front, up to the rounding of W and H
     with pytest.raises(EmptyInterior):
         sl.bounded_intersection(prof, -dual.W)
 

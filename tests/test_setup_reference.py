@@ -364,10 +364,7 @@ def test_a_bump_between_subsamples_is_zero_on_its_cell():
 def _ref_dual_cone_2d(cone):
     """The 2-D branch of `dual_cone` that rebuilt the rays from the sector."""
     t1, t2 = cone.sector
-    if cone.degenerate_ray:
-        lam = cones._unit(t1)
-        gens = np.stack([cones._unit(t1 - np.pi / 2), cones._unit(t1 + np.pi / 2)])
-        return cones._frame(gens, lam[None, :], lam, degenerate=True, w=lam)
+    assert t2 > t1, "a sector of zero width has no interior"
     gens = np.stack([cones._unit(t2 - np.pi / 2), cones._unit(t1 + np.pi / 2)])
     lam = cones._unit(0.5 * (t1 + t2))
     primal = np.stack([cones._unit(t1), cones._unit(t2)])
@@ -382,7 +379,6 @@ def _assert_same_dual(cone):
             sl.dual_cone(cone)
         return
     got = sl.dual_cone(cone)
-    assert got.degenerate is want.degenerate
     for name in ("generators", "W", "lam", "H", "facet_slopes", "primal_generators"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -404,6 +400,10 @@ def test_dual_cone_2d_matches_rays_rebuilt_from_the_sector(t1, width, as_numpy):
     t2 = t1 + width
     if as_numpy:
         t1, t2 = np.float64(t1), np.float64(t2)
+    if not t2 > t1:  # zero width, or a width that rounds away
+        with pytest.raises(ValueError):
+            sl.sector_cone(t1, t2)
+        return
     _assert_same_dual(sl.sector_cone(t1, t2))
 
 
@@ -549,7 +549,7 @@ def _ref_cone_2d(pair, resolution):
     thetas = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
     mask = sl.oleinik_admissible_many(pair, [cones._unit(t) for t in thetas]).admissible
     if not mask.any():
-        return sl.AdmissibleCone(2, pair, trivial=True)
+        return sl.AdmissibleCone(2, trivial=True)
     if mask.all():
         raise DegenerateFlux("every sampled direction is admissible; flux violates non-degeneracy")
     idx = np.arange(n_scan)
@@ -583,7 +583,9 @@ def _ref_cone_2d(pair, resolution):
     if theta2 < theta1:
         theta2 += cones.TWO_PI
     theta2 = theta1 + min(theta2 - theta1, np.pi * (1 - 1e-12))
-    return sl.sector_cone(theta1, theta2, pair)
+    if theta2 == theta1:
+        raise TrivialCone("the admitted directions close on one ray; the cone has no interior")
+    return sl.sector_cone(theta1, theta2)
 
 
 # the first two end on adjacent floats
@@ -593,8 +595,8 @@ RESOLUTIONS = [5e-324, 1e-300, 1e-12, 1e-8, 1e-4, 1e-2, 0.5]
 def _cone_or_error(build, pair, resolution):
     try:
         return build(pair, resolution)
-    except DegenerateFlux as e:
-        return str(e)
+    except (DegenerateFlux, TrivialCone) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 def _assert_same_cone(pair, resolution):
@@ -633,6 +635,22 @@ def test_bisection_trees_match_one_midpoint_per_chord_test(flux, states, resolut
 @given(pair=polynomial_fluxes(), resolution=st.sampled_from(RESOLUTIONS))
 def test_bisection_trees_match_on_polynomial_fluxes(pair, resolution):
     _assert_same_cone(pair, resolution)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=polynomial_fluxes(),
+       resolution=st.one_of(st.sampled_from(RESOLUTIONS), st.floats(5e-324, 0.5)))
+def test_a_2d_cone_is_trivial_or_has_an_interior(pair, resolution):
+    try:
+        cone = sl.admissible_cone(pair, resolution)
+    except DegenerateFlux:
+        assume(False)
+    if not cone.trivial:
+        t1, t2 = cone.sector
+        assert 0 < t2 - t1 < np.pi
+        # so its dual has an interior axis that every primal ray meets inside
+        dual = sl.dual_cone(cone)
+        assert (dual.primal_generators @ dual.W).min() > 0
 
 
 def _ref_sample_profile(profile, grid):
@@ -676,7 +694,7 @@ def _frame(phi):
     pair, dual = _dual(2)
     if phi is None:
         return pair, dual
-    return pair, sl.dual_cone(sl.sector_cone(phi - np.pi / 4, phi + np.pi / 4, pair))
+    return pair, sl.dual_cone(sl.sector_cone(phi - np.pi / 4, phi + np.pi / 4))
 
 
 FRAMES = [None, 0.0, np.pi / 2, np.pi, -np.pi / 2]
