@@ -12,10 +12,12 @@ mass and L1 distances they report have the bits of whole-array sums.
 Every update goes through the module-level name `step`; `evolve` is the one
 time loop.  Near a steady shock most cells are already at their discrete
 fixed point, so `evolve` hands `step` a `Band` per field, and a step runs
-only the cells that the last step's changes can reach: the rows along axis
-0 in 2-D, and in 3-D a box along the other axes in each slab of rows, the
-boxes of a step's slabs found at once from the band's per-row extents.  The
-skip is exact (the band contract is stated once, in `step`).
+only the cells that the last step's changes can reach: in 2-D one box of
+rows along axis 0 and columns along axis 1, and in 3-D a box along the other
+axes in each slab of rows, the boxes of a step's slabs found at once from
+the band's per-row extents.  The skip is exact (the band contract is stated
+once, in `step`).  Each outer face keeps its flux sum in the band, and a
+step re-sums only the faces that it wrote.
 
 Dirichlet ghost layers are cached per background and grid with a horizon
 in time (see `_evaluate_layers`): infinite at rest, 0 for a moving function,
@@ -728,12 +730,15 @@ class Band:
     `values` is the array the last step made, and vmin, vmax its range.  rows
     [a, b) along axis 0 are the rows the next step can change, and key holds
     the dt and per-axis lambdas they were found with.
-    In 3-D, box (lo, hi) narrows each row to the box along axes 1..d-1 of
-    its cells that the next step can change, as float arrays of shape
-    (d - 1, rows) (see `_extents`).  ghosts holds the last step's dirichlet
-    ghost layers, the background's cached dict (see `Background`), and None
-    for outflow.  faces holds the flux buffers of both outer faces of each
-    axis, whole faces, and inflow the last step's total.
+    box narrows those rows to the cells the next step can change.  In 2-D it
+    is the columns [c0, c1) along axis 1, two ints shared by every row (a
+    2-D step is one slab).  In 3-D it narrows each row to the box along axes
+    1..d-1, as float arrays lo, hi of shape (d - 1, rows) (see `_extents`).
+    ghosts holds the last step's dirichlet ghost layers, the background's
+    cached dict (see `Background`), and None for outflow.  faces holds the
+    flux buffer of each outer face, whole faces keyed (axis, side), sums
+    their float sums (a face that a step writes loses its sum until the step
+    re-sums it), and inflow the last step's total.
     """
 
     values: np.ndarray | None = None
@@ -742,6 +747,7 @@ class Band:
     vmin: float = np.nan
     vmax: float = np.nan
     faces: dict = field(default_factory=dict)
+    sums: dict = field(default_factory=dict)
     inflow: float = 0.0
     box: tuple | None = None
     ghosts: dict | None = None
@@ -750,12 +756,15 @@ class Band:
 def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, int] | None:
     """First and last row of [a, b) along axis 0 whose bits changed, or None.
 
-    Rows are compared by their bytes, the same test as comparing them as
-    int64, so -0.0 -> 0.0 counts as a change (`step` keeps the sign of a
-    zero, as div starts from +0.0, but the test does not lean on that).
-    Each end is scanned inward in blocks of 1, 2, 4, ... rows, and row by
-    row only inside the first block that differs: a band whose ends changed
-    costs a few rows, and a band without a change one pass over it.
+    old and new may be any views, such as the transposes of a block of rows,
+    whose rows are then columns of the grid.  Rows are compared by their
+    bytes, the same test as comparing them as int64, so -0.0 -> 0.0 counts
+    as a change (`step` keeps the sign of a zero, as div starts from +0.0,
+    but the test does not lean on that).  Each end is scanned inward in
+    blocks of 1, 2, 4, ... rows, and row by row only inside the first block
+    that differs, whose last row need not be tested when the others are the
+    same: a band whose ends changed costs a few rows, and a band without a
+    change one pass over it.
     """
     def same(i, j):
         return old[i:j].tobytes() == new[i:j].tobytes()
@@ -764,17 +773,18 @@ def _moved_rows(old: np.ndarray, new: np.ndarray, a: int, b: int) -> tuple[int, 
     while True:
         if first >= b:
             return None
-        if not same(first, min(first + k, b)):
-            while same(first, first + 1):
+        end = min(first + k, b)
+        if not same(first, end):
+            while first < end - 1 and same(first, first + 1):
                 first += 1
             break
-        first, k = min(first + k, b), 2 * k
+        first, k = end, 2 * k
     last, k = b, 1
-    while True:  # row `first` changed, so this ends
+    while True:  # row `first` changed, so a block that holds it differs
         i = max(last - k, first)
-        if not same(i, last):
+        if i == first or not same(i, last):
             last -= 1
-            while same(last, last + 1):
+            while last > i and same(last, last + 1):
                 last -= 1
             return first, last
         last, k = i, 2 * k
@@ -837,7 +847,7 @@ _PERMS = {d: [((ax, *range(ax), *range(ax + 1, d)), (*range(1, ax + 1), 0, *rang
 # cells per slab of a 3-D step, so that the arrays of one slab stay in cache;
 # each step finds the boxes of all its slabs at once (see `step`).  4,096 and
 # 8,192 were slower, 32,768 no faster; 2-D steps gained nothing from slabs
-# and run whole
+# and run one box
 SLAB_CELLS = 16384
 
 
@@ -878,7 +888,7 @@ def step(
     (at least one row each; a 2-D band is one slab), and each slab runs a
     box of its rows: each box is padded by the cells next to it or the ghost
     layers, and writes its part of each outer face into the whole-face
-    buffers.  A step finds the boxes of all its slabs at once, by
+    buffers.  A 3-D step finds the boxes of all its slabs at once, by
     np.minimum.reduceat and np.maximum.reduceat over the band's per-row
     extents.  The bits do not depend on the slab size or the boxes.
     Dirichlet ghost layers are cached read-only per background and grid with
@@ -897,22 +907,27 @@ def step(
     in the last step keeps its bits again, so skipping it is exact and the
     outputs are bit-identical to stepping every cell.  The band holds the
     cells that changed in the last step, widened by one cell along every
-    axis: a 2-D step runs the rows [a, b) along axis 0 whole; a 3-D step
-    runs in each slab the bounding box, along axes 1..d-1, of its rows'
-    boxes, and no slab whose rows hold none.  Every other cell is copied.
-    Cells and ghosts are compared as int64: a -0.0 that became 0.0 has
-    changed (float != would miss it).  2-D rows are found by scanning
-    [a, b) from both ends; a 3-D step finds the changed cells of each box
-    it ran and keeps, per row, their extent along each of axes 1..d-1,
-    widened in integer arithmetic.  The band's values, vmin and vmax spare
-    the next step a pass for lambda.  A step that runs no cell returns the
-    input field, which is safe because no field is ever written in place.
-    Each outer face's fluxes live in a buffer of the whole face in the band,
-    and a box writes only the part of a face it touches: a face outside
-    every box keeps the fluxes of its unchanged cells and ghosts.  The
-    range check and the finiteness test still see the whole new array, and
-    its min and max come back in the StepStats, with the number of cells
-    that ran and the rows from the first to the last that changed.
+    axis: a cell outside it did not change, and neither did any cell of its
+    stencil.  A 2-D step runs the box of rows [a, b) and columns [c0, c1)
+    (the bounding box of the changed cells, widened and clipped to the
+    grid); a 3-D step runs in each slab the bounding box, along axes
+    1..d-1, of its rows' boxes, and no slab whose rows hold none.  Every
+    other cell is copied.  Cells and ghosts are compared as int64: a -0.0
+    that became 0.0 has changed (float != would miss it).  2-D rows are
+    found by scanning [a, b) from both ends, and their columns by the same
+    scan over the transposed changed rows, among the columns that ran; a
+    3-D step finds the changed cells of each box it ran and keeps, per row,
+    their extent along each of axes 1..d-1, widened in integer arithmetic.
+    The band's values, vmin and vmax spare the next step a pass for lambda.
+    A step that runs no cell returns the input field, which is safe because
+    no field is ever written in place.  Each outer face's fluxes live in a
+    buffer of the whole face in the band, and a box writes only the part of
+    a face it touches: a face outside every box keeps the fluxes of its
+    unchanged cells and ghosts, and with them its cached float sum, which
+    has the bits of a fresh whole-face sum.  The range check and the
+    finiteness test still see the whole new array, and its min and max come
+    back in the StepStats, with the number of cells that ran and the rows
+    from the first to the last that changed.
     """
     g = field.grid
     n0 = g.counts[0]
@@ -953,15 +968,19 @@ def step(
         new_values = np.empty_like(values)
         new_values[:a] = values[:a]
         new_values[b:] = values[b:]
-        if not band.faces:  # the first step runs every row
+        faces, sums = band.faces, band.sums
+        if not faces:  # the first step runs every cell and writes every face
             for ax in range(d):
                 face = g.counts[:ax] + g.counts[ax + 1:]
-                band.faces[ax] = (np.empty(face), np.empty(face))
+                faces[ax, 0], faces[ax, 1] = np.empty(face), np.empty(face)
         size = max(1, SLAB_CELLS // (values.size // n0)) if boxed else b - a
         whole = tuple(slice(0, n) for n in g.counts[1:])
         starts = range(a, b, size)
-        spans = [whole] * len(starts)
-        if box is not None:
+        if box is None:
+            spans = [whole] * len(starts)
+        elif not boxed:
+            spans = [(slice(*box),)]  # a 2-D band is one slab: its box's columns
+        else:
             # every slab's box at once: the join of its rows' boxes, and None
             # where they are all empty (no cell of the slab's rows can change)
             at = np.arange(0, b - a, size)
@@ -1007,20 +1026,24 @@ def step(
                     div += jump.transpose(back)
                 # f[0] and f[-1] are C-contiguous, like np.take(f, 0, axis=ax);
                 # they are outer faces only where the box reaches the grid's end
-                face_lo, face_hi = band.faces[ax]
                 if lo_end:
-                    face_lo[part] = f[0]
+                    faces[ax, 0][part] = f[0]
+                    sums.pop((ax, 0), None)
                 if hi_end:
-                    face_hi[part] = f[-1]
+                    faces[ax, 1][part] = f[-1]
+                    sums.pop((ax, 1), None)
             div *= dt
             out = new_values[sub]
             np.subtract(rows, div, out=out)
             if boxed:
                 _mark(changed, rows.view(np.int64) != out.view(np.int64), sub)
+        for key, face in faces.items():
+            if key not in sums:  # a face that no box wrote keeps its sum
+                sums[key] = float(face.sum())
         inflow = 0.0
         area = g.dx ** (d - 1)
-        for face_lo, face_hi in band.faces.values():
-            inflow += (float(face_lo.sum()) - float(face_hi.sum())) * area
+        for ax in range(d):
+            inflow += (sums[ax, 0] - sums[ax, 1]) * area
         vmin, vmax = new_values.min(), new_values.max()
         if range_guard is not None:
             check_range(vmin, vmax, range_guard)
@@ -1037,7 +1060,13 @@ def step(
     else:
         hit = _moved_rows(values, new_values, a, b) if a < b else None
         moved = (0, 0) if hit is None else (hit[0], hit[1] + 1)
-    # a row next to a changed row can change, in 3-D in the rows of band.box
+        if hit is not None:
+            # the first and last changed column of those rows, among the
+            # columns that ran, and the columns next to them
+            r = slice(*moved)
+            c0, c1 = _moved_rows(values[r].T, new_values[r].T, *(box or (0, g.counts[1])))
+            band.box = (max(c0 - 1, 0), min(c1 + 2, g.counts[1]))
+    # a row next to a changed row can change, within band.box
     band.rows = (max(moved[0] - 1, 0), min(moved[1] + 1, n0)) if moved[0] < moved[1] else (0, 0)
     band.key = (dt, *lams)
     band.ghosts = ghosts if _dirichlet(scheme, background) else None

@@ -60,6 +60,7 @@ class Step(NamedTuple):
     before: tuple | None  # the rows the band held for this field, if it vouched for it
     cells: int | None     # cells updated (0: input returned), or None without a band
     moving: bool    # whether the ghosts came from a moving background
+    cols: tuple | None    # the first and last index along axis 1 of a changed cell
 
 
 @contextmanager
@@ -81,7 +82,10 @@ def engine(banded: bool):
                 hashlib.sha256(nxt.values.tobytes()).hexdigest(),
                 np.array([st.dt, st.boundary_inflow, st.lambda_max, st.vmin, st.vmax]).tobytes())
         moving = bg is not None and bg.moving and a["scheme"].boundary != "outflow"
-        log.append(Step(bits, before, None if band is None else st.cells, moving))
+        hit = nxt.values.view(np.int64) != field.values.view(np.int64)
+        cols = np.flatnonzero(hit.any(axis=tuple(ax for ax in range(hit.ndim) if ax != 1)))
+        log.append(Step(bits, before, None if band is None else st.cells, moving,
+                        (int(cols[0]), int(cols[-1])) if cols.size else None))
         return nxt, st
 
     with pytest.MonkeyPatch.context() as mp:
@@ -295,6 +299,63 @@ def test_signed_zero_data_matches_full_rows(kind, signed, pair11, rng):
         # that would see such a change is pinned by the next test.
         assert got.final.values.tobytes() == u0.values.tobytes()
         assert all(s.cells == 0 for s in log[2:])
+
+
+@pytest.mark.parametrize("kind", ["rusanov", "engquist-osher"])
+@pytest.mark.parametrize("boundary", ["dirichlet-profile", "outflow"])
+@pytest.mark.parametrize("case", ["reaches-the-ends", "compact"])
+def test_bump_on_a_constant_state_runs_a_box_of_columns(case, kind, boundary, burgers2):
+    # a 2-D step runs the band's rows only in the columns next to the last
+    # step's changes; a bump on a constant state changes a compact set, whose
+    # columns reach the grid's ends in one case (the box's faces then join the
+    # outer faces) and stay inside in the other
+    if case == "reaches-the-ends":
+        g = sl.Grid.from_box((-2.4, 2.4, -2, 2), (24, 20))
+        phi, n_steps = sl.PerturbationSpec("bump", (0.0, -1.2), 0.9, 0.3), 40
+    else:
+        g = sl.Grid.from_box((-2, 2, -2, 4), (24, 36))
+        phi, n_steps = sl.PerturbationSpec("bump", (0.0, 1.0), 0.4, 0.3), 12
+    u0 = sl.Field(g, 0.5 + sample_function(phi, g).values)
+    scheme = sl.SchemeConfig(numerical_flux=kind, boundary=boundary)
+    guard = (0.5, 0.8)  # one lambda for every step, so the band holds
+
+    def experiment():
+        horizon = n_steps * stable_dt(burgers2, g, scheme, *guard)
+        return solver.run(u0, scheme, burgers2, horizon, constant_background(0.5, 2),
+                          range_guard=guard)
+
+    got, want, log = both(experiment)
+    assert _run_bits(got) == _run_bits(want)
+    n1 = g.counts[1]
+    assert [s for s in log if s.before and 0 < s.cells < (s.before[1] - s.before[0]) * n1]
+    lo, hi = min(s.cols[0] for s in log if s.cols), max(s.cols[1] for s in log if s.cols)
+    assert ((lo, hi) == (0, n1 - 1)) == (case == "reaches-the-ends")
+    assert case == "reaches-the-ends" or 0 < lo and hi < n1 - 1
+
+
+def _changed(old, new, a, b):
+    rows = np.flatnonzero((old.view(np.int64) != new.view(np.int64))[a:b].any(axis=1))
+    return None if rows.size == 0 else (a + int(rows[0]), a + int(rows[-1]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n_changed=st.integers(0, 4), transposed=st.booleans())
+def test_moved_rows_matches_nonzero(shape, seed, n_changed, transposed):
+    # any views, as a 2-D step scans the transposed rows for its columns;
+    # the ranges include one-row blocks at either end and single rows
+    rng = np.random.default_rng(seed)
+    old = rng.choice([-0.5, -0.0, 0.0, 0.5], shape)
+    new = old.copy()
+    cells = (rng.integers(0, shape[0], n_changed), rng.integers(0, shape[1], n_changed))
+    new[cells] = np.where(old[cells] == 0.0, -old[cells], old[cells] + 1.0)  # -0.0 <-> 0.0
+    if transposed:
+        old, new = old.T, new.T
+    n = old.shape[0]
+    a = int(rng.integers(0, n + 1))
+    for a, b in ((0, n), (a, int(rng.integers(a, n + 1))), (a, min(a + 1, n))):
+        assert solver._moved_rows(old, new, a, b) == _changed(old, new, a, b)
 
 
 def test_moved_rows_sees_a_signed_zero_change():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 import shocklab as sl
@@ -23,6 +23,7 @@ from shocklab.experiments import (
 )
 from shocklab.fluxes import component_abs_max
 from shocklab.hulls import hull_indices
+from shocklab.profiles import box_corners, cell_box
 from shocklab.solver import sample_function, sample_profile
 
 
@@ -165,6 +166,56 @@ def test_support_experiment_without_support_at_any_check(burgers2):
     rep = sl.support_experiment(burgers2, b1, b2, sl.SchemeConfig(), 1.0, threshold=0.99)
     assert rep.passed
     assert rep.checks[0].measured == 0.0 and "no support" in rep.checks[0].note
+
+
+ROW_END_FLUXES = (sl.burgers_flux(2), sl.Flux(((0, 0, 0, 1), (0, 0, 1))),
+                  sl.Flux(((0, 1, 0.5), (0, -0.3, 0, 0.2))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       family=st.sampled_from(["cell", "disc", "rectangle", "random"]),
+       shape=st.sampled_from(["point", "segment", "hull"]),
+       t=st.sampled_from([0.0, 1e-300]) | st.floats(min_value=0.0, max_value=3.0))
+# one cell and a segment: numpy's (n, 2) @ (2,) rounds this point's projection
+# differently for n = 1 and n = 2, so `_row_ends` must not give it twice
+@example(seed=24, family="cell", shape="segment", t=0.0)
+def test_row_end_distance_max_is_the_all_cells_max(seed, family, shape, t):
+    # support_experiment measures only each row's first and last marked cell:
+    # the largest distance to a convex polygon must keep the bits of the
+    # largest over every marked cell, for the masks and the K + tC polygons
+    # it meets, and for 1- and 2-vertex polygons
+    rng = np.random.default_rng(seed)
+    n0, n1 = (int(n) for n in rng.integers(4, 48, 2))
+    dx = float(rng.choice([0.05, 0.078125, 1 / 3, rng.uniform(0.01, 1.0)]))
+    mesh = sl.Grid((n0, n1), tuple(rng.uniform(-10, 10, 2)), dx).center_mesh()
+    if family == "cell":
+        mask = np.zeros((n0, n1), dtype=bool)
+        mask[rng.integers(0, n0), rng.integers(0, n1)] = True
+    elif family == "disc":
+        centre = mesh[rng.integers(0, n0), rng.integers(0, n1)]
+        mask = np.linalg.norm(mesh - centre, axis=-1) <= rng.uniform(0, 0.5 * max(n0, n1) * dx)
+    elif family == "rectangle":
+        (i0, i1), (j0, j1) = np.sort(rng.integers(0, n0, 2)), np.sort(rng.integers(0, n1, 2))
+        mask = np.zeros((n0, n1), dtype=bool)
+        mask[i0:i1 + 1, j0:j1 + 1] = True
+    else:
+        mask = rng.random((n0, n1)) < rng.uniform(0.01, 0.9)
+    assume(mask.any())
+    if shape == "hull":
+        k = mask if rng.random() < 0.5 else rng.random((n0, n1)) < 0.2
+        k[rng.integers(0, n0), rng.integers(0, n1)] = True
+        lo = rng.uniform(-1.5, 1.5)
+        hull = sl.support_hull(ROW_END_FLUXES[rng.integers(0, 3)],
+                               (lo, lo + rng.choice([0.0, rng.uniform(0.0, 2.0)])))
+        corners = np.array([c + t * v for c in box_corners(*cell_box(mesh, k, dx), 2)
+                            for v in hull.vertices])
+        poly = corners[hull_indices(corners)]
+    else:
+        poly = rng.uniform(-10, 10, (1 if shape == "point" else 2, 2))
+    every = np.max(xp._polygon_distance(poly, mesh[mask]))
+    ends = np.max(xp._polygon_distance(poly, mesh[xp._row_ends(mask)]))
+    assert ends.tobytes() == every.tobytes()
 
 
 def test_support_experiment_boundary_contact(burgers2):
